@@ -2,7 +2,8 @@
 
 Subcommands: check, supertree, represent, count, sdr, order,
 gen-defining.  Exit codes: 0 verdict true / success, 1 verdict false
-(with certificate), 2 usage or input error, 3 budget or cap exceeded.
+(with certificate), 2 usage or input error, 3 budget or cap exceeded,
+4 an internal self-check failed (a bug; reported, never a traceback).
 JSON output (--json) is byte-deterministic for a fixed input and flag
 set: keys are sorted, label ordering is lexicographic, and timings are
 printed only in human mode.
@@ -20,6 +21,7 @@ from . import flex, graphopt, phylo, represent, setsys
 from .errors import (
     CapExceededError,
     InputError,
+    InternalVerificationError,
     PreconditionError,
 )
 from .graphopt import MinimizerReport
@@ -231,7 +233,7 @@ def _cmd_supertree(ns) -> int:
     tree = phylo.make_binary(result.tree) if ns.binary else result.tree
     for t in triples:
         if not phylo.displays_triple(tree, t):
-            raise InputError(f"internal check failed: {t.compact()} not displayed")
+            raise InternalVerificationError(f"supertree does not display {t.compact()}")
     payload = {
         "command": "supertree",
         "compatible": True,
@@ -407,9 +409,19 @@ def _default_budget() -> int:
     if raw is None:
         return flex.DEFAULT_ASSIGNMENT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise InputError(f"SETFLEX_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise InputError(f"SETFLEX_BUDGET must be non-negative, got {budget}")
+    return budget
+
+
+def _check_limits(ns) -> None:
+    for flag in ("cap", "budget"):
+        value = getattr(ns, flag, None)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag} must be non-negative, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -491,6 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_error(ns, exc: Exception) -> None:
     json_mode = bool(getattr(ns, "json", False))
     payload = {"error": str(exc)}
+    if isinstance(exc, InternalVerificationError):
+        payload["kind"] = "internal-verification"
     if isinstance(exc, PreconditionError) and isinstance(
         exc.certificate, MinimizerReport
     ):
@@ -509,6 +523,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
+        _check_limits(ns)
         if getattr(ns, "budget", None) is None and hasattr(ns, "budget"):
             ns.budget = _default_budget()
         return ns.func(ns)
@@ -518,6 +533,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         _print_error(ns, exc)
         return 2
+    except InternalVerificationError as exc:
+        _print_error(ns, exc)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes map onto this hierarchy: `InputError` and its subclasses
-are usage/input problems (exit 2), `CapExceededError` and its subclasses
-are configured-limit overflows (exit 3).
+are usage/input problems (exit 2), including negative caps and budgets;
+`CapExceededError` and its subclasses are configured-limit overflows
+(exit 3); `InternalVerificationError` is a failed self-check (exit 4),
+reported as an error message (with `--json`, a `{"error", "kind"}`
+object on stdout) rather than a traceback.
 """
 
 

@@ -1,10 +1,17 @@
 """Bipartite incidence graphs and the polynomial-time thin/slim checks.
 
 The surplus minimizers work by a forced-member min-cut reduction rather
-than a general submodular minimizer: for each member s0 forced into the
-selection, a flow network is built whose min cut equals (constant
-offset) + the minimum of the measure over selections containing s0.
-Minimizing over the forced member then covers all non-empty selections.
+than a general submodular minimizer: with member s0 forced into the
+selection, the min cut of one flow network equals (constant offset) +
+the minimum of the measure over selections containing s0.  Minimizing
+over the forced member then covers all non-empty selections.
+
+The network is built and max-flowed once; each forced member warm-starts
+from that flow's residual with one source arc raised (parametric max
+flow in the sense of Gallo, Grigoriadis and Tarjan, 1989), so a k-member
+minimization costs about one max flow plus k short augmentations, not k
+cold flows.  `max_flow` and the minimizer share one augmenting routine
+and one residual-cut routine.
 
 Everything is deterministic: augmenting paths are found by BFS over arcs
 in insertion order, the forced-member loop breaks ties by canonical
@@ -110,9 +117,81 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """A maximum flow: its value, one minimum cut, and the final residual.
+
+    `residual` is aligned with the network's arc arrays, so a caller can
+    raise some capacities in a copy of it and keep augmenting from this
+    flow instead of starting over.
+    """
+
     value: int
     source_side: frozenset[int]
     cut_arcs: tuple[tuple[str, str, int], ...]
+    residual: tuple[int, ...]
+    augmenting_paths: int
+
+
+def _augment(network: FlowNetwork, cap: list[int]) -> tuple[int, int]:
+    """Augment along BFS-shortest paths of the residual `cap` until none is left.
+
+    `cap` is updated in place.  Returns the flow added and the number of
+    augmenting paths used.
+    """
+    s, t = network.source, network.sink
+    adj, arc_to = network.adj, network.arc_to
+    node_count = len(network.names)
+    added = paths = 0
+    while True:
+        prev_arc = [-1] * node_count
+        prev_arc[s] = -2
+        queue = deque([s])
+        while queue and prev_arc[t] == -1:
+            u = queue.popleft()
+            for a in adj[u]:
+                v = arc_to[a]
+                if cap[a] > 0 and prev_arc[v] == -1:
+                    prev_arc[v] = a
+                    queue.append(v)
+        if prev_arc[t] == -1:
+            return added, paths
+        bottleneck = None
+        v = t
+        while v != s:
+            a = prev_arc[v]
+            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
+            v = arc_to[a ^ 1]
+        v = t
+        while v != s:
+            a = prev_arc[v]
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+            v = arc_to[a ^ 1]
+        added += bottleneck
+        paths += 1
+
+
+def _residual_cut(network: FlowNetwork, cap: list[int]) -> tuple[frozenset[int], tuple]:
+    """The source side of the residual `cap` and the network arcs leaving it.
+
+    Cut arcs are reported by node name with their capacity in `network`.
+    """
+    adj, arc_to = network.adj, network.arc_to
+    reachable = {network.source}
+    queue = deque([network.source])
+    while queue:
+        u = queue.popleft()
+        for a in adj[u]:
+            v = arc_to[a]
+            if cap[a] > 0 and v not in reachable:
+                reachable.add(v)
+                queue.append(v)
+    cut = []
+    for u in sorted(reachable):
+        for a in adj[u]:
+            v = arc_to[a]
+            if a % 2 == 0 and v not in reachable:
+                cut.append((network.names[u], network.names[v], network.arc_cap[a]))
+    return frozenset(reachable), tuple(cut)
 
 
 def max_flow(network: FlowNetwork) -> FlowResult:
@@ -126,56 +205,11 @@ def max_flow(network: FlowNetwork) -> FlowResult:
         raise InputError("network has no designated source/sink")
     if s == t:
         raise InputError("source and sink must differ")
-    adj, arc_to = network.adj, network.arc_to
     cap = list(network.arc_cap)
-    original = network.arc_cap
-
-    value = 0
-    while True:
-        prev_arc = [-1] * len(network.names)
-        prev_arc[s] = -2
-        queue = deque([s])
-        while queue and prev_arc[t] == -1:
-            u = queue.popleft()
-            for a in adj[u]:
-                v = arc_to[a]
-                if cap[a] > 0 and prev_arc[v] == -1:
-                    prev_arc[v] = a
-                    queue.append(v)
-        if prev_arc[t] == -1:
-            break
-        bottleneck = None
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
-            v = arc_to[a ^ 1]
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = arc_to[a ^ 1]
-        value += bottleneck
-
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for a in adj[u]:
-            v = arc_to[a]
-            if cap[a] > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-    cut = []
-    for u in sorted(reachable):
-        for a in adj[u]:
-            v = arc_to[a]
-            if a % 2 == 0 and v not in reachable:
-                cut.append((network.names[u], network.names[v], original[a]))
-    return FlowResult(
-        value=value, source_side=frozenset(reachable), cut_arcs=tuple(cut)
-    )
+    value, paths = _augment(network, cap)
+    source_side, cut = _residual_cut(network, cap)
+    return FlowResult(value=value, source_side=source_side, cut_arcs=cut,
+                      residual=tuple(cap), augmenting_paths=paths)
 
 
 # -- surplus minimization -----------------------------------------------------
@@ -187,55 +221,92 @@ class MinimizerReport:
 
     The cut certifies optimality: its capacity equals value + offset,
     where offset is the total member weight of the reduction.
+    `augmenting_paths` (base flow plus every warm step) and
+    `forced_members` count the work done.
     """
 
     value: int
     witness: tuple[int, ...]
     cut: tuple[tuple[str, str, int], ...]
     offset: int
+    augmenting_paths: int
+    forced_members: int
 
 
 def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
+    """Minimum of the weighted surplus over non-empty member selections.
+
+    The network has source -> member arcs of the member weight,
+    member -> taxon containment arcs and taxon -> sink arcs of capacity
+    1.  A source side holding the members W (and necessarily their
+    taxa) cuts total_weight - w(W) + |L(W)|, so forcing member s0 onto
+    the source side (its source arc at a sentinel) gives total_weight
+    plus the minimum over selections containing s0.
+
+    The network is built once and max-flowed once, unforced.  Each
+    forced member then starts from a copy of that residual with its
+    source arc raised to the sentinel: the unforced maximum flow stays
+    feasible, and at most |s0| more units can pass through s0, so each
+    forced member costs at most |s0| augmenting paths rather than a
+    cold flow.  The witness and cut are those of a cold solve: the
+    nodes reachable from the source in the residual of *any* maximum
+    flow form the same, inclusion-minimal, minimum-cut source side, and
+    sentinel arcs are never cut, so the sentinel's value does not show.
+    Ties go to the lowest forced member index.
+    """
     k = graph.member_count
     if k == 0:
         raise InputError("cannot minimize over an empty system")
     taxon_pos = {x: p for p, x in enumerate(graph.taxa)}
     total_weight = sum(graph.weights)
+    # Above the total finite capacity, so forced and containment arcs are
+    # never cut.
+    cinf = total_weight + len(graph.taxa) + 1
 
-    best: tuple[int, tuple[int, ...], tuple, int] | None = None
+    net = FlowNetwork()
+    net.source = net.add_node("source")
+    net.sink = net.add_node("sink")
+    member_nodes = [net.add_node(f"member:{i}") for i in range(k)]
+    taxon_nodes = [net.add_node(f"taxon:{lab}") for lab in graph.taxon_labels]
+    source_arcs = []
+    for i in range(k):
+        source_arcs.append(len(net.arc_to))
+        net.add_arc(net.source, member_nodes[i], graph.weights[i])
+        for x in graph.adjacency[i]:
+            net.add_arc(member_nodes[i], taxon_nodes[taxon_pos[x]], cinf)
+    for tn in taxon_nodes:
+        net.add_arc(tn, net.sink, 1)
+
+    base = max_flow(net)
+    paths = base.augmenting_paths
+    best: tuple[int, list[int]] | None = None
     for forced in range(k):
-        net = FlowNetwork()
-        net.source = net.add_node("source")
-        net.sink = net.add_node("sink")
-        member_nodes = [net.add_node(f"member:{i}") for i in range(k)]
-        taxon_nodes = [net.add_node(f"taxon:{lab}") for lab in graph.taxon_labels]
-
-        # Sentinel above the total finite capacity so forced/containment
-        # arcs are never cut.
-        finite = sum(w for i, w in enumerate(graph.weights) if i != forced)
-        finite += len(graph.taxa)
-        cinf = finite + 1
-
-        for i in range(k):
-            net.add_arc(net.source, member_nodes[i],
-                        cinf if i == forced else graph.weights[i])
-            for x in graph.adjacency[i]:
-                net.add_arc(member_nodes[i], taxon_nodes[taxon_pos[x]], cinf)
-        for tn in taxon_nodes:
-            net.add_arc(tn, net.sink, 1)
-
-        result = max_flow(net)
-        value = result.value - total_weight
+        cap = list(base.residual)
+        cap[source_arcs[forced]] += cinf - graph.weights[forced]
+        added, steps = _augment(net, cap)
+        paths += steps
+        value = base.value + added - total_weight
         if best is None or value < best[0]:
-            witness = tuple(
-                i for i in range(k) if member_nodes[i] in result.source_side
-            )
-            best = (value, witness, result.cut_arcs, forced)
+            best = (value, cap)
 
-    value, witness, cut, _ = best
+    value, cap = best
+    source_side, cut = _residual_cut(net, cap)
+    witness = tuple(i for i in range(k) if member_nodes[i] in source_side)
     if not witness:
         raise InternalVerificationError("minimizer produced an empty witness")
-    return MinimizerReport(value=value, witness=witness, cut=cut, offset=total_weight)
+    if sum(c for _, _, c in cut) != value + total_weight:
+        raise InternalVerificationError("cut capacity does not certify the minimum")
+    side_names = {net.names[v] for v in source_side}
+    if any(u not in side_names or v in side_names for u, v, _ in cut):
+        raise InternalVerificationError("cut arc does not leave the source side")
+    # A member is on the source side iff its source arc is not cut.
+    cut_heads = {v for u, v, _ in cut if u == "source"}
+    chosen = set(witness)
+    if any((i in chosen) == (net.names[node] in cut_heads)
+           for i, node in enumerate(member_nodes)):
+        raise InternalVerificationError("witness differs from the source-side members")
+    return MinimizerReport(value=value, witness=witness, cut=cut, offset=total_weight,
+                           augmenting_paths=paths, forced_members=k)
 
 
 def sigma_star(system: SetSystem) -> MinimizerReport:
@@ -266,7 +337,9 @@ def is_thin(system: SetSystem, r: int) -> CheckReport:
         raise MemberSizeError(f"system is not uniformly of size {r}")
     report = sigma_star(system)
     verdict = report.value >= r - 1
-    stats = {"sigma_star": report.value, "threshold": r - 1}
+    stats = {"sigma_star": report.value, "threshold": r - 1,
+             "augmenting_paths": report.augmenting_paths,
+             "forced_members": report.forced_members}
     if r == 2:
         stats["note"] = "r=2 threshold sigma* >= 1 follows from the excess definition"
     return CheckReport(
@@ -286,7 +359,9 @@ def is_slim(system: SetSystem) -> CheckReport:
         verdict=verdict,
         method="mincut",
         certificate=None if verdict else report,
-        stats={"gamma_star": report.value, "threshold": 2},
+        stats={"gamma_star": report.value, "threshold": 2,
+               "augmenting_paths": report.augmenting_paths,
+               "forced_members": report.forced_members},
         recheck="setflex.setsys.gamma",
     )
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from setflex import InternalVerificationError, graphopt
 from setflex.cli import main
 
 
@@ -137,6 +138,59 @@ class TestCheck:
             capsys, "check", "order-flexible", str(over), "--method", "bruteforce"
         )
         assert code == 3
+
+
+class TestErrorSurface:
+    def test_negative_budget_flag_exit_2(self, capsys, fig1):
+        code, payload = run_json(
+            capsys, "check", "flexible", fig1, "--method", "bruteforce",
+            "--budget", "-1",
+        )
+        assert code == 2 and "--budget" in payload["error"]
+
+    def test_negative_budget_env_exit_2(self, capsys, fig1, monkeypatch):
+        monkeypatch.setenv("SETFLEX_BUDGET", "-1")
+        code, payload = run_json(
+            capsys, "check", "flexible", fig1, "--method", "bruteforce"
+        )
+        assert code == 2 and "SETFLEX_BUDGET" in payload["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "thin", "FIG1", "--method", "exhaustive", "--cap", "-1"),
+        ("check", "order-flexible", "FIG1", "--method", "bruteforce", "--cap", "-1"),
+        ("count", "--formula-n", "6", "--cap", "-1"),
+    ])
+    def test_negative_cap_exit_2(self, capsys, fig1, argv):
+        argv = [fig1 if a == "FIG1" else a for a in argv]
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and "--cap" in payload["error"]
+
+    def test_zero_budget_is_a_limit_not_a_usage_error(self, capsys, fig1):
+        code, _ = run(
+            capsys, "check", "flexible", fig1, "--method", "bruteforce",
+            "--budget", "0",
+        )
+        assert code == 3
+
+    @pytest.fixture
+    def broken_is_thin(self, monkeypatch):
+        def broken(system, r):
+            raise InternalVerificationError("witness does not reproduce")
+
+        monkeypatch.setattr(graphopt, "is_thin", broken)
+
+    def test_internal_verification_exit_4_json(self, capsys, fig1, broken_is_thin):
+        code, payload = run_json(capsys, "check", "thin", fig1)
+        assert code == 4
+        assert payload == {
+            "error": "witness does not reproduce", "kind": "internal-verification",
+        }
+
+    def test_internal_verification_exit_4_human(self, capsys, fig1, broken_is_thin):
+        assert main(["check", "thin", fig1]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness does not reproduce\n"
 
 
 class TestSupertree:

@@ -1,6 +1,10 @@
 import random
+import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setflex import (
     FlowNetwork,
@@ -21,7 +25,8 @@ from setflex import (
     sigma_star,
     surplus_forest,
 )
-from conftest import FIG1, FIG1P, brute_minimum, random_system, tsys
+from conftest import ALPHA, FIG1, FIG1P, brute_minimum, random_system, tsys
+from setflex.graphopt import _minimize_surplus
 
 
 class TestIncidenceGraph:
@@ -143,6 +148,87 @@ class TestMinimizers:
                 assert evaluate(s, report.witness) == expected
 
 
+def networkx_minimum(graph) -> int:
+    """Min over forced members of a networkx min cut, minus the offset.
+
+    The network is rebuilt from the incidence graph alone; arcs without
+    a capacity attribute are infinite in networkx.
+    """
+    g = nx.DiGraph()
+    for i in range(graph.member_count):
+        g.add_edge("s", ("m", i), capacity=graph.weights[i])
+        for x in graph.adjacency[i]:
+            g.add_edge(("m", i), ("x", x))
+    for x in graph.taxa:
+        g.add_edge(("x", x), "t", capacity=1)
+    values = []
+    for i in range(graph.member_count):
+        arc = g["s"][("m", i)]
+        del arc["capacity"]
+        value, _ = nx.minimum_cut(g, "s", "t", flow_func=nx.flow.boykov_kolmogorov)
+        values.append(value)
+        arc["capacity"] = graph.weights[i]
+    return min(values) - sum(graph.weights)
+
+
+def assert_cut_certifies(graph, report):
+    """Cut = uncut members' weights + taxa of the witness = value + offset."""
+    assert report.witness
+    covered = {x for i in report.witness for x in graph.adjacency[i]}
+    outside = sum(w for i, w in enumerate(graph.weights) if i not in report.witness)
+    assert outside + len(covered) == report.value + report.offset
+    assert sum(c for _, _, c in report.cut) == report.value + report.offset
+    assert {v for u, v, _ in report.cut if u == "source"} == {
+        f"member:{i}" for i in range(graph.member_count) if i not in report.witness
+    }
+
+
+class TestOracles:
+    def test_random_systems_against_networkx_and_exhaustive(self):
+        rng = random.Random(53)
+        checked = 0
+        for _ in range(320):
+            sizes = rng.choice([(2, 3), (3,), (3, 4, 5), (2, 3, 4, 5)])
+            s = random_system(rng, rng.randint(5, 10), rng.randint(1, 12), sizes)
+            for weighting, measure in (("unit", "sigma"), ("size_minus_two", "gamma")):
+                if weighting == "size_minus_two" and any(len(m) < 3 for m in s.members):
+                    continue
+                graph = incidence_graph(s, weighting)
+                report = _minimize_surplus(graph)
+                assert report.value == networkx_minimum(graph)
+                assert report.value == brute_minimum(s, measure)[0]
+                assert_cut_certifies(graph, report)
+                assert report.forced_members == s.member_count
+                checked += 1
+        assert checked >= 300
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.frozensets(st.sampled_from(ALPHA[:8]), min_size=2, max_size=5),
+        min_size=1, max_size=8, unique=True,
+    ))
+    def test_property_minimum_equals_exhaustive(self, members):
+        s = SetSystem([sorted(m) for m in members])
+        weightings = [("unit", "sigma")]
+        if all(len(m) >= 3 for m in s.members):
+            weightings.append(("size_minus_two", "gamma"))
+        for weighting, measure in weightings:
+            graph = incidence_graph(s, weighting)
+            report = _minimize_surplus(graph)
+            assert report.value == brute_minimum(s, measure)[0]
+            assert_cut_certifies(graph, report)
+
+
+class TestLarge:
+    def test_sigma_star_400_triple_chain_under_5s(self):
+        names = [f"t{i:03d}" for i in range(402)]
+        s = SetSystem([names[i:i + 3] for i in range(400)])
+        start = time.perf_counter()
+        report = sigma_star(s)
+        assert time.perf_counter() - start < 5.0
+        assert report.value == 2 and report.forced_members == 400
+
+
 class TestThinSlim:
     def test_fig1(self):
         assert is_thin(tsys(*FIG1), 3).verdict
@@ -163,6 +249,15 @@ class TestThinSlim:
         for _ in range(80):
             s = random_system(rng, rng.randint(4, 8), rng.randint(1, 6), (3, 4))
             assert is_slim(s).verdict == is_slim_exhaustive(s).verdict
+
+    def test_work_counters(self):
+        for check, system in ((lambda s: is_thin(s, 3), tsys(*FIG1)),
+                              (is_slim, tsys("abcd", "cdef"))):
+            stats = check(system).stats
+            assert type(stats["augmenting_paths"]) is int
+            assert stats["augmenting_paths"] > 0
+            assert stats["forced_members"] == system.member_count
+            assert check(system).stats == stats
 
     def test_non_uniform_rejected(self):
         with pytest.raises(MemberSizeError):
