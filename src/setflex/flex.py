@@ -125,16 +125,19 @@ def is_flexible_bruteforce(
         raise BudgetExceededError(
             f"{total} assignments exceed the budget {budget}"
         )
-    triple_lists = [[triples_of(t) for t in lst] for lst in tree_lists]
+    # Each tree's triples, listed once; an assignment concatenates its
+    # members' lists.  A triple displayed by two members then appears
+    # twice, which BUILD treats as once.
+    triple_lists = [[sorted(triples_of(t)) for t in lst] for lst in tree_lists]
 
     k = system.member_count
     digits = [0] * k
     taxa = system.leaf_labels()
     checked = 0
     while True:
-        pooled: set[RootedTriple] = set()
+        pooled: list[RootedTriple] = []
         for i in range(k):
-            pooled |= triple_lists[i][digits[i]]
+            pooled += triple_lists[i][digits[i]]
         checked += 1
         result = build_supertree(pooled, taxa=taxa)
         if not result.compatible:

@@ -10,6 +10,14 @@ Newick here is deliberately restricted: no branch lengths, no quoted
 labels, no internal labels.  Unrooted trees are serialized by rooting at
 the interior vertex adjacent to the smallest leaf label (the root then
 carries degree-many children).
+
+Leaf sets inside a tree and inside BUILD are integer bitmasks over the
+sorted leaf labels (bit i is the i-th smallest label), so "smallest
+contained label" is "lowest set bit".  All triple queries on a tree
+(`lca`, `resolve`, `displays_triple`) share one descent over cluster
+masks.  BUILD (Aho et al., 1981) runs on `(cherry_mask, all_mask)` pairs
+with an explicit stack of scopes, so its depth is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -57,6 +65,20 @@ class RootedPhyloTree:
         self._shape, _ = _canonical(shape, seen)
         self._leaves = tuple(sorted(seen))
         self._index = None
+
+    @classmethod
+    def _from_canonical(cls, shape: Shape, leaves: tuple[str, ...]) -> RootedPhyloTree:
+        """Wrap a shape that is already canonical, skipping `_canonical`.
+
+        The caller guarantees what `_canonical` would check or establish:
+        checked, distinct labels; interior out-degree >= 2; children
+        sorted by smallest contained label; `leaves` sorted.
+        """
+        tree = cls.__new__(cls)
+        tree._shape = shape
+        tree._leaves = leaves
+        tree._index = None
+        return tree
 
     @property
     def shape(self) -> Shape:
@@ -194,15 +216,7 @@ class RootedPhyloTree:
     def resolve_mask(self, want: int) -> int:
         """Mask variant of `resolve`: the cherry-pair bits at the join, or 0."""
         _, _, child_ids, masks, _ = self._ensure_index()
-        v = 0
-        while True:
-            for c in child_ids[v]:
-                if masks[c] & want == want:
-                    v = c
-                    break
-            else:
-                break
-        for child in child_ids[v]:
+        for child in child_ids[self._descend(want)]:
             overlap = want & masks[child]
             if overlap.bit_count() == 2:
                 return overlap
@@ -214,16 +228,11 @@ class RootedPhyloTree:
         Returns frozenset({x,y}) when the tree displays xy|z for the
         remaining leaf z.
         """
-        want = self._want_mask((a, b, c))
-        _, _, child_ids, masks, bit_of = self._ensure_index()
-        v = self._descend(want)
-        for child in child_ids[v]:
-            overlap = want & masks[child]
-            if overlap.bit_count() == 2:
-                return frozenset(
-                    x for x in (a, b, c) if bit_of[x] & overlap
-                )
-        return None
+        overlap = self.resolve_mask(self._want_mask((a, b, c)))
+        if not overlap:
+            return None
+        bit_of = self.leaf_bits()
+        return frozenset(x for x in (a, b, c) if bit_of[x] & overlap)
 
 
 class RootedTriple(NamedTuple):
@@ -362,21 +371,28 @@ def write_newick(tree: RootedPhyloTree) -> str:
 
 def displays_triple(tree: RootedPhyloTree, t: RootedTriple) -> bool:
     """True iff the cherry pair of t joins strictly below the triple's lca."""
-    missing = t.taxa - set(tree.leaves)
+    bit_of = tree.leaf_bits()
+    missing = {x for x in t if x not in bit_of}
     if missing:
         raise InputError(f"taxa not in tree: {sorted(missing)}")
-    return tree.resolve(t.first, t.second, t.out) == t.cherry
+    cherry = bit_of[t.first] | bit_of[t.second]
+    return tree.resolve_mask(cherry | bit_of[t.out]) == cherry
 
 
 def triples_of(tree: RootedPhyloTree) -> frozenset[RootedTriple]:
     """All rooted triples displayed by the tree, over all leaf 3-subsets."""
+    bit_of = tree.leaf_bits()
     out = []
+    # Leaves are sorted, so a < b < c and each cherry comes out sorted.
     for a, b, c in combinations(tree.leaves, 3):
-        pair = tree.resolve(a, b, c)
-        if pair is not None:
-            (z,) = {a, b, c} - pair
-            x, y = sorted(pair)
-            out.append(RootedTriple(x, y, z))
+        ab = bit_of[a] | bit_of[b]
+        pair = tree.resolve_mask(ab | bit_of[c])
+        if pair == ab:
+            out.append(RootedTriple(a, b, c))
+        elif pair == bit_of[a] | bit_of[c]:
+            out.append(RootedTriple(a, c, b))
+        elif pair:
+            out.append(RootedTriple(b, c, a))
     return frozenset(out)
 
 
@@ -450,33 +466,13 @@ def cluster_graph(
     return {v: tuple(sorted(adj[v])) for v in nodes}
 
 
-def _components(adj: dict[str, tuple[str, ...]]) -> list[tuple[str, ...]]:
-    seen: set[str] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
-
-
 @dataclass(frozen=True)
 class BuildResult:
-    """Outcome of the recursive supertree construction.
+    """Outcome of the supertree construction.
 
     Either `tree` is the minimally resolved supertree displaying every
-    input triple, or `witness` is the first leaf set (in recursion
-    order) whose cluster graph is connected.
+    input triple, or `witness` is the first leaf set (in preorder over
+    the scopes) whose cluster graph is connected.
     """
 
     tree: RootedPhyloTree | None
@@ -487,47 +483,107 @@ class BuildResult:
         return self.tree is not None
 
 
-class _Incompatible(Exception):
-    def __init__(self, witness: tuple[str, ...]):
-        self.witness = witness
+def _build_masks(pairs: list[tuple[int, int]], root: int):
+    """BUILD on `(cherry_mask, all_mask)` pairs over the leaf mask `root`.
+
+    Returns `(splits, witness)`.  On success `witness` is None and
+    `splits` lists `(scope, components)` for every scope of two or more
+    leaves in preorder, components in order of lowest bit.  Otherwise
+    `witness` is the first scope in that preorder whose cluster graph is
+    connected.
+    """
+    splits: list[tuple[int, list[int]]] = []
+    stack = [(root, pairs)] if root & (root - 1) else []
+    while stack:
+        scope, outer = stack.pop()
+        # A pair inside this scope is inside its parent's, so filtering
+        # the parent's pairs loses none.
+        inside = [p for p in outer if p[1] | scope == scope]
+        adj: dict[int, int] = {}
+        for cherry, _ in inside:
+            low = cherry & -cherry
+            high = cherry ^ low
+            adj[low] = adj.get(low, 0) | high
+            adj[high] = adj.get(high, 0) | low
+        comps = []
+        rest = scope
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = adj.get(bit, 0) & ~comp
+                comp |= new
+                frontier |= new
+            comps.append(comp)
+            rest ^= comp
+        if len(comps) == 1:
+            return splits, scope
+        splits.append((scope, comps))
+        # Reversed, so the lowest component is popped, and expanded, next.
+        for comp in reversed(comps):
+            if comp & (comp - 1):
+                stack.append((comp, inside))
+    return splits, None
 
 
 def build_supertree(
     triples: Iterable[RootedTriple], taxa: Iterable[str] | None = None
 ) -> BuildResult:
-    """Recursive supertree construction from rooted triples.
+    """BUILD (Aho et al., 1981): the supertree of a rooted triple set, if any.
 
-    On leaf set S the cluster graph is computed; a connected graph on
-    |S| >= 2 vertices stops the recursion with S as the incompatibility
-    witness, otherwise each component becomes a child subtree.  With no
-    triples the result is the star tree on `taxa`.
+    On leaf set S the cluster graph has an edge {a,b} for each triple
+    ab|c inside S.  A connected graph on |S| >= 2 vertices stops the
+    construction with S as the incompatibility witness; otherwise each
+    component becomes a child subtree.  With no triples the result is
+    the star tree on `taxa`.
+
+    The work happens in `_build_masks` on leaf bitmasks, bit i standing
+    for the i-th smallest label.  The components of a scope are disjoint,
+    so ordering them by smallest label is ordering them by lowest bit,
+    and expanding them lowest first from a stack visits scopes in the
+    same preorder as a depth-first recursion would; the witness is the
+    first connected scope in that preorder.  The resulting splits are
+    therefore already the canonical shape (children in order of smallest
+    label, every interior vertex with two or more children, distinct
+    labels), so the tree is assembled bottom-up and wrapped without
+    re-canonicalizing; each leaf label is checked once.
     """
     tr = list(triples)
-    leaf_set = set()
-    for t in tr:
-        leaf_set |= t.taxa
-    if taxa is not None:
-        extra = set(taxa)
-        if not leaf_set <= extra:
-            raise InputError("triples mention taxa outside the given leaf set")
-        leaf_set = extra
-    if not leaf_set:
+    if taxa is None:
+        leaf_set: set[str] = set()
+        for t in tr:
+            leaf_set.update(t)
+    else:
+        leaf_set = set(taxa)
+    leaves = tuple(sorted(leaf_set))
+    bit_of = {lab: 1 << i for i, lab in enumerate(leaves)}
+    try:
+        pairs = [(ab := bit_of[a] | bit_of[b], ab | bit_of[c]) for a, b, c in tr]
+    except KeyError:
+        raise InputError("triples mention taxa outside the given leaf set") from None
+    if not leaves:
         raise InputError("supertree needs at least one taxon")
 
-    def rec(scope: tuple[str, ...]):
-        if len(scope) == 1:
-            return scope[0]
-        inside = [t for t in tr if t.taxa <= set(scope)]
-        comps = _components(cluster_graph(inside, scope))
-        if len(comps) == 1:
-            raise _Incompatible(scope)
-        return tuple(rec(c) for c in comps)
-
-    try:
-        shape = rec(tuple(sorted(leaf_set)))
-    except _Incompatible as stop:
-        return BuildResult(tree=None, witness=stop.witness)
-    return BuildResult(tree=RootedPhyloTree(shape), witness=None)
+    full = (1 << len(leaves)) - 1
+    splits, witness = _build_masks(pairs, full)
+    if witness is not None:
+        return BuildResult(
+            tree=None,
+            witness=tuple(lab for i, lab in enumerate(leaves) if witness >> i & 1),
+        )
+    for lab in leaves:
+        check_label(lab)
+    shapes: dict[int, Shape] = {}
+    # Reversed preorder meets every split after the splits below it.
+    for scope, comps in reversed(splits):
+        shapes[scope] = tuple([
+            shapes.pop(c) if c & (c - 1) else leaves[c.bit_length() - 1]
+            for c in comps
+        ])
+    shape = shapes[full] if splits else leaves[0]
+    tree = RootedPhyloTree._from_canonical(shape, leaves)
+    return BuildResult(tree=tree, witness=None)
 
 
 # -- unrooted trees -------------------------------------------------------------

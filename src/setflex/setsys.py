@@ -44,7 +44,8 @@ def check_label(label: str) -> str:
     """Validate a taxon label: non-empty, no whitespace, no ( ) , ; : characters."""
     if not isinstance(label, str) or not label:
         raise InputError(f"taxon label must be a non-empty string, got {label!r}")
-    if any(c.isspace() or c in _FORBIDDEN_LABEL_CHARS for c in label):
+    # split() drops or splits at exactly the characters isspace() accepts.
+    if label.split() != [label] or not _FORBIDDEN_LABEL_CHARS.isdisjoint(label):
         raise InputError(
             f"taxon label {label!r} contains whitespace or one of ( ) , ; :"
         )

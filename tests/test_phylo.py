@@ -1,9 +1,13 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setflex import (
+    BuildResult,
     InputError,
     ParseError,
     RootedPhyloTree,
@@ -22,7 +26,7 @@ from setflex import (
     triples_of,
     write_newick,
 )
-from conftest import component_count
+from conftest import ALPHA, component_count
 
 
 def T(text: str) -> RootedPhyloTree:
@@ -290,6 +294,127 @@ class TestBuild:
             for tree in sample:
                 rebuilt = build_supertree(triples_of(tree))
                 assert rebuilt.tree == tree
+
+
+# -- BUILD oracles -------------------------------------------------------------
+
+
+class _Connected(Exception):
+    def __init__(self, scope):
+        self.scope = scope
+
+
+def reference_build(triples, taxa) -> BuildResult:
+    """Textbook recursive BUILD: networkx components of `cluster_graph`."""
+
+    def rec(scope):
+        if len(scope) == 1:
+            return scope[0]
+        graph = nx.Graph()
+        for a, nbrs in cluster_graph(triples, scope).items():
+            graph.add_node(a)
+            graph.add_edges_from((a, b) for b in nbrs)
+        comps = sorted(tuple(sorted(c)) for c in nx.connected_components(graph))
+        if len(comps) == 1:
+            raise _Connected(scope)
+        return tuple(rec(c) for c in comps)
+
+    try:
+        shape = rec(tuple(sorted(set(taxa))))
+    except _Connected as stop:
+        return BuildResult(tree=None, witness=stop.scope)
+    return BuildResult(tree=RootedPhyloTree(shape), witness=None)
+
+
+def _random_triples(rng, labels, count):
+    return [RootedTriple.of(*rng.sample(labels, 3)) for _ in range(count)]
+
+
+class TestBuildOracles:
+    def test_matches_networkx_reference(self):
+        rng = random.Random(41)
+        incompatible = 0
+        for _ in range(2000):
+            taxa = ALPHA[:rng.randint(3, 10)]
+            triples = _random_triples(rng, taxa, rng.randint(0, 14))
+            result = build_supertree(triples, taxa=taxa)
+            assert result == reference_build(triples, taxa)
+            incompatible += not result.compatible
+        # Both outcomes are well represented.
+        assert 400 < incompatible < 1600
+
+    @pytest.mark.parametrize("lines, witness", [
+        # Two conflicts side by side: the block with the smaller labels wins.
+        (["a,b|c", "b,c|a", "x,y|z", "y,z|x"], ("a", "b", "c")),
+        (["x,y|z", "y,z|x", "a,b|c", "b,c|a"], ("a", "b", "c")),
+        # The first block's conflict sits one level deeper than the
+        # second's; preorder still reports the first block.
+        (["a,e|p", "a,b|c", "b,c|a", "c,d|a", "p,q|r", "q,r|p", "r,s|p", "p,s|e"],
+         ("a", "b", "c", "d")),
+    ])
+    def test_two_blocks_witness_order(self, lines, witness):
+        triples = [trip(x) for x in lines]
+        result = build_supertree(triples)
+        assert result.witness == witness
+        assert result == reference_build(triples, {x for t in triples for x in t})
+
+    def test_labels_are_checked(self):
+        with pytest.raises(InputError):
+            build_supertree([], taxa={"a", "b c"})
+        with pytest.raises(InputError):
+            build_supertree([RootedTriple("a", "b", "c;")])
+
+    def test_compatible_iff_some_binary_tree_displays_all(self):
+        rng = random.Random(43)
+        for m in range(3, 7):
+            taxa = ALPHA[:m]
+            hosts = [triples_of(h) for h in enumerate_binary_trees(taxa)]
+            for _ in range(150):
+                triples = set(_random_triples(rng, taxa, rng.randint(1, 2 * m)))
+                result = build_supertree(triples, taxa=taxa)
+                assert result.compatible == any(triples <= h for h in hosts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_canonical_and_sound(self, data):
+        m = data.draw(st.integers(3, 7), label="taxa")
+        taxa = ALPHA[:m]
+        hosts = enumerate_binary_trees(taxa)
+        host = hosts[data.draw(st.integers(0, len(hosts) - 1), label="host")]
+        shown = sorted(triples_of(host))
+        picked = data.draw(st.lists(st.sampled_from(shown), max_size=2 * m))
+        noise = data.draw(st.lists(
+            st.permutations(taxa).map(lambda p: RootedTriple.of(*p[:3])), max_size=2,
+        ))
+        triples = picked + noise
+        result = build_supertree(triples, taxa=taxa)
+        if not noise:
+            assert result.compatible
+        if result.compatible:
+            assert result.tree == RootedPhyloTree(result.tree.shape)
+            assert all(displays_triple(result.tree, t) for t in triples)
+        else:
+            adj = cluster_graph(triples, result.witness)
+            assert len(adj) >= 2 and component_count(adj) == 1
+
+
+class TestBuildLarge:
+    def test_deep_caterpillar_needs_no_recursion(self):
+        # x0,x_i|x_{i+1} for i = 1..1498 force the 1,500-leaf caterpillar
+        # ((((x0,x1),x2),...),x1499).
+        names = [f"x{i:04d}" for i in range(1500)]
+        triples = [RootedTriple.of(names[0], names[i], names[i + 1])
+                   for i in range(1, 1499)]
+        result = build_supertree(triples)
+        assert result.compatible
+        assert result.tree.leaves == tuple(names)
+        # Walk the shape iteratively: nested-tuple == would recurse.
+        shape = result.tree.shape
+        for name in reversed(names[2:]):
+            assert isinstance(shape, tuple) and len(shape) == 2
+            shape, last = shape
+            assert last == name
+        assert shape == (names[0], names[1])
 
 
 class TestLcaSupport:
