@@ -16,8 +16,10 @@ sorted leaf labels (bit i is the i-th smallest label), so "smallest
 contained label" is "lowest set bit".  All triple queries on a tree
 (`lca`, `resolve`, `displays_triple`) share one descent over cluster
 masks.  BUILD (Aho et al., 1981) runs on `(cherry_mask, all_mask)` pairs
-with an explicit stack of scopes, so its depth is not bounded by the
-interpreter's recursion limit.
+with an explicit stack of scopes.  Canonicalization, indexing, Newick
+printing, `restrict` and `make_binary` also walk trees with explicit
+stacks, so trees of any depth can be built, queried and printed.
+`parse_newick` still recurses once per level of nesting.
 """
 
 from __future__ import annotations
@@ -33,21 +35,49 @@ from .setsys import check_label
 Shape = str | tuple
 
 
+def _fold(shape, leaf, interior):
+    """Post-order fold of a nested shape, with an explicit stack.
+
+    `leaf(label)` is called at each leaf and `interior(values)` at each
+    interior vertex with its children's values, in order.  Vertices are
+    entered in preorder, children left to right, and an interior vertex
+    with fewer than two children is rejected on entry, so the first error
+    raised is the one a depth-first recursion would meet.
+    """
+    values: list = []
+    stack: list = [(shape, None)]
+    while stack:
+        node, children = stack.pop()
+        if children is not None:
+            values[-len(children):] = [interior(values[-len(children):])]
+        elif isinstance(node, str):
+            values.append(leaf(node))
+        else:
+            children = tuple(node)
+            if len(children) < 2:
+                raise InputError("interior vertices must have out-degree at least 2")
+            stack.append((node, children))
+            stack.extend((child, None) for child in reversed(children))
+    return values[0]
+
+
 def _canonical(shape, seen: dict[str, None]):
-    """Validate a nested shape and return (canonical shape, min leaf)."""
-    if isinstance(shape, str):
-        check_label(shape)
-        if shape in seen:
-            raise InputError(f"duplicate leaf label {shape!r}")
-        seen[shape] = None
-        return shape, shape
-    children = tuple(shape)
-    if len(children) < 2:
-        raise InputError("interior vertices must have out-degree at least 2")
-    # Child leaf sets are disjoint, so the smallest contained label is a
-    # total order on the children.
-    canon = sorted((_canonical(c, seen) for c in children), key=lambda p: p[1])
-    return tuple(c for c, _ in canon), canon[0][1]
+    """Validate a nested shape and return its canonical form."""
+
+    def leaf(label: str):
+        check_label(label)
+        if label in seen:
+            raise InputError(f"duplicate leaf label {label!r}")
+        seen[label] = None
+        return label, label
+
+    def interior(done: list):
+        # Child leaf sets are disjoint, so the smallest contained label is
+        # a total order on the children.
+        done.sort(key=lambda p: p[1])
+        return tuple([c for c, _ in done]), done[0][1]
+
+    return _fold(shape, leaf, interior)[0]
 
 
 class RootedPhyloTree:
@@ -62,7 +92,7 @@ class RootedPhyloTree:
 
     def __init__(self, shape: Shape):
         seen: dict[str, None] = {}
-        self._shape, _ = _canonical(shape, seen)
+        self._shape = _canonical(shape, seen)
         self._leaves = tuple(sorted(seen))
         self._index = None
 
@@ -102,20 +132,26 @@ class RootedPhyloTree:
         return f"RootedPhyloTree({self.newick()})"
 
     def newick(self) -> str:
-        def render(shape) -> str:
-            if isinstance(shape, str):
-                return shape
-            return "(" + ",".join(render(c) for c in shape) + ")"
-
-        return render(self._shape) + ";"
+        # The stack holds subtrees still to print and punctuation; a leaf
+        # and a punctuation mark are both printed as they are.
+        out: list[str] = []
+        stack = [self._shape]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append("(")
+            stack.append(")")
+            for child in reversed(item[1:]):
+                stack.append(child)
+                stack.append(",")
+            stack.append(item[0])
+        out.append(";")
+        return "".join(out)
 
     def is_binary(self) -> bool:
-        def ok(shape) -> bool:
-            if isinstance(shape, str):
-                return True
-            return len(shape) == 2 and all(ok(c) for c in shape)
-
-        return ok(self._shape)
+        return _fold(self._shape, lambda _: True, lambda kids: len(kids) == 2 and all(kids))
 
     # -- vertex indexing (preorder over the canonical form) ------------
     # Clusters are stored as integer leaf bitmasks; bit i stands for
@@ -125,28 +161,32 @@ class RootedPhyloTree:
         if self._index is None:
             shapes: list = []
             parents: list[int] = []
-            child_ids: list[tuple[int, ...]] = []
-            masks: list[int] = []
             bit_of = {lab: 1 << i for i, lab in enumerate(self._leaves)}
-
-            def walk(shape, parent: int) -> int:
+            kids: list[list[int]] = []
+            # Children are pushed reversed, so they are numbered in order.
+            stack = [(self._shape, -1)]
+            while stack:
+                shape, parent = stack.pop()
                 vid = len(shapes)
                 shapes.append(shape)
                 parents.append(parent)
-                child_ids.append(())
-                masks.append(0)
+                kids.append([])
+                if parent != -1:
+                    kids[parent].append(vid)
+                if not isinstance(shape, str):
+                    stack.extend((child, vid) for child in reversed(shape))
+            # Preorder numbers every child after its parent.
+            masks = [0] * len(shapes)
+            for vid in range(len(shapes) - 1, -1, -1):
+                shape = shapes[vid]
                 if isinstance(shape, str):
                     masks[vid] = bit_of[shape]
                 else:
-                    kids = tuple(walk(child, vid) for child in shape)
-                    child_ids[vid] = kids
                     acc = 0
-                    for k in kids:
+                    for k in kids[vid]:
                         acc |= masks[k]
                     masks[vid] = acc
-                return vid
-
-            walk(self._shape, -1)
+            child_ids = [tuple(k) for k in kids]
             self._index = (shapes, parents, child_ids, masks, bit_of)
         return self._index
 
@@ -418,32 +458,27 @@ def restrict(tree: RootedPhyloTree, taxa: Iterable[str]) -> RootedPhyloTree:
     if missing:
         raise InputError(f"taxa not in tree: {sorted(missing)}")
 
-    def prune(shape):
-        if isinstance(shape, str):
-            return shape if shape in want else None
-        kept = [p for c in shape if (p := prune(c)) is not None]
+    def prune(values: list):
+        kept = [v for v in values if v is not None]
         if not kept:
             return None
-        if len(kept) == 1:
-            return kept[0]
-        return tuple(kept)
+        return kept[0] if len(kept) == 1 else tuple(kept)
 
-    return RootedPhyloTree(prune(tree.shape))
+    return RootedPhyloTree(
+        _fold(tree.shape, lambda leaf: leaf if leaf in want else None, prune)
+    )
 
 
 def make_binary(tree: RootedPhyloTree) -> RootedPhyloTree:
     """Deterministic binary refinement: fold children left-leaning in canonical order."""
 
-    def refine(shape):
-        if isinstance(shape, str):
-            return shape
-        kids = [refine(c) for c in shape]
+    def refine(kids: list):
         acc = kids[0]
         for nxt in kids[1:]:
             acc = (acc, nxt)
         return acc
 
-    return RootedPhyloTree(refine(tree.shape))
+    return RootedPhyloTree(_fold(tree.shape, lambda leaf: leaf, refine))
 
 
 # -- cluster graph and BUILD ---------------------------------------------------
@@ -716,18 +751,23 @@ class UnrootedPhyloTree:
             a, b = sorted(self._labels.values())
             return f"({a},{b});"
         root = self._adj[self.leaf_vertex(min(self._labels.values()))][0]
-
-        def render(v: int, came: int | None):
+        # Hang the tree from `root` breadth first, build the nested shape
+        # from the far end back, and print its canonical form, whose
+        # children are ordered by smallest leaf label.
+        order = [root]
+        came: dict[int, int | None] = {root: None}
+        for v in order:
+            for w in self._adj[v]:
+                if w not in came:
+                    came[w] = v
+                    order.append(w)
+        shapes: dict[int, Shape] = {}
+        for v in reversed(order):
             if v in self._labels:
-                return self._labels[v], self._labels[v]
-            parts = sorted(
-                (render(w, v) for w in self._adj[v] if w != came),
-                key=lambda p: p[1],
-            )
-            return "(" + ",".join(p for p, _ in parts) + ")", parts[0][1]
-
-        text, _ = render(root, None)
-        return text + ";"
+                shapes[v] = self._labels[v]
+            else:
+                shapes[v] = tuple(shapes.pop(w) for w in self._adj[v] if w != came[v])
+        return RootedPhyloTree(shapes[root]).newick()
 
 
 def median(tree: UnrootedPhyloTree, taxa: Iterable[str]) -> int:

@@ -154,3 +154,46 @@ def random_slim_system(
     if not accepted:
         accepted = [tuple(sorted(rng.sample(taxa, 3)))]
     return SetSystem([list(m) for m in accepted])
+
+
+# -- binary tree shapes -----------------------------------------------------------
+# Built without recursion, so they serve trees of any depth.  The labels
+# come in the caller's order; shuffle them for trees whose sorted-label
+# order differs from their leaf order.
+
+
+def caterpillar_shape(rng: random.Random, labels) -> tuple:
+    """((l0,l1),l2)... with each new leaf placed left or right at random."""
+    shape = labels[0]
+    for lab in labels[1:]:
+        shape = (shape, lab) if rng.random() < 0.5 else (lab, shape)
+    return shape
+
+
+def yule_shape(rng: random.Random, labels) -> tuple:
+    """Join two random subtrees until one is left (the Yule-Harding shape law)."""
+    pool = list(labels)
+    while len(pool) > 1:
+        i, j = rng.sample(range(len(pool)), 2)
+        joined = (pool[i], pool[j])
+        for k in sorted((i, j), reverse=True):
+            pool[k] = pool[-1]
+            pool.pop()
+        pool.append(joined)
+    return pool[0]
+
+
+def balanced_shape(rng: random.Random, labels) -> tuple:
+    """Pair neighbours level by level; an odd one out waits for the next level."""
+    pool = list(labels)
+    while len(pool) > 1:
+        pool = [tuple(pool[i:i + 2]) if i + 1 < len(pool) else pool[i]
+                for i in range(0, len(pool), 2)]
+    return pool[0]
+
+
+def shuffled_labels(rng: random.Random, n: int) -> list[str]:
+    """n distinct labels in random order; 't10' < 't9' as strings."""
+    labels = [f"t{i}" for i in range(n)]
+    rng.shuffle(labels)
+    return labels

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -354,6 +359,30 @@ class TestGenDefining:
         code2, rebuilt = run(capsys, "supertree", str(triples), "--no-stats")
         assert code2 == 0
         assert rebuilt.strip() == source
+
+
+class TestSupertreeLarge:
+    def test_deep_caterpillar_exits_0(self, tmp_path):
+        # x0,x_i|x_{i+1} force ((((x0,x1),x2),...),x1199), 1,199 levels
+        # deep; BUILD, the display re-check and printing walk it.
+        names = [f"x{i:04d}" for i in range(1200)]
+        path = tmp_path / "triples.txt"
+        path.write_text("".join(f"{names[0]},{names[i]}|{names[i + 1]}\n"
+                                for i in range(1, 1199)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "setflex", "supertree", str(path), "--binary",
+             "--no-stats"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 20.0
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        expected = "(" * 1199 + names[0] + "".join(f",{x})" for x in names[1:]) + ";"
+        assert proc.stdout.strip() == expected
 
 
 class TestDeterminism:

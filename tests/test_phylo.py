@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -26,7 +27,7 @@ from setflex import (
     triples_of,
     write_newick,
 )
-from conftest import ALPHA, component_count
+from conftest import ALPHA, caterpillar_shape, component_count, shuffled_labels
 
 
 def T(text: str) -> RootedPhyloTree:
@@ -415,6 +416,52 @@ class TestBuildLarge:
             shape, last = shape
             assert last == name
         assert shape == (names[0], names[1])
+
+
+class TestTreeLarge:
+    # A 5,000-leaf caterpillar is 4,999 vertices deep.  Trees are compared
+    # through their Newick text: nested-tuple == would recurse.
+
+    @pytest.fixture(scope="class")
+    def caterpillar(self):
+        rng = random.Random(5000)
+        return RootedPhyloTree(caterpillar_shape(rng, shuffled_labels(rng, 5000)))
+
+    def test_canonical_form_and_newick(self):
+        # The same caterpillar with every child order flipped.
+        names = [f"n{i:04d}" for i in range(5000)]
+        flipped = names[0]
+        for name in names[1:]:
+            flipped = (name, flipped)
+        start = time.perf_counter()
+        tree = RootedPhyloTree(flipped)
+        text = tree.newick()
+        assert time.perf_counter() - start < 5.0
+        assert text == "(" * 4999 + names[0] + "".join(f",{x})" for x in names[1:]) + ";"
+        assert tree.leaves == tuple(names) and tree.is_binary()
+
+    def test_index_of_a_deep_tree(self, caterpillar):
+        start = time.perf_counter()
+        assert caterpillar.vertex_count == 9999
+        deepest = max(caterpillar.interior_ids(), key=caterpillar.depth)
+        assert time.perf_counter() - start < 5.0
+        assert caterpillar.depth(deepest) == 4998
+        assert len(caterpillar.cluster(deepest)) == 2
+
+    def test_make_binary_and_restrict(self, caterpillar):
+        start = time.perf_counter()
+        assert make_binary(caterpillar).newick() == caterpillar.newick()
+        keep = caterpillar.leaves[::2]
+        sub = restrict(caterpillar, keep)
+        assert time.perf_counter() - start < 5.0
+        assert sub.leaves == keep and sub.is_binary()
+        # A restricted caterpillar is a caterpillar: every interior vertex
+        # has a leaf child.
+        assert sub.vertex_count == 2 * len(keep) - 1
+        assert all(
+            any(not sub.children_ids(c) for c in sub.children_ids(v))
+            for v in sub.interior_ids()
+        )
 
 
 class TestLcaSupport:
