@@ -91,10 +91,6 @@ def _emit(ns, payload: dict, human_lines: list[str], elapsed: float) -> None:
             print(f"time: {elapsed * 1000:.1f} ms")
 
 
-def _stats_payload(report: CheckReport) -> dict:
-    return {k: v for k, v in report.stats.items()}
-
-
 # -- check ----------------------------------------------------------------------
 
 
@@ -175,7 +171,7 @@ def _cmd_check(ns) -> int:
         payload["certificate"] = certificate_json
     if report.recheck:
         payload["recheck"] = report.recheck
-    payload["stats"] = _stats_payload(report)
+    payload["stats"] = dict(report.stats)
 
     lines = [f"{kind}: {'yes' if report.verdict else 'no'} (method={report.method})"]
     for key in ("sigma_star", "gamma_star"):

@@ -11,9 +11,9 @@ never a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, CapExceededError, InputError
 from .phylo import RootedPhyloTree, RootedTriple, build_supertree, triples_of
@@ -77,8 +77,7 @@ def enumerate_binary_trees(
     return _enumerate_trees(labels)
 
 
-@dataclass(frozen=True)
-class FlexReport:
+class FlexReport(NamedTuple):
     """Verdict of the assignment scan.
 
     `counterexample`, present when the verdict is false, assigns one

@@ -21,8 +21,8 @@ member index, and matchings are grown in canonical vertex order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     InputError,
@@ -32,8 +32,7 @@ from .errors import (
 from .setsys import CheckReport, SetSystem, gamma, sigma
 
 
-@dataclass(frozen=True)
-class BipartiteIncidenceGraph:
+class BipartiteIncidenceGraph(NamedTuple):
     """The member-versus-taxon containment graph of a set system.
 
     `adjacency[i]` lists the taxon ids of member i in sorted order;
@@ -51,9 +50,6 @@ class BipartiteIncidenceGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, x) for i, adj in enumerate(self.adjacency) for x in adj)
 
 
 def incidence_graph(system: SetSystem, weighting: str = "unit") -> BipartiteIncidenceGraph:
@@ -115,8 +111,7 @@ class FlowNetwork:
         self.arc_cap.append(0)
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """A maximum flow: its value, one minimum cut, and the final residual.
 
     `residual` is aligned with the network's arc arrays, so a caller can
@@ -215,8 +210,7 @@ def max_flow(network: FlowNetwork) -> FlowResult:
 # -- surplus minimization -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimizerReport:
+class MinimizerReport(NamedTuple):
     """Minimum of sigma (or gamma) over non-empty selections, with witness.
 
     The cut certifies optimality: its capacity equals value + offset,
@@ -369,8 +363,7 @@ def is_slim(system: SetSystem) -> CheckReport:
 # -- systems of distinct representatives -------------------------------------
 
 
-@dataclass(frozen=True)
-class SdrReport:
+class SdrReport(NamedTuple):
     """Result of representative selection on the derived sets s - B.
 
     On success `assignment` maps member index -> taxon id; on failure

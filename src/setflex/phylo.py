@@ -16,16 +16,15 @@ sorted leaf labels (bit i is the i-th smallest label), so "smallest
 contained label" is "lowest set bit".  All triple queries on a tree
 (`lca`, `resolve`, `displays_triple`) share one descent over cluster
 masks.  BUILD (Aho et al., 1981) runs on `(cherry_mask, all_mask)` pairs
-with an explicit stack of scopes.  Canonicalization, indexing, Newick
-printing, `restrict` and `make_binary` also walk trees with explicit
-stacks, so trees of any depth can be built, queried and printed.
-`parse_newick` still recurses once per level of nesting.
+with an explicit stack of scopes.  Canonicalization, equality, indexing,
+Newick printing, `restrict` and `make_binary` also walk trees with
+explicit stacks, so trees of any depth can be built, compared, queried
+and printed.  `parse_newick` still recurses once per level of nesting.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
@@ -123,7 +122,10 @@ class RootedPhyloTree:
         return len(self._leaves)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RootedPhyloTree) and self._shape == other._shape
+        # Canonical Newick text is equal iff the canonical shapes are, and
+        # is printed without recursion; shape `==` recurses in C and raises
+        # RecursionError about 1,000 levels down.
+        return isinstance(other, RootedPhyloTree) and self.newick() == other.newick()
 
     def __hash__(self) -> int:
         return hash(self._shape)
@@ -501,8 +503,7 @@ def cluster_graph(
     return {v: tuple(sorted(adj[v])) for v in nodes}
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     """Outcome of the supertree construction.
 
     Either `tree` is the minimally resolved supertree displaying every

@@ -20,9 +20,8 @@ direct search over leaf orderings.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import graphopt
 from .errors import (
@@ -76,8 +75,7 @@ def rooted_caterpillar(sequence: Iterable[str]) -> RootedPhyloTree:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(NamedTuple):
     """A verified caterpillar representation.
 
     `vertex_map` sends each member index to its interior vertex in
@@ -369,8 +367,7 @@ def lca_caterpillar_representation(system: SetSystem) -> RepresentationReport:
 # -- total orders ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """A total order extending the orientation, or a directed cycle."""
 
     order: tuple[str, ...] | None

@@ -18,7 +18,6 @@ downstream report deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -188,8 +187,7 @@ def normalize_selection(
 # -- reports -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExcessReport:
+class ExcessReport(NamedTuple):
     """A measure value together with the selection that achieves it."""
 
     value: int
@@ -197,19 +195,20 @@ class ExcessReport:
     leaf_count: int
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Verdict plus certificate for a decision procedure.
 
     `method` is one of exhaustive/mincut/bruteforce/forest; the
     certificate (when present) can be re-verified by the library call
-    named in `recheck`.
+    named in `recheck`.  A report is immutable: assigning a field raises
+    AttributeError.  `stats` has no default (a NamedTuple default would be
+    one dict shared by every report), so neither has `certificate`.
     """
 
     verdict: bool
     method: str
-    certificate: object | None = None
-    stats: dict = field(default_factory=dict)
+    certificate: object | None
+    stats: dict
     recheck: str | None = None
 
 

@@ -404,3 +404,24 @@ class TestDeterminism:
     def test_unknown_file_exit_2(self, capsys):
         code, _ = run(capsys, "check", "thin", "/nonexistent/path.sets")
         assert code == 2
+
+
+class TestStartup:
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # Every request is a fresh interpreter, so each module the CLI
+        # imports is paid for on every request; dataclasses drags in
+        # inspect, ast, dis and tokenize.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+        def loaded(statement: str) -> set[str]:
+            code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.split())
+
+        added = loaded("import setflex.cli") - loaded("pass")
+        assert "setflex.cli" in added
+        assert not added & {"dataclasses", "inspect"}

@@ -464,6 +464,51 @@ class TestTreeLarge:
         )
 
 
+class TestTreeEqualityLarge:
+    # Equality and dict lookup on caterpillars thousands of levels deep;
+    # comparing the nested shapes with tuple == raises RecursionError.
+
+    @staticmethod
+    def pair(n: int, swap: bool):
+        """The same caterpillar built from two differently flipped shapes;
+        with `swap`, the second one has the third and fourth leaf exchanged,
+        which changes the tree about n levels down."""
+        rng = random.Random(n)
+        labels = shuffled_labels(rng, n)
+        other = list(labels)
+        if swap:
+            other[2], other[3] = other[3], other[2]
+        return (RootedPhyloTree(caterpillar_shape(rng, labels)),
+                RootedPhyloTree(caterpillar_shape(rng, other)))
+
+    @pytest.mark.parametrize("n", [1500, 5000])
+    def test_equal_trees(self, n):
+        a, b = self.pair(n, swap=False)
+        assert a.shape is not b.shape
+        start = time.perf_counter()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("n", [1500, 5000])
+    def test_one_leaf_swap(self, n):
+        a, b = self.pair(n, swap=True)
+        assert a.leaves == b.leaves
+        start = time.perf_counter()
+        assert a != b and not a == b
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("n", [1500, 5000])
+    def test_dict_lookup(self, n):
+        a, b = self.pair(n, swap=False)
+        _, swapped = self.pair(n, swap=True)
+        start = time.perf_counter()
+        table = {a: "a"}
+        assert table[b] == "a"
+        assert swapped not in table
+        assert time.perf_counter() - start < 5.0
+
+
 class TestLcaSupport:
     def test_lca_examples(self):
         tree = T("((a,b),c);")
