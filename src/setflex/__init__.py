@@ -49,17 +49,16 @@ from .phylo import (
     UnrootedPhyloTree,
     build_supertree,
     cluster_graph,
+    displays_clusters,
     displays_tree,
     displays_triple,
-    lca,
     make_binary,
-    median,
     parse_newick,
     parse_triple,
     parse_triples_text,
     restrict,
+    spanning_triples,
     triples_of,
-    write_newick,
 )
 from .represent import (
     OrderReport,

@@ -191,6 +191,8 @@ def _cmd_check(ns) -> int:
 
 
 def _parse_trees_and_triples(text: str):
+    """Newick lines as (line number, tree) and a,b|c lines as triples."""
+    trees: list[tuple[int, phylo.RootedPhyloTree]] = []
     triples: list[phylo.RootedTriple] = []
     taxa: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,20 +202,22 @@ def _parse_trees_and_triples(text: str):
         if line.endswith(";"):
             tree = phylo.parse_newick(line)
             taxa.update(tree.leaves)
-            triples.extend(phylo.triples_of(tree))
+            trees.append((lineno, tree))
         else:
             t = phylo.parse_triple(line)
             taxa.update(t.taxa)
             triples.append(t)
     if not taxa:
         raise InputError("no trees or triples in input")
-    return triples, taxa
+    return trees, triples, taxa
 
 
 def _cmd_supertree(ns) -> int:
     t0 = time.perf_counter()
-    triples, taxa = _parse_trees_and_triples(_read_input(ns.input))
-    result = phylo.build_supertree(triples, taxa=taxa)
+    trees, triples, taxa = _parse_trees_and_triples(_read_input(ns.input))
+    # Spanning triples give BUILD the same answer as all triples of a tree.
+    pooled = [t for _, tree in trees for t in phylo.spanning_triples(tree)]
+    result = phylo.build_supertree(pooled + triples, taxa=taxa)
     if not result.compatible:
         payload = {
             "command": "supertree",
@@ -227,6 +231,12 @@ def _cmd_supertree(ns) -> int:
         _emit(ns, payload, lines, time.perf_counter() - t0)
         return 1
     tree = phylo.make_binary(result.tree) if ns.binary else result.tree
+    # Displaying a tree's clusters is displaying all of its triples.
+    for lineno, guest in trees:
+        if not phylo.displays_clusters(tree, guest):
+            raise InternalVerificationError(
+                f"supertree does not display the tree on line {lineno}"
+            )
     for t in triples:
         if not phylo.displays_triple(tree, t):
             raise InternalVerificationError(f"supertree does not display {t.compact()}")

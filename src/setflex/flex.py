@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, CapExceededError, InputError
-from .phylo import RootedPhyloTree, RootedTriple, build_supertree, triples_of
+from .phylo import RootedPhyloTree, RootedTriple, build_supertree, spanning_triples
 from .setsys import SetSystem
 
 DEFAULT_ENUM_CAP = 8
@@ -119,10 +119,11 @@ def is_flexible_bruteforce(
         raise BudgetExceededError(
             f"{total} assignments exceed the budget {budget}"
         )
-    # Each tree's triples, listed once; an assignment concatenates its
-    # members' lists.  A triple displayed by two members then appears
-    # twice, which BUILD treats as once.
-    triple_lists = [[sorted(triples_of(t)) for t in lst] for lst in tree_lists]
+    # Each tree's spanning triples, listed once; an assignment
+    # concatenates its members' lists.  BUILD gives the same result as on
+    # all their triples (see `spanning_triples`), and a triple listed by
+    # two members counts once.
+    triple_lists = [[spanning_triples(t) for t in lst] for lst in tree_lists]
 
     k = system.member_count
     digits = [0] * k
@@ -186,7 +187,8 @@ def count_displaying(
             raise InputError("guest leaves must lie inside the taxon set")
         if not g.is_binary():
             raise InputError("count_displaying expects binary guest trees")
-        pooled.extend(triples_of(g))
+        # A binary tree is the only tree displaying its spanning triples.
+        pooled.extend(spanning_triples(g))
     hosts = enumerate_binary_trees(labels, cap=cap)
     return _count_displaying_hosts(hosts, pooled)
 

@@ -15,8 +15,11 @@ Leaf sets inside a tree and inside BUILD are integer bitmasks over the
 sorted leaf labels (bit i is the i-th smallest label), so "smallest
 contained label" is "lowest set bit".  All triple queries on a tree
 (`lca`, `resolve`, `displays_triple`) share one descent over cluster
-masks.  BUILD (Aho et al., 1981) runs on `(cherry_mask, all_mask)` pairs
-with an explicit stack of scopes.  Canonicalization, equality, indexing,
+masks; whole trees are compared on their cluster masks
+(`displays_clusters`) and enter BUILD as their `spanning_triples`, n-2
+for a binary tree, not as all C(n,3) of `triples_of`.  BUILD (Aho et
+al., 1981) runs on `(cherry_mask, all_mask)` pairs with an explicit
+stack of scopes.  Canonicalization, equality, indexing,
 Newick printing, `restrict` and `make_binary` also walk trees with
 explicit stacks, so trees of any depth can be built, compared, queried
 and printed.  `parse_newick` still recurses once per level of nesting.
@@ -323,8 +326,9 @@ def parse_triple(text: str) -> RootedTriple:
 def parse_triples_text(text: str) -> list[RootedTriple]:
     """Parse triples, one per line, as a,b|c or as 3-leaf Newick trees.
 
-    Lines ending in ';' are parsed as Newick; larger Newick trees are
-    rejected here (expand them with `triples_of` instead).
+    Lines ending in ';' are parsed as Newick and must be binary trees on
+    three leaves; larger trees are rejected here (`setflex supertree`
+    reads whole trees).
     """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -404,10 +408,6 @@ def parse_newick(text: str) -> RootedPhyloTree:
         raise ParseError(str(exc)) from None
 
 
-def write_newick(tree: RootedPhyloTree) -> str:
-    return tree.newick()
-
-
 # -- display relation ---------------------------------------------------------
 
 
@@ -438,17 +438,94 @@ def triples_of(tree: RootedPhyloTree) -> frozenset[RootedTriple]:
     return frozenset(out)
 
 
+def spanning_triples(tree: RootedPhyloTree) -> list[RootedTriple]:
+    """Few triples of the tree that give BUILD the same answer as all of them.
+
+    Write least(v) for the smallest label below v.  For each non-root
+    interior vertex w with children d1..dm (canonical order) and each
+    sibling s of w, emit least(d1),least(dj)|least(s) for j = 2..m.
+    That is (out-degree of w - 1)(out-degree of its parent - 1) triples
+    per w, n-2 in all for a binary tree, and the tree displays each.
+
+    Why BUILD's answer is unchanged.  Call a leaf set X of a tree T
+    *split* if |X| <= 1 or X is the union of the clusters C(u) of two or
+    more children u in U of one vertex v (a cluster of two or more
+    leaves is split: take U = all children of its vertex).  On a split
+    X the triples of T inside X have the components C(u), u in U, in
+    their cluster graph either way:
+    - all triples: a, b are joined iff they lie in one C(u), since a
+      leaf of another C(u') is then an outgroup; so each C(u) is a
+      clique and no edge crosses;
+    - spanning triples: they are among all triples, so no edge crosses;
+      every interior w below u (u included) has a sibling inside u, or
+      in another C(u') when w = u, so its least(w)-least(dj) star is in
+      X, and these stars span C(u), by induction up from the leaves.
+    Now pool, for each input tree T, either all or the spanning triples
+    of T, plus any loose triples, and follow both BUILD runs through
+    their scopes in preorder.  The root scope meets each L(T) in
+    C(root), which is split.  A scope's cluster graph is the union of
+    the sources' graphs, so its components are unions of each source's
+    blocks; if the scope S meets L(T) in a split set, each component
+    meets it in a union of C(u) for some of the u in U, which is split
+    again (one C(u) is a cluster or a leaf).  So every tree splits every
+    scope the same way in both runs, and the scopes, components, splits,
+    witness and tree are identical.  In particular BUILD on the spanning
+    triples of a binary tree returns that tree, and as each of its
+    scopes falls into two components, every tree displaying those
+    triples has its clusters: it is the only one.
+    """
+    shapes, parents, child_ids, _, _ = tree._ensure_index()
+    # Preorder numbers every child after its parent; a first child holds
+    # its parent's smallest label.
+    least = list(shapes)
+    for v in range(len(shapes) - 1, -1, -1):
+        if child_ids[v]:
+            least[v] = least[child_ids[v][0]]
+    out = []
+    for w in range(1, len(shapes)):
+        if not child_ids[w]:
+            continue
+        for s in child_ids[parents[w]]:
+            if s != w:
+                out.extend(
+                    RootedTriple(least[w], least[d], least[s]) for d in child_ids[w][1:]
+                )
+    return out
+
+
+def displays_clusters(host: RootedPhyloTree, guest: RootedPhyloTree) -> bool:
+    """True iff every cluster of guest is a cluster of host restricted to L(guest).
+
+    The clusters of that restriction are the C(v) & L(guest) over the
+    host's vertices, so one pass over each tree's masks decides it.  It
+    is the same as host displaying every rooted triple of guest: a
+    guest triple ab|c has a guest cluster holding a and b but not c; and
+    if a guest cluster C is missing, the host lca v of C has a leaf c of
+    L(guest) below it outside C and leaves a, b of C below two different
+    children, so the host does not display the guest's ab|c.
+    """
+    bits = host.leaf_bits()
+    missing = set(guest.leaves) - bits.keys()
+    if missing:
+        raise InputError(f"guest leaves not in host: {sorted(missing)}")
+    shapes, _, child_ids, _, _ = guest._ensure_index()
+    # Guest clusters in host bits, children before parents.
+    mapped = [0] * len(shapes)
+    for v in range(len(shapes) - 1, -1, -1):
+        if child_ids[v]:
+            for c in child_ids[v]:
+                mapped[v] |= mapped[c]
+        else:
+            mapped[v] = bits[shapes[v]]
+    span = mapped[0]
+    return {m & span for m in host._ensure_index()[3]}.issuperset(mapped)
+
+
 def displays_tree(host: RootedPhyloTree, guest: RootedPhyloTree) -> bool:
     """True iff every rooted triple of the binary guest is displayed by host."""
     if not guest.is_binary():
         raise InputError("guest tree must be binary")
-    missing = set(guest.leaves) - set(host.leaves)
-    if missing:
-        raise InputError(f"guest leaves not in host: {sorted(missing)}")
-    for t in triples_of(guest):
-        if host.resolve(t.first, t.second, t.out) != t.cherry:
-            return False
-    return True
+    return displays_clusters(host, guest)
 
 
 def restrict(tree: RootedPhyloTree, taxa: Iterable[str]) -> RootedPhyloTree:
@@ -769,11 +846,3 @@ class UnrootedPhyloTree:
             else:
                 shapes[v] = tuple(shapes.pop(w) for w in self._adj[v] if w != came[v])
         return RootedPhyloTree(shapes[root]).newick()
-
-
-def median(tree: UnrootedPhyloTree, taxa: Iterable[str]) -> int:
-    return tree.median(taxa)
-
-
-def lca(tree: RootedPhyloTree, taxa: Iterable[str]) -> int:
-    return tree.lca(taxa)

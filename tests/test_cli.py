@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -7,8 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from setflex import InternalVerificationError, graphopt
+from setflex import (
+    BuildResult,
+    InternalVerificationError,
+    RootedPhyloTree,
+    displays_tree,
+    graphopt,
+    parse_newick,
+    phylo,
+    restrict,
+)
 from setflex.cli import main
+from conftest import shuffled_labels, yule_shape
 
 
 @pytest.fixture
@@ -233,6 +245,35 @@ class TestSupertree:
         tree = payload["newick"]
         assert tree.count("(") == 5  # binary on six leaves
 
+    @pytest.fixture
+    def dropped_cluster(self, monkeypatch):
+        """BUILD that loses the first interior child of the root."""
+        real = phylo.build_supertree
+
+        def drop_one(triples, taxa=None):
+            shape = real(triples, taxa=taxa).tree.shape
+            i = next(i for i, child in enumerate(shape) if isinstance(child, tuple))
+            shape = shape[:i] + shape[i] + shape[i + 1:]
+            return BuildResult(tree=RootedPhyloTree(shape), witness=None)
+
+        monkeypatch.setattr(phylo, "build_supertree", drop_one)
+
+    @pytest.mark.parametrize("text, error", [
+        # The supertree ((a,b),(c,d),e) loses its cluster {a,b}.
+        ("# two trees\n((a,b),c);\n((c,d),e);\n",
+         "supertree does not display the tree on line 2"),
+        ("((c,d),e);\na,b|c\n", "supertree does not display a,b|c"),
+    ])
+    def test_self_check_exit_4(self, capsys, tmp_path, dropped_cluster, text, error):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        assert main(["supertree", str(path), "--json", "--no-stats"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "error": error, "kind": "internal-verification",
+        }
+
 
 class TestRepresent:
     def test_median_fig3(self, capsys, tmp_path):
@@ -383,6 +424,60 @@ class TestSupertreeLarge:
         assert proc.stderr == ""
         expected = "(" * 1199 + names[0] + "".join(f",{x})" for x in names[1:]) + ";"
         assert proc.stdout.strip() == expected
+
+
+class TestSupertreeOverlapLarge:
+    """Three overlapping 1,500-leaf restrictions of a 2,000-leaf Yule tree.
+
+    A Yule tree is shallow, so its Newick text parses without deep
+    recursion; each tree has C(1500, 3), about 5.6e8, triples.
+    """
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = random.Random(2000)
+        labels = shuffled_labels(rng, 2000)
+        hidden = RootedPhyloTree(yule_shape(rng, labels))
+        trees = [restrict(hidden, rng.sample(labels, 1500)) for _ in range(3)]
+        # Three leaves all trees share, a,b|c in the hidden tree; with a
+        # and c exchanged the first tree displays c,b|a instead.
+        common = sorted(set.intersection(*(set(t.leaves) for t in trees)))
+        a, b = sorted(hidden.resolve(*common[:3]))
+        (c,) = set(common[:3]) - {a, b}
+        swap = {a: c, c: a}
+        perturbed = re.sub(r"[^(),;]+", lambda m: swap.get(m[0], m[0]), trees[0].newick())
+        return trees, perturbed
+
+    @staticmethod
+    def supertree(tmp_path, lines):
+        path = tmp_path / "trees.nwk"
+        path.write_text("".join(line + "\n" for line in lines))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "setflex", "supertree", str(path), "--json",
+             "--no-stats"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert proc.stderr == ""
+        return proc.returncode, json.loads(proc.stdout)
+
+    def test_compatible_exits_0(self, tmp_path, inputs):
+        trees, _ = inputs
+        code, payload = self.supertree(tmp_path, [t.newick() for t in trees])
+        assert code == 0
+        result = parse_newick(payload["newick"])
+        assert all(displays_tree(result, t) for t in trees)
+
+    def test_perturbed_exits_1(self, tmp_path, inputs):
+        trees, perturbed = inputs
+        code, payload = self.supertree(
+            tmp_path, [perturbed] + [t.newick() for t in trees[1:]])
+        assert code == 1
+        assert payload["compatible"] is False and len(payload["witness"]) >= 3
 
 
 class TestDeterminism:

@@ -16,18 +16,26 @@ from setflex import (
     UnrootedPhyloTree,
     build_supertree,
     cluster_graph,
+    displays_clusters,
     displays_tree,
     displays_triple,
     enumerate_binary_trees,
+    is_unique_display,
     make_binary,
     parse_newick,
     parse_triple,
     parse_triples_text,
     restrict,
+    spanning_triples,
     triples_of,
-    write_newick,
 )
-from conftest import ALPHA, caterpillar_shape, component_count, shuffled_labels
+from conftest import (
+    ALPHA,
+    caterpillar_shape,
+    component_count,
+    shuffled_labels,
+    yule_shape,
+)
 
 
 def T(text: str) -> RootedPhyloTree:
@@ -55,8 +63,8 @@ class TestNewick:
 
     def test_write_parse_write_is_write(self):
         for tree in enumerate_binary_trees("abcde"):
-            text = write_newick(tree)
-            assert write_newick(parse_newick(text)) == text
+            text = tree.newick()
+            assert parse_newick(text).newick() == text
 
     def test_parse_errors(self):
         bad = [
@@ -416,6 +424,255 @@ class TestBuildLarge:
             shape, last = shape
             assert last == name
         assert shape == (names[0], names[1])
+
+
+# -- spanning triples and cluster display ------------------------------------------
+
+
+def _contract(rng, shape, p):
+    """The shape with each interior non-root edge contracted with probability p."""
+    if isinstance(shape, str):
+        return shape
+    kids = []
+    for child in shape:
+        sub = _contract(rng, child, p)
+        if isinstance(sub, tuple) and rng.random() < p:
+            kids.extend(sub)
+        else:
+            kids.append(sub)
+    return tuple(kids)
+
+
+def _random_tree(rng, labels, p_contract=0.0):
+    shape = (yule_shape if rng.random() < 0.7 else caterpillar_shape)(rng, labels)
+    return RootedPhyloTree(_contract(rng, shape, p_contract))
+
+
+def _swap_leaves(rng, tree):
+    """The tree with two of its leaf labels exchanged."""
+    if tree.leaf_count < 2:
+        return tree
+    x, y = rng.sample(tree.leaves, 2)
+    swap = {x: y, y: x}
+    return RootedPhyloTree(_relabel(tree.shape, swap))
+
+
+def _relabel(shape, names):
+    if isinstance(shape, str):
+        return names.get(shape, shape)
+    return tuple(_relabel(child, names) for child in shape)
+
+
+def _tree_set(rng, n_taxa, count, kind):
+    """`count` trees over the first n_taxa letters.
+
+    kind "hidden": restrictions of one hidden tree (compatible); "swapped":
+    the same with two leaves exchanged in one tree; "random": independent
+    trees on overlapping leaf sets.  About half the sets are non-binary.
+    """
+    taxa = list(ALPHA[:n_taxa])
+    p = rng.choice((0.0, 0.0, 0.3, 0.6))
+    hidden = _random_tree(rng, rng.sample(taxa, n_taxa), p)
+    trees = []
+    for _ in range(count):
+        keep = rng.sample(taxa, rng.randint(3, n_taxa))
+        if kind == "random":
+            trees.append(_random_tree(rng, keep, p))
+        else:
+            trees.append(restrict(hidden, keep))
+    if kind == "swapped":
+        i = rng.randrange(count)
+        trees[i] = _swap_leaves(rng, trees[i])
+    return trees
+
+
+def _spanning_tree_count(tree) -> int:
+    """Sum over non-root interior w of (out-degree w - 1)(out-degree parent - 1)."""
+    return sum(
+        (len(tree.children_ids(w)) - 1) * (len(tree.children_ids(tree.parent(w))) - 1)
+        for w in tree.interior_ids() if w != 0
+    )
+
+
+class TestSpanningTriples:
+    def test_binary_examples(self):
+        assert spanning_triples(T("((a,b),c);")) == [trip("a,b|c")]
+        assert set(spanning_triples(T("(((a,b),c),d);"))) == {
+            trip("a,b|c"), trip("a,c|d"),
+        }
+        assert set(spanning_triples(T("((a,b),(c,d));"))) == {
+            trip("a,b|c"), trip("c,d|a"),
+        }
+
+    def test_non_binary_example(self):
+        # (a,b,c) under a root with two children: two cherries, outgroup d;
+        # (d,e) gets outgroup a.
+        assert set(spanning_triples(T("((a,b,c),(d,e));"))) == {
+            trip("a,b|d"), trip("a,c|d"), trip("d,e|a"),
+        }
+        # A cherry under a three-way root has two outgroups.
+        assert set(spanning_triples(T("((a,b),c,d);"))) == {
+            trip("a,b|c"), trip("a,b|d"),
+        }
+
+    def test_trees_without_non_root_interior_vertices(self):
+        assert spanning_triples(RootedPhyloTree("a")) == []
+        assert spanning_triples(T("(a,b);")) == []
+        assert spanning_triples(T("(a,b,c,d);")) == []
+
+    def test_subset_of_triples_of_and_counts(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            labels = shuffled_labels(rng, rng.randint(1, 24))
+            tree = _random_tree(rng, labels, rng.choice((0.0, 0.4)))
+            got = spanning_triples(tree)
+            assert len(set(got)) == len(got)
+            assert set(got) <= triples_of(tree)
+            assert len(got) == _spanning_tree_count(tree)
+            if tree.is_binary():
+                assert len(got) == max(tree.leaf_count - 2, 0)
+
+    def test_binary_tree_is_the_only_tree_displaying_them(self):
+        rng = random.Random(63)
+        for m in range(3, 7):
+            trees = enumerate_binary_trees(ALPHA[:m])
+            for tree in trees if m < 6 else rng.sample(trees, 40):
+                triples = spanning_triples(tree)
+                assert build_supertree(triples).tree == tree
+                assert is_unique_display(triples, taxa=tree.leaves)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_subset_and_length(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        n = data.draw(st.integers(1, 30), label="leaves")
+        p = data.draw(st.sampled_from((0.0, 0.3, 0.7)), label="contract")
+        tree = _random_tree(rng, shuffled_labels(rng, n), p)
+        got = spanning_triples(tree)
+        assert set(got) <= triples_of(tree)
+        assert len(got) == _spanning_tree_count(tree)
+        if tree.is_binary():
+            assert len(got) == max(n - 2, 0)
+
+
+class TestSpanningOracles:
+    """BUILD on spanning triples equals BUILD on all triples, witness included."""
+
+    @staticmethod
+    def both(trees, loose, taxa):
+        spanning = [t for tree in trees for t in spanning_triples(tree)]
+        every = [t for tree in trees for t in triples_of(tree)]
+        return (build_supertree(spanning + loose, taxa=taxa),
+                build_supertree(every + loose, taxa=taxa))
+
+    @pytest.mark.parametrize("kind", ["hidden", "swapped", "random"])
+    def test_matches_all_triples(self, kind):
+        rng = random.Random(f"spanning-{kind}")
+        incompatible = non_binary = 0
+        for _ in range(1000):
+            n_taxa = rng.randint(4, 12)
+            trees = _tree_set(rng, n_taxa, rng.randint(2, 4), kind)
+            loose = (_random_triples(rng, ALPHA[:n_taxa], rng.randint(0, 2))
+                     if rng.random() < 0.2 else [])
+            taxa = {x for tree in trees for x in tree.leaves} | {
+                x for t in loose for x in t}
+            got, want = self.both(trees, loose, taxa)
+            assert got == want
+            incompatible += not want.compatible
+            non_binary += not all(tree.is_binary() for tree in trees)
+        assert 300 < non_binary < 700
+        if kind == "hidden":
+            # Only the loose triples can conflict with a hidden tree.
+            assert 20 < incompatible < 150
+        else:
+            assert 400 < incompatible < 900
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_matches_all_triples(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        kind = data.draw(st.sampled_from(("hidden", "swapped", "random")), label="kind")
+        n_taxa = data.draw(st.integers(3, 11), label="taxa")
+        count = data.draw(st.integers(1, 4), label="trees")
+        trees = _tree_set(rng, n_taxa, count, kind)
+        taxa = {x for tree in trees for x in tree.leaves}
+        got, want = self.both(trees, [], taxa)
+        assert got == want
+
+
+class TestDisplaysClusters:
+    @staticmethod
+    def oracle(host, guest):
+        return all(displays_triple(host, t) for t in triples_of(guest))
+
+    def test_examples(self):
+        host = T("((a,(b,c)),(d,(e,f)));")
+        assert displays_clusters(host, T("((b,c),d);"))
+        assert displays_clusters(host, T("((b,c),d,e);"))
+        assert not displays_clusters(host, T("((a,b),c);"))
+        assert displays_clusters(host, T("(a,b,c);"))
+        assert displays_clusters(T("(a,b,c,d);"), T("(a,b,d);"))
+        assert not displays_clusters(T("(a,b,c,d);"), T("((a,b),d);"))
+        assert displays_clusters(host, RootedPhyloTree("e"))
+        with pytest.raises(InputError):
+            displays_clusters(host, T("((a,z),b);"))
+
+    def test_matches_triple_oracle(self):
+        rng = random.Random(67)
+        shown = 0
+        for _ in range(1500):
+            n = rng.randint(3, 12)
+            labels = shuffled_labels(rng, n)
+            host = _random_tree(rng, labels, rng.choice((0.0, 0.3, 0.6)))
+            keep = rng.sample(labels, rng.randint(1, n))
+            guest = restrict(host, keep)
+            pick = rng.random()
+            if pick < 0.3:
+                guest = _swap_leaves(rng, guest)
+            elif pick < 0.5:
+                guest = _random_tree(rng, keep, rng.choice((0.0, 0.5)))
+            elif pick < 0.7:
+                guest = RootedPhyloTree(_contract(rng, guest.shape, 0.5))
+            got = displays_clusters(host, guest)
+            assert got == self.oracle(host, guest)
+            shown += got
+        assert 500 < shown < 1300
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_matches_triple_oracle(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        n = data.draw(st.integers(3, 10), label="leaves")
+        labels = shuffled_labels(rng, n)
+        host = _random_tree(rng, labels, data.draw(st.sampled_from((0.0, 0.5))))
+        keep = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        guest = _random_tree(rng, keep, data.draw(st.sampled_from((0.0, 0.5))))
+        if data.draw(st.booleans(), label="restriction"):
+            guest = restrict(host, keep)
+        assert displays_clusters(host, guest) == self.oracle(host, guest)
+        if guest.is_binary():
+            assert displays_tree(host, guest) == self.oracle(host, guest)
+
+
+class TestDisplaysTreeLarge:
+    def test_caterpillar_displays_its_restriction(self):
+        # A 1,500-leaf caterpillar is 1,499 levels deep, too deep for
+        # Newick parsing, so both trees are built from nested shapes.  A
+        # caterpillar restricted to some leaves is the caterpillar on
+        # them in the same order.
+        rng = random.Random(1500)
+        labels = shuffled_labels(rng, 1500)
+        host = RootedPhyloTree(caterpillar_shape(rng, labels))
+        keep = sorted(rng.sample(range(1500), 1000))
+        order = [labels[i] for i in keep]
+        guest = RootedPhyloTree(caterpillar_shape(rng, order))
+        assert guest == restrict(host, order)
+        order[10], order[900] = order[900], order[10]
+        swapped = RootedPhyloTree(caterpillar_shape(rng, order))
+        start = time.perf_counter()
+        assert displays_tree(host, guest)
+        assert not displays_tree(host, swapped)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestTreeLarge:
