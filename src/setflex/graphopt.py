@@ -404,20 +404,36 @@ def sdr(system: SetSystem, B) -> SdrReport:
     match_of_taxon: dict[int, int] = {}
     match_of_member: dict[int, int] = {}
 
-    def try_assign(i: int, visited: set[int]) -> bool:
-        for x in derived[i]:
-            if x in visited:
-                continue
-            visited.add(x)
-            holder = match_of_taxon.get(x)
-            if holder is None or try_assign(holder, visited):
-                match_of_taxon[x] = i
-                match_of_member[i] = x
-                return True
+    def try_assign(start: int) -> bool:
+        # Kuhn's depth-first search for an augmenting path, on an explicit
+        # stack: frames[d] is a member with its taxon iterator, path[d]
+        # the taxon through which frames[d + 1] was entered.
+        visited: set[int] = set()
+        frames = [(start, iter(derived[start]))]
+        path: list[int] = []
+        while frames:
+            _, choices = frames[-1]
+            for x in choices:
+                if x in visited:
+                    continue
+                visited.add(x)
+                path.append(x)
+                holder = match_of_taxon.get(x)
+                if holder is None:
+                    for (j, _), y in zip(frames, path):
+                        match_of_taxon[y] = j
+                        match_of_member[j] = y
+                    return True
+                frames.append((holder, iter(derived[holder])))
+                break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
         return False
 
     for i in range(system.member_count):
-        if not try_assign(i, set()):
+        if not try_assign(i):
             # Hall violator: members reachable from i by alternating paths.
             members = {i}
             taxa: set[int] = set()

@@ -9,18 +9,18 @@ elements in the sequence, which is what the construction below arranges
 and what the final verification (recomputed from the actual tree, never
 trusted from the construction) re-checks.
 
-The thin-system recursion peels a taxon x of minimal occurrence count
-(at most 2 for thin systems covering their universe), reduces the
-system as the occurrence pattern dictates, places the reduced system
-recursively, and re-inserts x by trying insertion slots in a canonical
-order until the full middle map verifies.  Base cases fall back to a
-direct search over leaf orderings.
+The thin-system construction peels a taxon x of minimal occurrence
+count (at most 2 for thin systems covering their universe) and reduces
+the system as the occurrence pattern dictates, down to a base case that
+a direct search over leaf orderings solves.  The reductions go on one
+explicit stack; unwinding it re-inserts each x at the first insertion
+slot, in a canonical order, that keeps the member middles distinct.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
 from . import graphopt
@@ -93,6 +93,44 @@ class RepresentationReport(NamedTuple):
     appended: tuple[str, ...]
 
 
+# -- the peel: incidence counts and a lazy heap ----------------------------------
+
+
+def _incidence(members) -> tuple[dict, list]:
+    """taxon -> set of members holding it, and a heap of (count, taxon)."""
+    members_of: dict[str, set] = {}
+    for m in members:
+        for lab in m:
+            members_of.setdefault(lab, set()).add(m)
+    heap = [(len(holders), lab) for lab, holders in members_of.items()]
+    heapq.heapify(heap)
+    return members_of, heap
+
+
+def _lightest(members_of: dict, heap: list) -> tuple[int, str]:
+    """The least (count, taxon), as `min` over the live taxa would give it.
+
+    Every count change pushes a fresh entry, so an entry whose count is
+    no longer the taxon's (or whose taxon has left) is stale and dropped.
+    """
+    while True:
+        count, lab = heap[0]
+        holders = members_of.get(lab)
+        if holders is not None and len(holders) == count:
+            return count, lab
+        heapq.heappop(heap)
+
+
+def _drop(member, members_of: dict, heap: list) -> None:
+    for lab in member:
+        holders = members_of[lab]
+        holders.discard(member)
+        if holders:
+            heapq.heappush(heap, (len(holders), lab))
+        else:
+            del members_of[lab]
+
+
 # -- middle-element bookkeeping -------------------------------------------------
 
 
@@ -101,112 +139,151 @@ def _middle(positions: dict[str, int], member: frozenset[str]) -> str:
     return labs[len(labs) // 2]
 
 
-def _distinct_middles(seq: list[str], members) -> bool:
-    positions = {lab: i for i, lab in enumerate(seq)}
-    middles = set()
-    for member in members:
-        mid = _middle(positions, member)
-        if mid in middles:
-            return False
-        middles.add(mid)
-    return True
+def _insert_checked(seq: list[str], to_place: list[str], checked, taken) -> list[str] | None:
+    """Insert `to_place` (in order) into seq at the first slots, in nested
+    canonical order, where the `checked` members get pairwise distinct
+    middles outside `taken`; return those middles, or None if no slots do.
 
+    Canonical order tries slots 0..n, or n..0 when the sequence ends in a
+    smaller label than it starts with.  An insertion keeps the relative
+    order of the placed taxa, so only the members holding an inserted
+    taxon can change middle.  Taxa before x take their first slot, an
+    end: they occur only at count-1 levels (at count 2 every taxon of t
+    and t2 but x stays covered), where x between t's other two taxa makes
+    the new x t's middle, so no later slot for them is ever needed.
 
-def _slot_order(seq: list[str]) -> list[int]:
-    # Nearest the spine end holding the smallest label first.
-    slots = list(range(len(seq) + 1))
-    if seq and seq[-1] < seq[0]:
-        slots.reverse()
-    return slots
-
-
-def _insert_and_verify(
-    seq: list[str], to_place: list[str], members
-) -> list[str] | None:
-    """Insert the given taxa (in order) trying slots canonically.
-
-    Returns the first arrangement whose member middles are pairwise
-    distinct, or None if no placement works.
+    For x the middles depend only on how many of the other checked taxa
+    (at positions p_0 < ... < p_{m-1}) precede it: forward order meets
+    class j first at slot p_{j-1} + 1 (0 for j = 0), reverse order at
+    p_j (n for j = m).
     """
-    if not to_place:
-        return list(seq) if _distinct_middles(seq, members) else None
-    head, rest = to_place[0], to_place[1:]
-    for slot in _slot_order(seq):
-        candidate = seq[:slot] + [head] + seq[slot:]
-        placed = _insert_and_verify(candidate, rest, members)
-        if placed is not None:
-            return placed
+    *outer, x = to_place
+    n, first, last = len(seq), seq[0], seq[-1]
+    rel = {lab for member in checked for lab in member} - set(to_place)
+    pos = {lab: seq.index(lab) for lab in rel}
+    slots = []
+    for lab in outer:
+        if last < first:
+            slot, last = n, lab
+        else:
+            slot, first = 0, lab
+            pos = {u: p + 1 for u, p in pos.items()}
+        pos[lab] = slot
+        slots.append(slot)
+        n += 1
+    order = sorted(pos, key=pos.__getitem__)
+    m = len(order)
+    if last < first:
+        classes = [(j, pos[order[j]] if j < m else n) for j in range(m, -1, -1)]
+    else:
+        classes = [(j, pos[order[j - 1]] + 1 if j else 0) for j in range(m + 1)]
+    for j, slot in classes:
+        rank = {u: i for i, u in enumerate(order[:j] + [x] + order[j:])}
+        middles = [_middle(rank, member) for member in checked]
+        if len(set(middles)) == len(middles) and not any(mid in taken for mid in middles):
+            for lab, at in zip(to_place, slots + [slot]):
+                seq.insert(at, lab)
+            return middles
     return None
 
 
-def _is_thin_triples(members: Iterable[frozenset[str]]) -> bool:
-    system = SetSystem([sorted(m) for m in members])
-    return graphopt.sigma_star(system).value >= 2
+# -- the median-caterpillar peel ------------------------------------------------
 
 
-# -- the median-caterpillar recursion -------------------------------------------
+def _peel_median(live: set, levels: list, skip: int) -> list[str]:
+    """Reduce `live` in place to a base case, pushing one record per level.
+
+    Each level peels the taxon x of least (occurrence count, label).  At
+    count 1 its member t goes; at count 2 its members t, t2 give way to
+    the first thin candidate triple y after the first `skip` ones (`skip`
+    > 0 only when a level is retried).  A record holds the taxa to insert
+    on the way back (those of t, t2 the reduced system lacks, then x),
+    the members holding them, y and y's candidate index.  Returns the
+    base case's leaf order.
+    """
+    members_of, heap = _incidence(live)
+    while len(live) > 1 and len(members_of) > 4:
+        count, x = _lightest(members_of, heap)
+        checked = tuple(sorted(members_of[x], key=sorted))
+        if count > 2:
+            raise InternalVerificationError(
+                "thin system with no taxon of occurrence count <= 2"
+            )
+        for member in checked:
+            _drop(member, members_of, heap)
+            live.discard(member)
+        y = index = None
+        if count == 2:
+            t, t2 = checked
+            if len(t & t2) == 2:
+                # Two triples overlapping in x and one more taxon: replace
+                # the pair by the single triple over their other three
+                # taxa, which a thin system cannot already hold (with t and
+                # t2 it would put three members on four taxa).
+                candidates = [(t | t2) - {x}]
+            else:
+                quad = sorted((t | t2) - {x})
+                candidates = [frozenset(c) for c in combinations(quad, 3)
+                              if frozenset(c) not in live]
+            for index in range(skip, len(candidates)):
+                y = candidates[index]
+                if graphopt.sigma_star(SetSystem([sorted(m) for m in live | {y}])).value >= 2:
+                    break
+            else:
+                raise InternalVerificationError("no reduction worked in the n=2 case")
+            skip = 0
+            live.add(y)
+            for lab in y:
+                members_of.setdefault(lab, set()).add(y)
+                heapq.heappush(heap, (len(members_of[lab]), lab))
+        missing = sorted({lab for m in checked for lab in m} - {x} - members_of.keys())
+        levels.append((missing + [x], checked, y, index))
+
+    universe = sorted(members_of)
+    if len(live) <= 1:
+        return universe
+    members = sorted(live, key=sorted)
+    for perm in permutations(universe):
+        positions = {lab: i for i, lab in enumerate(perm)}
+        if len({_middle(positions, m) for m in members}) == len(members):
+            return list(perm)
+    raise InternalVerificationError("no ordering for a thin base case")
 
 
 def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
-    """A leaf order of L(tau) whose member middles are pairwise distinct."""
-    members = sorted(tau, key=sorted)
-    universe = sorted({x for m in members for x in m})
+    """A leaf order of L(tau) whose member middles are pairwise distinct.
 
-    if len(members) <= 1:
-        return universe
-    if len(universe) <= 4:
-        for perm in permutations(universe):
-            if _distinct_middles(list(perm), members):
-                return list(perm)
-        raise InternalVerificationError("no ordering for a thin base case")
-
-    counts = {x: sum(1 for m in members if x in m) for x in universe}
-    x = min(universe, key=lambda lab: (counts[lab], lab))
-
-    if counts[x] == 1:
-        (t,) = (m for m in members if x in m)
-        reduced = frozenset(tau - {t})
-        seq = _place_median(reduced)
-        covered = set(seq)
-        missing = sorted((t - {x}) - covered)
-        placed = _insert_and_verify(seq, missing + [x], members)
-        if placed is None:
-            raise InternalVerificationError("no insertion slot in the n=1 case")
-        return placed
-
-    if counts[x] == 2:
-        t, t2 = (m for m in members if x in m)
-        shared = t & t2
-        if len(shared) == 2:
-            # Two triples overlapping in x and one more taxon: replace the
-            # pair by the single triple over their other three taxa.  That
-            # triple cannot already belong to a thin system, but the set
-            # union below and the final verification stay safe either way.
-            candidates = [(t | t2) - {x}]
+    One top-down peel records its reductions on a stack; unwinding it
+    re-inserts each level's taxa at the first valid slots in canonical
+    order.  `middle_of` and `owner` hold the middle of every member of
+    the current level, which an insertion leaves in place.  When no slot
+    works at a count-2 level, that level is peeled again from its own
+    system with the next candidate, as the recursive construction would.
+    """
+    levels: list[tuple] = []
+    live = set(tau)
+    skip = 0
+    while True:
+        seq = _peel_median(live, levels, skip)
+        positions = {lab: i for i, lab in enumerate(seq)}
+        middle_of = {m: _middle(positions, m) for m in live}
+        owner = {mid: m for m, mid in middle_of.items()}
+        while levels:
+            to_place, checked, y, index = levels.pop()
+            if y is not None:
+                del owner[middle_of.pop(y)]
+            middles = _insert_checked(seq, to_place, checked, owner)
+            if middles is None:
+                if y is None:
+                    raise InternalVerificationError("no insertion slot in the n=1 case")
+                live = set(middle_of).union(checked)
+                skip = index + 1
+                break
+            for member, mid in zip(checked, middles):
+                middle_of[member] = mid
+                owner[mid] = member
         else:
-            quad = sorted((t | t2) - {x})
-            candidates = [
-                frozenset(c)
-                for c in sorted(
-                    tuple(sorted(set(quad) - {drop})) for drop in quad
-                )
-                if frozenset(c) not in tau
-            ]
-        for y in candidates:
-            reduced = frozenset((tau - {t, t2}) | {y})
-            if not _is_thin_triples(reduced):
-                continue
-            seq = _place_median(reduced)
-            covered = set(seq)
-            missing = sorted(((t | t2) - {x}) - covered)
-            placed = _insert_and_verify(seq, missing + [x], members)
-            if placed is not None:
-                return placed
-        raise InternalVerificationError("no reduction worked in the n=2 case")
-
-    raise InternalVerificationError(
-        "thin system with no taxon of occurrence count <= 2"
-    )
+            return seq
 
 
 def _canonical_sequence(seq: list[str]) -> list[str]:
@@ -289,42 +366,48 @@ def verify_median_injective(
     return True, None
 
 
-# -- the lca-caterpillar recursion ----------------------------------------------
+# -- the lca-caterpillar peel ----------------------------------------------------
 
 
 def _place_pairs(tau: frozenset[frozenset[str]]) -> list[str]:
-    members = sorted(tau, key=sorted)
-    if len(members) == 1:
-        return sorted(members[0])
-    universe = sorted({x for m in members for x in m})
-    counts = {x: sum(1 for m in members if x in m) for x in universe}
-    singles = [x for x in universe if counts[x] == 1]
-    if not singles:
-        raise InternalVerificationError(
-            "thin pair system with no taxon of occurrence count 1"
-        )
-    x = singles[0]
-    (t,) = (m for m in members if x in m)
-    (a,) = t - {x}
-    reduced = frozenset(tau - {t})
-    seq = _place_pairs(reduced)
-    if a in set(seq):
-        return seq + [x]
-    return seq + [a, x]
+    """A leaf order of L(tau) for a forest of pairs, by one leaf peel.
+
+    Each step drops the pair t of the least-labelled taxon x of count 1;
+    unwinding appends x (after its partner, if the reduced system lacks
+    it) above the spine built so far.
+    """
+    members_of, heap = _incidence(tau)
+    peeled = []
+    for _ in range(len(tau) - 1):
+        count, x = _lightest(members_of, heap)
+        if count != 1:
+            raise InternalVerificationError(
+                "thin pair system with no taxon of occurrence count 1"
+            )
+        (t,) = members_of[x]
+        _drop(t, members_of, heap)
+        (a,) = t - {x}
+        peeled.append([x] if a in members_of else [a, x])
+    seq = sorted(members_of)
+    for taxa in reversed(peeled):
+        seq.extend(taxa)
+    return seq
 
 
 def lca_caterpillar_representation(system: SetSystem) -> RepresentationReport:
     """A rooted caterpillar on the universe with injective member lcas.
 
-    The system must be uniformly of size 2 and thin (sigma* >= 1).
-    Universe taxa outside L(tau) are appended above the existing spine
-    and flagged in the report.  The lca map is recomputed from the
-    finished tree and its depths give the spine numbering.
+    The system must be uniformly of size 2 and thin (sigma* >= 1), which
+    for pairs is the incidence graph being a forest (the paper's pair
+    theorem), tested in linear time; the minimizer runs only to certify
+    a "no".  Universe taxa outside L(tau) are appended above the
+    existing spine and flagged in the report.  The lca map is recomputed
+    from the finished tree and its depths give the spine numbering.
     """
     if system.uniform_size() != 2:
         raise MemberSizeError("lca representation needs a system of pairs")
-    minimizer = graphopt.sigma_star(system)
-    if minimizer.value < 1:
+    if not graphopt.is_forest(graphopt.incidence_graph(system, "unit"))[0]:
+        minimizer = graphopt.sigma_star(system)
         raise PreconditionError(
             "system is not thin (sigma* = %d)" % minimizer.value,
             certificate=minimizer,

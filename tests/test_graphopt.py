@@ -312,6 +312,74 @@ class TestSdr:
                 assert sdr(s, B).found
 
 
+def recursive_sdr(system: SetSystem, B):
+    """The recursive augmenting-path matching `sdr` used before its explicit
+    stack: (assignment, violator) for the same derived sets."""
+    b_ids = {system.id_of(x) for x in B}
+    derived = [tuple(x for x in m if x not in b_ids) for m in system.members]
+    match_of_taxon: dict[int, int] = {}
+    match_of_member: dict[int, int] = {}
+
+    def try_assign(i: int, visited: set[int]) -> bool:
+        for x in derived[i]:
+            if x in visited:
+                continue
+            visited.add(x)
+            holder = match_of_taxon.get(x)
+            if holder is None or try_assign(holder, visited):
+                match_of_taxon[x] = i
+                match_of_member[i] = x
+                return True
+        return False
+
+    for i in range(system.member_count):
+        if not try_assign(i, set()):
+            members, taxa, frontier = {i}, set(), [i]
+            while frontier:
+                nxt = []
+                for j in frontier:
+                    for x in derived[j]:
+                        if x not in taxa:
+                            taxa.add(x)
+                            holder = match_of_taxon.get(x)
+                            if holder is not None and holder not in members:
+                                members.add(holder)
+                                nxt.append(holder)
+                frontier = nxt
+            return None, tuple(sorted(members))
+    return dict(sorted(match_of_member.items())), None
+
+
+class TestSdrAgainstRecursion:
+    def test_random_systems(self):
+        rng = random.Random(47)
+        outcomes = set()
+        for _ in range(300):
+            r = rng.choice([2, 3, 4])
+            s = random_system(rng, rng.randint(r + 2, 10), rng.randint(1, 12), (r,))
+            B = rng.sample(s.leaf_labels(), r - 1)
+            report = sdr(s, B)
+            assert (report.assignment, report.violator) == recursive_sdr(s, B)
+            outcomes.add(report.found)
+        assert outcomes == {True, False}
+
+    def test_long_augmenting_paths(self):
+        # Each member of a chain first asks for a taxon its predecessor
+        # holds, so augmenting paths run back along the chain.
+        names = [f"t{i:03d}" for i in range(302)]
+        for k in (50, 150, 300):
+            s = SetSystem([names[i:i + 3] for i in range(k)])
+            report = sdr(s, names[:2])
+            assert (report.assignment, report.violator) == recursive_sdr(s, names[:2])
+
+    def test_3000_triple_chain(self):
+        names = [f"t{i:04d}" for i in range(3002)]
+        s = SetSystem([names[i:i + 3] for i in range(3000)])
+        report = sdr(s, names[:2])
+        assert report.found
+        assert sorted(report.assignment.values()) == list(range(2, 3002))
+
+
 class TestForest:
     def test_path_is_forest(self):
         ok, cycle = is_forest(incidence_graph(SetSystem([["a", "b"], ["b", "c"]]), "unit"))
@@ -341,6 +409,22 @@ class TestForest:
     def test_single_member_star(self):
         ok, _ = is_forest(incidence_graph(tsys("abc"), "unit"))
         assert ok
+
+    def test_pairs_forest_iff_sigma_star_positive(self):
+        # The pair theorem behind the lca precondition.
+        rng = random.Random(59)
+        verdicts = set()
+        for _ in range(300):
+            taxa = ALPHA[: rng.randint(2, 9)]
+            members = {
+                tuple(sorted(rng.sample(taxa, 2))) for _ in range(rng.randint(1, 9))
+            }
+            extra = [x for x in ALPHA[9:12] if rng.random() < 0.5]
+            s = SetSystem([list(m) for m in members], extra_taxa=extra)
+            ok, _ = is_forest(incidence_graph(s, "unit"))
+            assert ok == (sigma_star(s).value >= 1)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestSurplusForest:
