@@ -23,6 +23,7 @@ from .errors import (
     InputError,
     InternalVerificationError,
     PreconditionError,
+    check_limit,
 )
 from .graphopt import MinimizerReport
 from .setsys import CheckReport, ExcessReport
@@ -418,16 +419,14 @@ def _default_budget() -> int:
         budget = int(raw)
     except ValueError:
         raise InputError(f"SETFLEX_BUDGET must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise InputError(f"SETFLEX_BUDGET must be non-negative, got {budget}")
-    return budget
+    return check_limit("SETFLEX_BUDGET", budget)
 
 
 def _check_limits(ns) -> None:
     for flag in ("cap", "budget"):
         value = getattr(ns, flag, None)
-        if value is not None and value < 0:
-            raise InputError(f"--{flag} must be non-negative, got {value}")
+        if value is not None:
+            check_limit(f"--{flag}", value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

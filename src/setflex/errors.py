@@ -49,3 +49,10 @@ class BudgetExceededError(CapExceededError):
 
 class InternalVerificationError(SetflexError):
     """A construction failed its mandatory self-check; indicates a bug."""
+
+
+def check_limit(name: str, value: int) -> int:
+    """Return a cap or budget unchanged; a negative one is an `InputError`."""
+    if value < 0:
+        raise InputError(f"{name} must be non-negative, got {value}")
+    return value

@@ -15,7 +15,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, CapExceededError, InputError
+from .errors import BudgetExceededError, CapExceededError, InputError, check_limit
 from .phylo import RootedPhyloTree, RootedTriple, build_supertree, spanning_triples
 from .setsys import SetSystem
 
@@ -70,7 +70,7 @@ def enumerate_binary_trees(
     labels = tuple(sorted(set(leaves)))
     if not labels:
         raise InputError("cannot enumerate trees on an empty leaf set")
-    if len(labels) > cap:
+    if len(labels) > check_limit("cap", cap):
         raise CapExceededError(
             f"{len(labels)} leaves exceed the enumeration cap {cap}"
         )
@@ -101,6 +101,8 @@ def is_flexible_bruteforce(
     total number of assignments (product of per-member tree counts) must
     fit the budget.
     """
+    check_limit("budget", budget)
+    check_limit("enum_cap", enum_cap)
     if system.member_count == 0:
         raise InputError("flexibility of an empty system is undefined")
     member_labels = [system.member_labels(i) for i in range(system.member_count)]

@@ -28,6 +28,7 @@ and printed.  `parse_newick` still recurses once per level of nesting.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
@@ -600,44 +601,76 @@ def _build_masks(pairs: list[tuple[int, int]], root: int):
     """BUILD on `(cherry_mask, all_mask)` pairs over the leaf mask `root`.
 
     Returns `(splits, witness)`.  On success `witness` is None and
-    `splits` lists `(scope, components)` for every scope of two or more
-    leaves in preorder, components in order of lowest bit.  Otherwise
-    `witness` is the first scope in that preorder whose cluster graph is
-    connected.
+    `splits` lists `(scope, components)` for every scope of three or
+    more leaves in preorder (and for `root` if it has two), components
+    in order of lowest bit.  No triple fits inside two leaves, so a
+    two-leaf component always splits into its two singletons; it is
+    neither expanded nor listed, and the caller makes it a cherry.
+    Otherwise `witness` is the first scope in preorder whose cluster
+    graph is connected.
+
+    Each scope arrives with the pairs inside it.  A union-find over leaf
+    bits (`up` links a bit to its parent, `mask` holds each root's
+    component, smaller component under larger) merges the cherries, so a
+    scope costs O(pairs * log leaves) plus one find per component, and
+    the components are read off in order of lowest bit.
     """
     splits: list[tuple[int, list[int]]] = []
     stack = [(root, pairs)] if root & (root - 1) else []
     while stack:
-        scope, outer = stack.pop()
-        # A pair inside this scope is inside its parent's, so filtering
-        # the parent's pairs loses none.
-        inside = [p for p in outer if p[1] | scope == scope]
-        adj: dict[int, int] = {}
+        scope, inside = stack.pop()
+        up: dict[int, int] = {}
+        mask: dict[int, int] = {}
         for cherry, _ in inside:
-            low = cherry & -cherry
-            high = cherry ^ low
-            adj[low] = adj.get(low, 0) | high
-            adj[high] = adj.get(high, 0) | low
+            a = cherry & -cherry
+            b = cherry ^ a
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a != b:
+                ma = mask.pop(a, a)
+                mb = mask.pop(b, b)
+                if ma.bit_count() < mb.bit_count():
+                    up[a] = b
+                    a = b
+                else:
+                    up[b] = a
+                mask[a] = ma | mb
         comps = []
         rest = scope
         while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                new = adj.get(bit, 0) & ~comp
-                comp |= new
-                frontier |= new
+            r = rest & -rest
+            while r in up:
+                r = up[r]
+            comp = mask.get(r, r)
             comps.append(comp)
             rest ^= comp
         if len(comps) == 1:
             return splits, scope
         splits.append((scope, comps))
         # Reversed, so the lowest component is popped, and expanded, next.
+        # A pair inside a component is inside this scope, so filtering
+        # this scope's pairs loses none.
         for comp in reversed(comps):
-            if comp & (comp - 1):
-                stack.append((comp, inside))
+            high = comp & (comp - 1)
+            if high & (high - 1):
+                stack.append((comp, [p for p in inside if p[1] | comp == comp]))
     return splits, None
+
+
+@lru_cache(maxsize=32)
+def _leaf_bits(leaves: tuple[str, ...]) -> dict[str, int]:
+    """Bit i for the i-th of the sorted `leaves`; shared, so never mutated."""
+    return {lab: 1 << i for i, lab in enumerate(leaves)}
+
+
+@lru_cache(maxsize=32)
+def _check_leaves(leaves: tuple[str, ...]) -> bool:
+    """`check_label` on every leaf; only a passing leaf set is cached."""
+    for lab in leaves:
+        check_label(lab)
+    return True
 
 
 def build_supertree(
@@ -660,7 +693,11 @@ def build_supertree(
     therefore already the canonical shape (children in order of smallest
     label, every interior vertex with two or more children, distinct
     labels), so the tree is assembled bottom-up and wrapped without
-    re-canonicalizing; each leaf label is checked once.
+    re-canonicalizing.  The leaf-to-bit map and the label check are
+    cached per sorted leaf tuple, so repeated calls on one leaf set (the
+    flexibility scan makes one per assignment) pay for neither again;
+    labels are checked only when the input is compatible, and a bad
+    label raises on every call, since a raising check is not cached.
     """
     tr = list(triples)
     if taxa is None:
@@ -670,7 +707,7 @@ def build_supertree(
     else:
         leaf_set = set(taxa)
     leaves = tuple(sorted(leaf_set))
-    bit_of = {lab: 1 << i for i, lab in enumerate(leaves)}
+    bit_of = _leaf_bits(leaves)
     try:
         pairs = [(ab := bit_of[a] | bit_of[b], ab | bit_of[c]) for a, b, c in tr]
     except KeyError:
@@ -685,15 +722,20 @@ def build_supertree(
             tree=None,
             witness=tuple(lab for i, lab in enumerate(leaves) if witness >> i & 1),
         )
-    for lab in leaves:
-        check_label(lab)
+    _check_leaves(leaves)
     shapes: dict[int, Shape] = {}
     # Reversed preorder meets every split after the splits below it.
     for scope, comps in reversed(splits):
-        shapes[scope] = tuple([
-            shapes.pop(c) if c & (c - 1) else leaves[c.bit_length() - 1]
-            for c in comps
-        ])
+        kids: list[Shape] = []
+        for c in comps:
+            high = c & (c - 1)
+            if not high:  # one leaf
+                kids.append(leaves[c.bit_length() - 1])
+            elif high & (high - 1):  # three or more leaves, assembled below
+                kids.append(shapes.pop(c))
+            else:  # two leaves: a cherry, never listed as a split
+                kids.append((leaves[(c ^ high).bit_length() - 1], leaves[high.bit_length() - 1]))
+        shapes[scope] = tuple(kids)
     shape = shapes[full] if splits else leaves[0]
     tree = RootedPhyloTree._from_canonical(shape, leaves)
     return BuildResult(tree=tree, witness=None)

@@ -30,6 +30,7 @@ from .errors import (
     InternalVerificationError,
     MemberSizeError,
     PreconditionError,
+    check_limit,
 )
 from .phylo import RootedPhyloTree, UnrootedPhyloTree
 from .setsys import CheckReport, SetSystem
@@ -539,7 +540,7 @@ def is_total_order_flexible(
     if mode != "bruteforce":
         raise InputError(f"mode must be 'forest' or 'bruteforce', got {mode!r}")
     k = system.member_count
-    if k > cap:
+    if k > check_limit("cap", cap):
         raise CapExceededError(f"{k} pairs exceed the orientation cap {cap}")
     pairs = [tuple(system.member_labels(i)) for i in range(k)]
     universe = system.universe

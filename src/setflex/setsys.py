@@ -27,6 +27,7 @@ from .errors import (
     MemberSizeError,
     ParseError,
     PreconditionError,
+    check_limit,
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 16
@@ -294,7 +295,7 @@ def occurrence_count(system: SetSystem, x: int | str) -> int:
 
 
 def _check_cap(system: SetSystem, cap: int, hint: str) -> None:
-    if system.member_count > cap:
+    if system.member_count > check_limit("cap", cap):
         raise CapExceededError(
             f"{system.member_count} members exceed the exhaustive cap {cap}; "
             f"use {hint} instead"

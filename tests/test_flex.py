@@ -207,6 +207,36 @@ class TestCountDisplaying:
             count_displaying([parse_triple("a,b|z").as_tree()], "abc")
 
 
+class TestNegativeLimits:
+    """A negative cap or budget is a usage error (exit 2), not an overflow."""
+
+    def test_budget(self):
+        with pytest.raises(InputError, match="budget must be non-negative"):
+            is_flexible_bruteforce(tsys(*FIG1), budget=-1)
+
+    def test_enum_cap(self):
+        with pytest.raises(InputError, match="enum_cap must be non-negative"):
+            is_flexible_bruteforce(tsys(*FIG1), enum_cap=-1)
+
+    def test_enumerate_binary_trees(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            enumerate_binary_trees("abc", cap=-1)
+
+    def test_count_displaying(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            count_displaying([parse_triple("a,b|c").as_tree()], "abc", cap=-1)
+
+    def test_is_unique_display(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            is_unique_display([parse_triple("a,b|c")], cap=-1)
+
+    def test_zero_is_a_limit_not_an_error(self):
+        with pytest.raises(BudgetExceededError):
+            is_flexible_bruteforce(tsys(*FIG1), budget=0)
+        with pytest.raises(CapExceededError):
+            enumerate_binary_trees("abc", cap=0)
+
+
 class TestFormula:
     def test_values(self):
         assert disjoint_count_formula(3) == 1

@@ -29,8 +29,10 @@ from setflex import (
     spanning_triples,
     triples_of,
 )
+from setflex.setsys import check_label
 from conftest import (
     ALPHA,
+    balanced_shape,
     caterpillar_shape,
     component_count,
     shuffled_labels,
@@ -65,6 +67,30 @@ class TestNewick:
         for tree in enumerate_binary_trees("abcde"):
             text = tree.newick()
             assert parse_newick(text).newick() == text
+
+    # Label characters the Newick grammar leaves alone.  A leading quote
+    # is excluded: `check_label` accepts it, but the parser rejects it.
+    LABEL_CHARS = "abcXYZ019_-.|*+[]{}#!'\""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_print_parse_print(self, data):
+        # At most 300 leaves: `parse_newick` recurses once per level.
+        n = data.draw(st.integers(1, 300), label="leaves")
+        rng = data.draw(st.randoms(use_true_random=False))
+        labels = [
+            # The first character is never a quote: LABEL_CHARS ends with both.
+            "".join(rng.choice(self.LABEL_CHARS[:-2]) for _ in range(rng.randint(1, 2)))
+            + "".join(rng.choice(self.LABEL_CHARS) for _ in range(rng.randint(0, 2)))
+            + str(i)
+            for i in range(n)
+        ]
+        make = rng.choice((yule_shape, caterpillar_shape, balanced_shape))
+        tree = RootedPhyloTree(_contract(rng, make(rng, labels), rng.choice((0.0, 0.4))))
+        text = tree.newick()
+        again = parse_newick(text)
+        assert again.newick() == text
+        assert again == tree and again.leaves == tree.leaves
 
     def test_parse_errors(self):
         bad = [
@@ -407,14 +433,176 @@ class TestBuildOracles:
             assert len(adj) >= 2 and component_count(adj) == 1
 
 
+# The bitmask BUILD as it was before leaf interning, cached label checks,
+# union-find components and the two-leaf rule, kept verbatim as an oracle.
+
+
+def _reference_build_masks(pairs: list[tuple[int, int]], root: int):
+    splits: list[tuple[int, list[int]]] = []
+    stack = [(root, pairs)] if root & (root - 1) else []
+    while stack:
+        scope, outer = stack.pop()
+        # A pair inside this scope is inside its parent's, so filtering
+        # the parent's pairs loses none.
+        inside = [p for p in outer if p[1] | scope == scope]
+        adj: dict[int, int] = {}
+        for cherry, _ in inside:
+            low = cherry & -cherry
+            high = cherry ^ low
+            adj[low] = adj.get(low, 0) | high
+            adj[high] = adj.get(high, 0) | low
+        comps = []
+        rest = scope
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = adj.get(bit, 0) & ~comp
+                comp |= new
+                frontier |= new
+            comps.append(comp)
+            rest ^= comp
+        if len(comps) == 1:
+            return splits, scope
+        splits.append((scope, comps))
+        # Reversed, so the lowest component is popped, and expanded, next.
+        for comp in reversed(comps):
+            if comp & (comp - 1):
+                stack.append((comp, inside))
+    return splits, None
+
+
+def reference_mask_build(triples, taxa=None) -> BuildResult:
+    tr = list(triples)
+    if taxa is None:
+        leaf_set: set[str] = set()
+        for t in tr:
+            leaf_set.update(t)
+    else:
+        leaf_set = set(taxa)
+    leaves = tuple(sorted(leaf_set))
+    bit_of = {lab: 1 << i for i, lab in enumerate(leaves)}
+    try:
+        pairs = [(ab := bit_of[a] | bit_of[b], ab | bit_of[c]) for a, b, c in tr]
+    except KeyError:
+        raise InputError("triples mention taxa outside the given leaf set") from None
+    if not leaves:
+        raise InputError("supertree needs at least one taxon")
+
+    full = (1 << len(leaves)) - 1
+    splits, witness = _reference_build_masks(pairs, full)
+    if witness is not None:
+        return BuildResult(
+            tree=None,
+            witness=tuple(lab for i, lab in enumerate(leaves) if witness >> i & 1),
+        )
+    for lab in leaves:
+        check_label(lab)
+    shapes: dict[int, object] = {}
+    # Reversed preorder meets every split after the splits below it.
+    for scope, comps in reversed(splits):
+        shapes[scope] = tuple([
+            shapes.pop(c) if c & (c - 1) else leaves[c.bit_length() - 1]
+            for c in comps
+        ])
+    shape = shapes[full] if splits else leaves[0]
+    tree = RootedPhyloTree._from_canonical(shape, leaves)
+    return BuildResult(tree=tree, witness=None)
+
+
+def _scan_shaped_input(rng):
+    """Pooled spanning triples of 1-8 member trees over 4-15 taxa.
+
+    Members have 3-5 leaves, like the assignments of a flexibility scan.
+    Half the time the member trees are restrictions of one hidden tree
+    (compatible), otherwise independent random trees.
+    """
+    taxa = ALPHA[:rng.randint(4, 15)]
+    hidden = _random_tree(rng, rng.sample(taxa, len(taxa)))
+    pooled = []
+    for _ in range(rng.randint(1, 8)):
+        keep = rng.sample(taxa, rng.randint(3, min(5, len(taxa))))
+        tree = restrict(hidden, keep) if rng.random() < 0.5 else _random_tree(rng, keep)
+        pooled += spanning_triples(tree)
+    return pooled, taxa
+
+
+class TestBuildAgainstMaskReference:
+    def test_scan_shaped_inputs(self):
+        rng = random.Random(808)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            triples, taxa = _scan_shaped_input(rng)
+            given_taxa = taxa if rng.random() < 0.5 else None
+            result = build_supertree(triples, taxa=given_taxa)
+            expected = reference_mask_build(triples, taxa=given_taxa)
+            assert result == expected
+            if result.compatible:
+                assert result.tree.leaves == expected.tree.leaves
+            outcomes[result.compatible] += 1
+        assert min(outcomes.values()) > 500
+
+    def test_repeated_leaf_set(self):
+        # One leaf set, many triple sets, as in a scan: the cached leaf map
+        # and label check must not carry anything from one call to the next.
+        rng = random.Random(809)
+        taxa = ALPHA[:9]
+        for _ in range(500):
+            triples = _random_triples(rng, taxa, rng.randint(0, 9))
+            assert build_supertree(triples, taxa=taxa) == reference_mask_build(
+                triples, taxa=taxa)
+
+    def test_two_leaf_scopes(self):
+        # Disjoint cherries under an outgroup: every child of the root is a
+        # two-leaf scope.
+        triples = [trip("a,b|z"), trip("c,d|z"), trip("e,f|z")]
+        result = build_supertree(triples, taxa="abcdefgz")
+        assert result.tree.newick() == "((a,b),(c,d),(e,f),g,z);"
+        assert result == reference_mask_build(triples, taxa="abcdefgz")
+        assert build_supertree([], taxa="ab").tree.newick() == "(a,b);"
+
+
+class TestBuildLabels:
+    def test_bad_label_raises_on_every_compatible_call(self):
+        triples = [RootedTriple("a", "b", "c;")]
+        for _ in range(2):
+            with pytest.raises(InputError, match="c;"):
+                build_supertree(triples)
+        for _ in range(2):
+            with pytest.raises(InputError):
+                build_supertree([trip("a,b|c")], taxa={"a", "b", "c", "d e"})
+
+    def test_bad_label_with_incompatible_input_returns_witness(self):
+        triples = [RootedTriple("a", "b", "c;"), RootedTriple("a", "c;", "b")]
+        for _ in range(2):
+            result = build_supertree(triples)
+            assert result.witness == ("a", "b", "c;")
+        assert result == reference_mask_build(triples)
+
+    def test_good_leaf_set_does_not_vouch_for_another(self):
+        assert build_supertree([trip("a,b|c")]).compatible
+        with pytest.raises(InputError):
+            build_supertree([trip("a,b|c")], taxa={"a", "b", "c", "x,y"})
+        assert build_supertree([trip("a,b|c")]).compatible
+
+
 class TestBuildLarge:
+    """Whole-input BUILD at scale, each under a time bound.
+
+    The bounds are about ten times the time on a 2-vCPU Xeon VM, so they
+    catch a super-linear blow-up, not noise.
+    """
+
     def test_deep_caterpillar_needs_no_recursion(self):
         # x0,x_i|x_{i+1} for i = 1..1498 force the 1,500-leaf caterpillar
         # ((((x0,x1),x2),...),x1499).
         names = [f"x{i:04d}" for i in range(1500)]
         triples = [RootedTriple.of(names[0], names[i], names[i + 1])
                    for i in range(1, 1499)]
+        start = time.perf_counter()
         result = build_supertree(triples)
+        assert time.perf_counter() - start < 15.0
         assert result.compatible
         assert result.tree.leaves == tuple(names)
         # Walk the shape iteratively: nested-tuple == would recurse.
@@ -424,6 +612,26 @@ class TestBuildLarge:
             shape, last = shape
             assert last == name
         assert shape == (names[0], names[1])
+
+    def test_balanced_tree_from_shuffled_spanning_triples(self):
+        rng = random.Random(4000)
+        tree = RootedPhyloTree(balanced_shape(rng, [f"b{i:04d}" for i in range(4000)]))
+        triples = spanning_triples(tree)
+        rng.shuffle(triples)
+        start = time.perf_counter()
+        result = build_supertree(triples)
+        assert time.perf_counter() - start < 3.0
+        assert result.tree == tree
+
+    def test_disjoint_cherries_under_one_outgroup(self):
+        # 1,333 two-leaf scopes below one root.
+        triples = [RootedTriple.of(f"p{i:04d}", f"q{i:04d}", "out") for i in range(1333)]
+        start = time.perf_counter()
+        result = build_supertree(triples)
+        assert time.perf_counter() - start < 3.0
+        kids = result.tree.shape
+        assert len(kids) == 1334 and kids[0] == "out"
+        assert all(k == (f"p{i:04d}", f"q{i:04d}") for i, k in enumerate(kids[1:]))
 
 
 # -- spanning triples and cluster display ------------------------------------------

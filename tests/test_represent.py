@@ -208,6 +208,10 @@ class TestLcaCaterpillar:
 
 
 class TestTotalOrder:
+    def test_negative_orientation_cap(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            is_total_order_flexible(tsys("ab", "bc"), mode="bruteforce", cap=-1)
+
     def test_chain(self):
         report = extend_to_total_order("abc", [("a", "b"), ("b", "c")])
         assert report.order == ("a", "b", "c")

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setflex import (
     InputError,
@@ -25,7 +27,17 @@ from setflex import (
     patchwork_check,
     sigma,
 )
-from conftest import FIG1, FIG1P, brute_slim, brute_thin, random_system, tsys
+from conftest import (
+    ALPHA,
+    FIG1,
+    FIG1P,
+    brute_slim,
+    brute_thin,
+    oracle_gamma,
+    oracle_sigma,
+    random_system,
+    tsys,
+)
 
 
 class TestSetSystem:
@@ -266,6 +278,24 @@ class TestSlimExhaustive:
             is_slim_exhaustive(SetSystem([["a", "b"]]))
 
 
+class TestNegativeCaps:
+    def test_is_thin_exhaustive(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            is_thin_exhaustive(tsys(*FIG1), 3, cap=-1)
+
+    def test_is_slim_exhaustive(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            is_slim_exhaustive(tsys(*FIG1), cap=-1)
+
+    def test_patchwork_check(self):
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            patchwork_check(tsys("abcd", "cdef"), cap=-1)
+
+    def test_zero_cap_is_exceeded(self):
+        with pytest.raises(CapExceededError):
+            is_slim_exhaustive(tsys(*FIG1), cap=0)
+
+
 class TestSubmodularity:
     def test_fig1_pair_example(self):
         ok, values = check_submodular_pair("sigma", tsys(*FIG1), [0, 1], [1, 2])
@@ -287,6 +317,24 @@ class TestSubmodularity:
             for measure in ("sigma", "gamma"):
                 ok, _ = check_submodular_pair(measure, s, sel1, sel2)
                 assert ok
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_submodular(self, data):
+        taxa = ALPHA[:data.draw(st.integers(3, 8), label="taxa")]
+        members = data.draw(st.lists(
+            st.frozensets(st.sampled_from(taxa), min_size=2, max_size=len(taxa)),
+            min_size=1, max_size=7, unique=True,
+        ), label="members")
+        system = SetSystem([sorted(m) for m in members])
+        member_sets = system.member_label_sets()
+        selection = st.lists(st.integers(0, system.member_count - 1), unique=True)
+        a, b = data.draw(selection, label="A"), data.draw(selection, label="B")
+        union, inter = sorted(set(a) | set(b)), sorted(set(a) & set(b))
+        for measure, oracle in (("sigma", oracle_sigma), ("gamma", oracle_gamma)):
+            ok, values = check_submodular_pair(measure, system, a, b)
+            assert values == tuple(oracle(member_sets, sel) for sel in (a, b, union, inter))
+            assert ok and values[0] + values[1] >= values[2] + values[3]
 
     def test_unknown_measure(self):
         with pytest.raises(InputError):
@@ -328,6 +376,27 @@ class TestFormats:
     def test_autodetect(self):
         assert parse_sets('{"sets": [["a","b","c"]]}') == tsys("abc")
         assert parse_sets("a,b,c\n") == tsys("abc")
+
+    # Label characters the text format leaves alone.  '#' is excluded:
+    # `check_label` accepts it, but the text parser reads it as a comment.
+    LABEL = st.text(alphabet="abcXYZ019_-.|*+[]{}'\"!", min_size=1, max_size=4)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_text_and_json_round_trips(self, data):
+        members = data.draw(st.lists(
+            st.frozensets(self.LABEL, min_size=1, max_size=5),
+            min_size=1, max_size=6, unique=True,
+        ), label="members")
+        extra = data.draw(st.lists(self.LABEL, max_size=3), label="extra")
+        system = SetSystem([sorted(m) for m in members])
+        text = format_sets_text(system)
+        assert parse_sets_text(text) == system
+        assert format_sets_text(parse_sets_text(text)) == text
+        with_extra = SetSystem([sorted(m) for m in members], extra_taxa=extra)
+        blob = format_sets_json(with_extra)
+        assert parse_sets_json(blob) == with_extra
+        assert format_sets_json(parse_sets_json(blob)) == blob
 
     def test_bad_json(self):
         with pytest.raises(InputError):
