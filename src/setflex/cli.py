@@ -30,13 +30,20 @@ from .setsys import CheckReport, ExcessReport
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    """The input as strict UTF-8 from the file or stdin, newlines as in text mode."""
+    name = "stdin" if path is None or path == "-" else path
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if name == "stdin":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {name}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name} is not UTF-8 text: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _member_str(system: setsys.SetSystem, index: int) -> str:

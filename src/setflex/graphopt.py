@@ -29,7 +29,7 @@ from .errors import (
     InternalVerificationError,
     MemberSizeError,
 )
-from .setsys import CheckReport, SetSystem, gamma, sigma
+from .setsys import CheckReport, SetSystem, gamma, sigma, size_minus_two
 
 
 class BipartiteIncidenceGraph(NamedTuple):
@@ -57,12 +57,7 @@ def incidence_graph(system: SetSystem, weighting: str = "unit") -> BipartiteInci
     if weighting == "unit":
         weights = tuple(1 for _ in system.members)
     elif weighting == "size_minus_two":
-        for i, m in enumerate(system.members):
-            if len(m) < 3:
-                raise MemberSizeError(
-                    f"member {','.join(system.member_labels(i))} has size {len(m)} < 3"
-                )
-        weights = tuple(len(m) - 2 for m in system.members)
+        weights = tuple(size_minus_two(system))
     else:
         raise InputError(f"weighting must be 'unit' or 'size_minus_two', got {weighting!r}")
     present = sorted({x for m in system.members for x in m})

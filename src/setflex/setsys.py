@@ -2,12 +2,13 @@
 
 A `SetSystem` is a finite collection of distinct non-empty subsets of a
 taxon universe.  This module provides the surplus-style measures on
-member selections (uniform and general excess, sigma, gamma), exhaustive
-thin/slim verdicts with minimizing witnesses, the submodular-inequality
-check used as a testing primitive, and the patchwork closure check on
-the zero-excess subset family.  Everything here is exact integer
-combinatorics; the polynomial-time counterparts of the exhaustive scans
-live in `graphopt`.
+member selections (uniform and general excess, sigma, gamma) and the
+submodular-inequality check used as a testing primitive.  Thin and slim
+are one Hall-type inequality |L(sel)| - sum(w(s)) >= c (thin: w = 1,
+c = r-1; slim: w = |s|-2, c = 2), so the exhaustive thin, slim and
+patchwork checks share one scan, which yields the minimizing witness
+and the zero-excess family together.  Everything here is exact integer
+combinatorics; the polynomial-time checks live in `graphopt`.
 
 Taxa are interned: the universe is the lexicographically sorted tuple of
 labels and a taxon id is its position in that tuple.  Members are stored
@@ -18,7 +19,6 @@ downstream report deterministic.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -41,13 +41,20 @@ class Taxon(NamedTuple):
 
 
 def check_label(label: str) -> str:
-    """Validate a taxon label: non-empty, no whitespace, no ( ) , ; : characters."""
+    """Validate a taxon label that every text format can read back.
+
+    Non-empty, no whitespace, none of ( ) , ; : # | and no leading quote.
+    """
     if not isinstance(label, str) or not label:
         raise InputError(f"taxon label must be a non-empty string, got {label!r}")
     # split() drops or splits at exactly the characters isspace() accepts.
     if label.split() != [label] or not _FORBIDDEN_LABEL_CHARS.isdisjoint(label):
         raise InputError(
             f"taxon label {label!r} contains whitespace or one of ( ) , ; :"
+        )
+    if "#" in label or "|" in label or label[0] in "'\"":
+        raise InputError(
+            f"taxon label {label!r} contains # or | or starts with a quote"
         )
     return label
 
@@ -248,15 +255,20 @@ def excess_uniform(system: SetSystem, selection: Iterable[int], r: int) -> int:
 def excess_general(system: SetSystem, selection: Iterable[int]) -> int:
     """|L(sel)| - 2 - sum(|s|-2) over the selection; members must have size >= 3."""
     sel = normalize_selection(system, selection, allow_empty=False)
-    total = 0
-    for i in sel:
+    return _union_bits(system, sel).bit_count() - 2 - sum(size_minus_two(system, sel))
+
+
+def size_minus_two(system: SetSystem, indices: Iterable[int] | None = None) -> list[int]:
+    """The weights |s|-2 of the given members (default all); each needs |s| >= 3."""
+    weights = []
+    for i in range(system.member_count) if indices is None else indices:
         size = len(system.members[i])
         if size < 3:
             raise MemberSizeError(
                 f"member {','.join(system.member_labels(i))} has size {size} < 3"
             )
-        total += size - 2
-    return _union_bits(system, sel).bit_count() - 2 - total
+        weights.append(size - 2)
+    return weights
 
 
 def sigma(system: SetSystem, selection: Iterable[int]) -> int:
@@ -302,6 +314,50 @@ def _check_cap(system: SetSystem, cap: int, hint: str) -> None:
         )
 
 
+def _scan_excess(
+    system: SetSystem, weights: list[int], offset: int, smallest: int, recheck: str
+) -> tuple[CheckReport, list[int]]:
+    """Scan |L(sel)| - sum(w(s)) - offset over all selections of >= smallest members.
+
+    Each selection mask, in increasing order, is one OR and two sums of
+    (union, weight sum, size) subset tables of its low k//2 members and
+    the rest.  Ties on the minimum go to fewer members, then to the smaller
+    sorted index tuple: the mask holding the lowest differing bit.
+    Returns the report and the masks of excess 0, in increasing order.
+    """
+    bits = system.member_bits()
+    tables = []
+    for part in (slice(0, len(bits) // 2), slice(len(bits) // 2, None)):
+        table = [(0, 0, 0)]
+        for b, w in zip(bits[part], weights[part]):
+            table += [(u | b, s + w, n + 1) for u, s, n in table]
+        tables.append(table)
+    checked = mask = best_value = best_size = best_mask = best_union = 0
+    zeros: list[int] = []
+    for high_union, high_weight, high_size in tables[1]:
+        for low_union, low_weight, low_size in tables[0]:
+            size = high_size + low_size
+            if size >= smallest:
+                union = high_union | low_union
+                value = union.bit_count() - high_weight - low_weight - offset
+                if value == 0:
+                    zeros.append(mask)
+                if not checked or value < best_value or value == best_value and (
+                    size < best_size
+                    or size == best_size and mask & (d := mask ^ best_mask) & -d
+                ):
+                    best_value, best_size, best_mask, best_union = value, size, mask, union
+                checked += 1
+            mask += 1
+    verdict = not checked or best_value >= 0
+    certificate = None if verdict else ExcessReport(
+        best_value, _mask_to_sel(best_mask), best_union.bit_count()
+    )
+    stats = {"subsets_checked": checked,
+             "min_excess_scanned": best_value if checked else None}
+    return CheckReport(verdict, "exhaustive", certificate, stats, recheck), zeros
+
+
 def is_thin_exhaustive(
     system: SetSystem, r: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
 ) -> CheckReport:
@@ -318,72 +374,23 @@ def is_thin_exhaustive(
     if r < 2:
         raise InputError(f"r must be >= 2, got {r}")
     _check_cap(system, cap, "graphopt.is_thin")
+    return _scan_excess(
+        system, [1] * system.member_count, r - 1, 3 if r == 3 else 1,
+        "setflex.setsys.excess_uniform",
+    )[0]
 
-    k = system.member_count
-    bits = system.member_bits()
-    lo = 3 if r == 3 else 1
-    best: tuple[int, tuple[int, ...], int] | None = None
-    checked = 0
-    for n_sel in range(lo, k + 1):
-        for combo in combinations(range(k), n_sel):
-            u = 0
-            for i in combo:
-                u |= bits[i]
-            value = u.bit_count() - n_sel - (r - 1)
-            checked += 1
-            if best is None or value < best[0]:
-                best = (value, combo, u.bit_count())
-    verdict = best is None or best[0] >= 0
-    certificate = None
-    if not verdict:
-        certificate = ExcessReport(value=best[0], witness=best[1], leaf_count=best[2])
-    return CheckReport(
-        verdict=verdict,
-        method="exhaustive",
-        certificate=certificate,
-        stats={"subsets_checked": checked, "min_excess_scanned": None if best is None else best[0]},
-        recheck="setflex.setsys.excess_uniform",
-    )
+
+def _slim_scan(system: SetSystem, cap: int) -> tuple[CheckReport, list[int]]:
+    weights = size_minus_two(system)
+    _check_cap(system, cap, "graphopt.is_slim")
+    return _scan_excess(system, weights, 2, 1, "setflex.setsys.excess_general")
 
 
 def is_slim_exhaustive(
     system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP
 ) -> CheckReport:
     """Scan all non-empty selections for negative general excess."""
-    for i, m in enumerate(system.members):
-        if len(m) < 3:
-            raise MemberSizeError(
-                f"member {','.join(system.member_labels(i))} has size {len(m)} < 3"
-            )
-    _check_cap(system, cap, "graphopt.is_slim")
-
-    k = system.member_count
-    bits = system.member_bits()
-    weights = [len(m) - 2 for m in system.members]
-    best: tuple[int, tuple[int, ...], int] | None = None
-    checked = 0
-    for n_sel in range(1, k + 1):
-        for combo in combinations(range(k), n_sel):
-            u = 0
-            w = 0
-            for i in combo:
-                u |= bits[i]
-                w += weights[i]
-            value = u.bit_count() - 2 - w
-            checked += 1
-            if best is None or value < best[0]:
-                best = (value, combo, u.bit_count())
-    verdict = best is None or best[0] >= 0
-    certificate = None
-    if not verdict:
-        certificate = ExcessReport(value=best[0], witness=best[1], leaf_count=best[2])
-    return CheckReport(
-        verdict=verdict,
-        method="exhaustive",
-        certificate=certificate,
-        stats={"subsets_checked": checked, "min_excess_scanned": None if best is None else best[0]},
-        recheck="setflex.setsys.excess_general",
-    )
+    return _slim_scan(system, cap)[0]
 
 
 # -- submodularity and patchwork -------------------------------------------
@@ -426,37 +433,17 @@ def patchwork_check(
     intersection are again in P.  For slim inputs a counterexample must
     not occur.
     """
-    slim = is_slim_exhaustive(system, cap=cap)
+    slim, family = _slim_scan(system, cap)
     if not slim.verdict:
         raise PreconditionError(
             "patchwork_check requires a slim system", certificate=slim.certificate
         )
-    k = system.member_count
-    bits = system.member_bits()
-    weights = [len(m) - 2 for m in system.members]
-
-    # Low-bit DP over selection masks gives leaf counts and weight sums.
-    union_bits = [0] * (1 << k)
-    weight_sum = [0] * (1 << k)
-    family: list[int] = []
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        union_bits[mask] = union_bits[rest] | bits[low]
-        weight_sum[mask] = weight_sum[rest] + weights[low]
-        if union_bits[mask].bit_count() - 2 - weight_sum[mask] == 0:
-            family.append(mask)
-
     in_family = set(family)
-    counterexample = None
-    for pos, m1 in enumerate(family):
-        for m2 in family[pos + 1:]:
-            if m1 & m2:
-                if (m1 | m2) not in in_family or (m1 & m2) not in in_family:
-                    counterexample = (_mask_to_sel(m1), _mask_to_sel(m2))
-                    break
-        if counterexample:
-            break
+    counterexample = next((
+        (_mask_to_sel(m1), _mask_to_sel(m2))
+        for pos, m1 in enumerate(family) for m2 in family[pos + 1:]
+        if m1 & m2 and not {m1 | m2, m1 & m2} <= in_family
+    ), None)
     return CheckReport(
         verdict=counterexample is None,
         method="exhaustive",
@@ -500,7 +487,12 @@ def parse_sets_json(text: str) -> SetSystem:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "sets" not in data:
         raise ParseError('JSON set system must be an object with a "sets" key')
-    return SetSystem(data["sets"], extra_taxa=data.get("extra_taxa", ()))
+    sets, extra = data["sets"], data.get("extra_taxa", [])
+    if not isinstance(sets, list) or not all(isinstance(m, list) for m in sets):
+        raise ParseError('"sets" must be an array of arrays of labels')
+    if not isinstance(extra, list):
+        raise ParseError('"extra_taxa" must be an array of labels')
+    return SetSystem(sets, extra_taxa=extra)
 
 
 def format_sets_json(system: SetSystem) -> str:

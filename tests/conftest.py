@@ -9,13 +9,23 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from setflex import SetSystem
+from setflex import InputError, SetSystem
+from setflex.setsys import check_label
 
 ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
 FIG1 = ("abc", "abd", "bce", "def")
 FIG1P = ("abc", "abd", "bce", "def", "bde")
 FIG3 = ("abc", "cde", "aef", "beg", "adg")
+
+
+def accepted_label(label: str) -> bool:
+    """Whether `check_label` accepts the label (a filter for label strategies)."""
+    try:
+        check_label(label)
+    except InputError:
+        return False
+    return True
 
 
 def tsys(*words: str, extra: tuple[str, ...] = ()) -> SetSystem:

@@ -189,6 +189,61 @@ class TestErrorSurface:
         )
         assert code == 3
 
+    @staticmethod
+    def run_error(capsys, *argv):
+        """Exit code and the one JSON error object; fails on a traceback."""
+        code = main([*argv, "--json", "--no-stats"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert list(payload) == ["error"]
+        return code, payload["error"]
+
+    @pytest.mark.parametrize("text", [
+        '{"sets": 5}',
+        '{"sets": [null]}',
+        '{"sets": "abc"}',
+        '{"sets": {"a": 1}}',
+        '{"sets": ["abc", "cde"]}',
+        '{"sets": [], "extra_taxa": 5}',
+        '{"sets": [["a", "b", "c"]], "extra_taxa": "xyz"}',
+        '{"sets": [["a", "b", "c"]], "extra_taxa": null}',
+    ])
+    def test_malformed_json_sets_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, error = self.run_error(capsys, "check", "slim", str(path))
+        assert code == 2 and "must be an array" in error
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "slim"), ("supertree",), ("order",),
+    ])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe,a,b\n")
+        code, error = self.run_error(capsys, *argv, str(path))
+        assert code == 2 and error.startswith(f"{path} is not UTF-8 text")
+
+    def test_non_utf8_stdin_exit_2(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "setflex", "check", "slim", "--json", "--no-stats"],
+            input=b"\xff\xfe,a,b\n", capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"].startswith("stdin is not UTF-8 text")
+
+    @pytest.mark.parametrize("label", ["a#b", "a|b", "'ab", '"ab'])
+    def test_label_the_text_formats_cannot_carry_exit_2(self, capsys, tmp_path, label):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"sets": [[label, "c", "d"], ["c", "d", "e"]]}))
+        code, error = self.run_error(capsys, "check", "slim", str(path))
+        assert code == 2
+        assert error == f"taxon label {label!r} contains # or | or starts with a quote"
+
     @pytest.fixture
     def broken_is_thin(self, monkeypatch):
         def broken(system, r):

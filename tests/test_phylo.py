@@ -32,6 +32,7 @@ from setflex import (
 from setflex.setsys import check_label
 from conftest import (
     ALPHA,
+    accepted_label,
     balanced_shape,
     caterpillar_shape,
     component_count,
@@ -68,8 +69,9 @@ class TestNewick:
             text = tree.newick()
             assert parse_newick(text).newick() == text
 
-    # Label characters the Newick grammar leaves alone.  A leading quote
-    # is excluded: `check_label` accepts it, but the parser rejects it.
+    # Label characters around the Newick grammar, quotes, '#' and '|'
+    # included; a label `check_label` rejects is drawn again, so every
+    # accepted label can occur.
     LABEL_CHARS = "abcXYZ019_-.|*+[]{}#!'\""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -78,13 +80,13 @@ class TestNewick:
         # At most 300 leaves: `parse_newick` recurses once per level.
         n = data.draw(st.integers(1, 300), label="leaves")
         rng = data.draw(st.randoms(use_true_random=False))
-        labels = [
-            # The first character is never a quote: LABEL_CHARS ends with both.
-            "".join(rng.choice(self.LABEL_CHARS[:-2]) for _ in range(rng.randint(1, 2)))
-            + "".join(rng.choice(self.LABEL_CHARS) for _ in range(rng.randint(0, 2)))
-            + str(i)
-            for i in range(n)
-        ]
+        labels = []
+        while len(labels) < n:
+            label = "".join(
+                rng.choice(self.LABEL_CHARS) for _ in range(rng.randint(1, 4))
+            ) + str(len(labels))
+            if accepted_label(label):
+                labels.append(label)
         make = rng.choice((yule_shape, caterpillar_shape, balanced_shape))
         tree = RootedPhyloTree(_contract(rng, make(rng, labels), rng.choice((0.0, 0.4))))
         text = tree.newick()

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,13 @@ from conftest import (
     ALPHA,
     FIG1,
     FIG1P,
+    accepted_label,
+    brute_minimum,
     brute_slim,
     brute_thin,
     oracle_gamma,
     oracle_sigma,
+    random_slim_system,
     random_system,
     tsys,
 )
@@ -63,7 +67,7 @@ class TestSetSystem:
             SetSystem([[]])
 
     def test_bad_labels_rejected(self):
-        for label in ["", "a b", "a,b", "x;", "p(q"]:
+        for label in ["", "a b", "a,b", "x;", "p(q", "a#b", "a|b", "'ab", '"ab']:
             with pytest.raises(InputError):
                 SetSystem([[label, "z"]])
 
@@ -296,6 +300,92 @@ class TestNegativeCaps:
             is_slim_exhaustive(tsys(*FIG1), cap=0)
 
 
+class TestExhaustiveScanOracles:
+    """The one excess scan against exhaustive oracles over label sets."""
+
+    def test_thin_witness_is_first_brute_minimum(self):
+        rng = random.Random(41)
+        seen = 0
+        for _ in range(150):
+            r = rng.choice([2, 3, 4])
+            s = random_system(rng, rng.randint(r + 1, 8), rng.randint(2, 9), (r,))
+            report = is_thin_exhaustive(s, r)
+            if report.verdict:
+                continue
+            seen += 1
+            # Thin excess is sigma - (r-1); for r=3 the skipped selections
+            # of one or two triples have sigma >= 2, so never hold the minimum.
+            value, witness = brute_minimum(s, "sigma")
+            assert report.certificate.witness == witness
+            assert report.certificate.value == value - (r - 1)
+            assert report.certificate.leaf_count == len(leaf_union(s, witness))
+        assert seen > 30
+
+    def test_slim_witness_is_first_brute_minimum(self):
+        rng = random.Random(43)
+        seen = 0
+        for _ in range(150):
+            s = random_system(rng, rng.randint(5, 9), rng.randint(2, 9), (3, 4, 5))
+            report = is_slim_exhaustive(s)
+            if report.verdict:
+                continue
+            seen += 1
+            value, witness = brute_minimum(s, "gamma")
+            assert report.certificate.witness == witness
+            assert report.certificate.value == value - 2
+        assert seen > 30
+
+    @pytest.mark.parametrize("words, witness", [
+        # Two disjoint triangles, excess -1 each: the lexicographically
+        # first (0,1,5) holds the higher mask, so mask order would pick (2,3,4).
+        (("ae", "af", "ef", "bc", "bd", "cd"), (0, 1, 5)),
+        # A 4-cycle and a triangle, excess -1 each: the 4-cycle's mask is
+        # the lower one, but the triangle has fewer members.
+        (("ab", "bc", "cd", "ad", "ef", "eg", "fg"), (4, 5, 6)),
+    ])
+    def test_ties_go_to_size_then_lex_not_mask_order(self, words, witness):
+        s = tsys(*words)
+        report = is_thin_exhaustive(s, 2)
+        assert report.certificate.witness == witness == brute_minimum(s, "sigma")[1]
+        assert report.certificate.value == -1
+
+    def test_subsets_checked_and_minimum(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            r = rng.choice([2, 3, 4])
+            s = random_system(rng, rng.randint(r + 1, 8), rng.randint(1, 8), (r,))
+            k, smallest = s.member_count, 3 if r == 3 else 1
+            sets = s.member_label_sets()
+            excesses = [
+                oracle_sigma(sets, combo) - (r - 1)
+                for n in range(smallest, k + 1) for combo in combinations(range(k), n)
+            ]
+            stats = is_thin_exhaustive(s, r).stats
+            assert stats["subsets_checked"] == len(excesses) == sum(
+                comb(k, n) for n in range(smallest, k + 1)
+            )
+            assert stats["min_excess_scanned"] == (min(excesses) if excesses else None)
+            slim = random_system(rng, rng.randint(5, 8), k, (3, 4, 5))
+            assert is_slim_exhaustive(slim).stats["subsets_checked"] == 2 ** slim.member_count - 1
+
+    def test_patchwork_family_matches_oracle(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            s = random_slim_system(rng, rng.randint(5, 10), rng.randint(1, 8))
+            sets = s.member_label_sets()
+            family = {
+                frozenset(combo)
+                for n in range(1, len(sets) + 1)
+                for combo in combinations(range(len(sets)), n)
+                if oracle_gamma(sets, combo) == 2
+            }
+            closed = all(a | b in family and a & b in family
+                         for a in family for b in family if a & b)
+            report = patchwork_check(s)
+            assert report.stats["family_size"] == len(family)
+            assert report.verdict == closed
+
+
 class TestSubmodularity:
     def test_fig1_pair_example(self):
         ok, values = check_submodular_pair("sigma", tsys(*FIG1), [0, 1], [1, 2])
@@ -377,9 +467,12 @@ class TestFormats:
         assert parse_sets('{"sets": [["a","b","c"]]}') == tsys("abc")
         assert parse_sets("a,b,c\n") == tsys("abc")
 
-    # Label characters the text format leaves alone.  '#' is excluded:
-    # `check_label` accepts it, but the text parser reads it as a comment.
-    LABEL = st.text(alphabet="abcXYZ019_-.|*+[]{}'\"!", min_size=1, max_size=4)
+    # Label characters around the text format's syntax, '#' and '|'
+    # included; only labels `check_label` accepts are kept, so every
+    # accepted label can occur.
+    LABEL = st.text(
+        alphabet="abcXYZ019_-.|*+[]{}#'\"!", min_size=1, max_size=4
+    ).filter(accepted_label)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
