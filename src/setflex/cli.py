@@ -25,8 +25,6 @@ from .errors import (
     PreconditionError,
     check_limit,
 )
-from .graphopt import MinimizerReport
-from .setsys import CheckReport, ExcessReport
 
 
 def _read_input(path: str | None) -> str:
@@ -53,13 +51,13 @@ def _member_str(system: setsys.SetSystem, index: int) -> str:
 def _render_certificate(system: setsys.SetSystem, certificate) -> object:
     if certificate is None:
         return None
-    if isinstance(certificate, ExcessReport):
+    if isinstance(certificate, setsys.ExcessReport):
         return {
             "excess": certificate.value,
             "leaf_count": certificate.leaf_count,
             "witness": [_member_str(system, i) for i in certificate.witness],
         }
-    if isinstance(certificate, MinimizerReport):
+    if isinstance(certificate, graphopt.MinimizerReport):
         return {
             "value": certificate.value,
             "witness": [_member_str(system, i) for i in certificate.witness],
@@ -85,6 +83,11 @@ def _render_order_certificate(system: setsys.SetSystem, report) -> object:
         else:
             rendered.append(system.label_of(value))
     return {"cycle": rendered}
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are not None; the rest keep library defaults."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _emit(ns, payload: dict, human_lines: list[str], elapsed: float) -> None:
@@ -115,13 +118,13 @@ def _flex_certificate(system: setsys.SetSystem, assignment) -> list[str]:
 
 def _cmd_check(ns) -> int:
     t0 = time.perf_counter()
-    system = setsys.parse_sets(_read_input(ns.input))
+    system = setsys.require_members(setsys.parse_sets(_read_input(ns.input)))
     kind = ns.kind
     method = ns.method
     payload: dict = {"command": "check", "kind": kind}
     certificate_json = None
 
-    cap_kwargs = {} if ns.cap is None else {"cap": ns.cap}
+    cap_kwargs = _given(cap=ns.cap)
     if kind == "thin":
         r = ns.r if ns.r is not None else system.uniform_size()
         if r is None:
@@ -149,8 +152,8 @@ def _cmd_check(ns) -> int:
         if method == "mincut":
             report = graphopt.is_slim(system)
         elif method == "bruteforce":
-            scan = flex.is_flexible_bruteforce(system, budget=ns.budget)
-            report = CheckReport(
+            scan = flex.is_flexible_bruteforce(system, **_given(budget=ns.budget))
+            report = setsys.CheckReport(
                 verdict=scan.verdict,
                 method="bruteforce",
                 certificate=scan.counterexample,
@@ -311,7 +314,7 @@ def _cmd_count(ns) -> int:
         taxa = set()
         for t in triples:
             taxa |= t.taxa
-        enumerated = flex.count_displaying(trees, taxa, cap=ns.cap)
+        enumerated = flex.count_displaying(trees, taxa, **_given(cap=ns.cap))
     if ns.formula_n is not None:
         formula = flex.disjoint_count_formula(ns.formula_n)
     if enumerated is None and formula is None:
@@ -418,10 +421,11 @@ def _cmd_gen_defining(ns) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _default_budget() -> int:
+def _default_budget() -> int | None:
+    """SETFLEX_BUDGET, validated; None (the library default) when unset."""
     raw = os.environ.get("SETFLEX_BUDGET")
     if raw is None:
-        return flex.DEFAULT_ASSIGNMENT_BUDGET
+        return None
     try:
         budget = int(raw)
     except ValueError:
@@ -486,9 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common], help="count displaying trees")
     p.add_argument("input", nargs="?", help="triples file")
     p.add_argument("--formula-n", type=int, default=None, help="closed-form n (3|n)")
-    p.add_argument(
-        "--cap", type=int, default=flex.DEFAULT_ENUM_CAP, help="enumeration cap"
-    )
+    p.add_argument("--cap", type=int, default=None, help="enumeration cap")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser(
@@ -518,7 +520,7 @@ def _print_error(ns, exc: Exception) -> None:
     if isinstance(exc, InternalVerificationError):
         payload["kind"] = "internal-verification"
     if isinstance(exc, PreconditionError) and isinstance(
-        exc.certificate, MinimizerReport
+        exc.certificate, graphopt.MinimizerReport
     ):
         payload["sigma_star"] = exc.certificate.value
         payload["witness_indices"] = list(exc.certificate.witness)
@@ -533,7 +535,16 @@ def _print_error(ns, exc: Exception) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns, extras = parser.parse_known_args(argv)
+    # argparse fills an optional `input` with nothing when it reads the
+    # positionals before the options, so an input path after the options
+    # is left over; take it as the input.
+    if len(extras) == 1 and ns.input is None and (
+        extras[0] == "-" or not extras[0].startswith("-")
+    ):
+        ns.input = extras.pop()
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         _check_limits(ns)
         if getattr(ns, "budget", None) is None and hasattr(ns, "budget"):

@@ -306,6 +306,13 @@ def occurrence_count(system: SetSystem, x: int | str) -> int:
 # -- exhaustive thin/slim -------------------------------------------------
 
 
+def require_members(system: SetSystem) -> SetSystem:
+    """Return the system unchanged; one without members is an `InputError`."""
+    if not system.member_count:
+        raise InputError("the set system has no members")
+    return system
+
+
 def _check_cap(system: SetSystem, cap: int, hint: str) -> None:
     if system.member_count > check_limit("cap", cap):
         raise CapExceededError(
@@ -368,7 +375,7 @@ def is_thin_exhaustive(
     sorted index order.  For r=3 selections of size <= 2 are skipped:
     their excess is never negative.
     """
-    size = system.uniform_size()
+    size = require_members(system).uniform_size()
     if size != r:
         raise MemberSizeError(f"system is not uniformly of size {r}")
     if r < 2:
@@ -381,7 +388,7 @@ def is_thin_exhaustive(
 
 
 def _slim_scan(system: SetSystem, cap: int) -> tuple[CheckReport, list[int]]:
-    weights = size_minus_two(system)
+    weights = size_minus_two(require_members(system))
     _check_cap(system, cap, "graphopt.is_slim")
     return _scan_excess(system, weights, 2, 1, "setflex.setsys.excess_general")
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -182,6 +183,23 @@ class TestErrorSurface:
         code, payload = run_json(capsys, *argv)
         assert code == 2 and "--cap" in payload["error"]
 
+    @pytest.mark.parametrize("value", ["-1", "lots"])
+    @pytest.mark.parametrize("kind", ["thin", "slim", "flexible", "order-flexible"])
+    def test_budget_env_validated_on_every_check(
+        self, capsys, fig1, monkeypatch, kind, value
+    ):
+        monkeypatch.setenv("SETFLEX_BUDGET", value)
+        code, payload = run_json(capsys, "check", kind, fig1)
+        assert code == 2 and "SETFLEX_BUDGET" in payload["error"]
+
+    def test_count_default_cap_is_8(self, capsys, tmp_path):
+        path = tmp_path / "nine.txt"
+        path.write_text("a,b|c\nd,e|f\ng,h|i\n")
+        code, payload = run_json(capsys, "count", str(path))
+        assert code == 3 and payload == {"error": "9 leaves exceed the enumeration cap 8"}
+        code, payload = run_json(capsys, "count", str(path), "--cap", "7")
+        assert code == 3 and payload == {"error": "9 leaves exceed the enumeration cap 7"}
+
     def test_zero_budget_is_a_limit_not_a_usage_error(self, capsys, fig1):
         code, _ = run(
             capsys, "check", "flexible", fig1, "--method", "bruteforce",
@@ -243,6 +261,26 @@ class TestErrorSurface:
         code, error = self.run_error(capsys, "check", "slim", str(path))
         assert code == 2
         assert error == f"taxon label {label!r} contains # or | or starts with a quote"
+
+    @pytest.mark.parametrize(
+        "text", ["", "# no members\n\n", '{"sets": []}'], ids=["empty", "comment", "json"]
+    )
+    @pytest.mark.parametrize("argv", [
+        ("thin",),
+        ("thin", "--r", "3"),
+        ("thin", "--r", "3", "--method", "exhaustive"),
+        ("slim",),
+        ("slim", "--method", "exhaustive"),
+        ("flexible",),
+        ("flexible", "--method", "bruteforce"),
+        ("order-flexible",),
+        ("order-flexible", "--method", "bruteforce"),
+    ], ids=" ".join)
+    def test_empty_system_exit_2(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "empty.sets"
+        path.write_text(text)
+        code, error = self.run_error(capsys, "check", argv[0], str(path), *argv[1:])
+        assert code == 2 and error == "the set system has no members"
 
     @pytest.fixture
     def broken_is_thin(self, monkeypatch):
@@ -457,6 +495,62 @@ class TestGenDefining:
         assert rebuilt.strip() == source
 
 
+class TestArgumentOrder:
+    INPUTS = {
+        "sets": "a,b,c\na,b,d\nb,c,e\nd,e,f\n",
+        "triples": "a,b|c\nd,e|f\n",
+        "orient": "a,b\nb,c\n",
+        "newick": "(((a,b),c),d);\n",
+    }
+    # (subcommand and kind, input, options) for every subcommand with an input.
+    CASES = [
+        (("check", "thin"), "sets", ("--r", "3")),
+        (("check", "slim"), "sets", ("--method", "exhaustive", "--cap", "8")),
+        (("check", "flexible"), "sets", ("--method", "bruteforce", "--budget", "100")),
+        (("supertree",), "triples", ("--binary",)),
+        (("represent", "median-caterpillar"), "sets", ("--extra", "z")),
+        (("count",), "triples", ("--cap", "6")),
+        (("sdr",), "sets", ("--B", "a,b")),
+        (("order",), "orient", ()),
+        (("gen-defining",), "newick", ()),
+    ]
+
+    @pytest.mark.parametrize("command, fmt, options", CASES,
+                             ids=[" ".join(command) for command, _, _ in CASES])
+    def test_input_before_or_after_options(self, capsys, tmp_path, command, fmt, options):
+        path = tmp_path / "input.txt"
+        path.write_text(self.INPUTS[fmt])
+        flags = ("--json", "--no-stats")
+        first = run(capsys, *command, str(path), *options, *flags)
+        second = run(capsys, *command, *options, *flags, str(path))
+        assert first[0] == 0 and json.loads(first[1])
+        assert second == first
+
+    def test_stdin_dash_after_options(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(self.INPUTS["sets"].encode()))
+        )
+        code, payload = run_json(capsys, "check", "thin", "--r", "3", "-")
+        assert code == 0 and payload["sigma_star"] == 2
+
+    @pytest.mark.parametrize("extra", [
+        ("SECOND",),            # an input given twice
+        ("other.sets", "x"),    # two leftovers
+        ("--bogus",),           # an unknown option
+        ("-x",),
+    ])
+    def test_other_leftovers_are_usage_errors(self, capsys, fig1, extra):
+        extra = [fig1 if a == "SECOND" else a for a in extra]
+        argv = ["check", "thin", "--r", "3", *extra]
+        if extra[0] == fig1:
+            argv.insert(2, fig1)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(extra)}" in err
+
+
 class TestSupertreeLarge:
     def test_deep_caterpillar_exits_0(self, tmp_path):
         # x0,x_i|x_{i+1} force ((((x0,x1),x2),...),x1199), 1,199 levels
@@ -572,6 +666,7 @@ class TestStartup:
             assert proc.returncode == 0, proc.stderr
             return set(proc.stdout.split())
 
-        added = loaded("import setflex.cli") - loaded("pass")
+        # The star import runs every lazily loaded layer module.
+        added = loaded("import setflex.cli\nfrom setflex import *") - loaded("pass")
         assert "setflex.cli" in added
         assert not added & {"dataclasses", "inspect"}

@@ -300,6 +300,20 @@ class TestNegativeCaps:
             is_slim_exhaustive(tsys(*FIG1), cap=0)
 
 
+class TestEmptySystem:
+    # An empty selection has excess 0, so a scan over no members would
+    # answer "thin" and "slim" for a system with nothing to check.
+    @pytest.mark.parametrize("check", [
+        lambda s: is_thin_exhaustive(s, 3),
+        lambda s: is_thin_exhaustive(s, 2, cap=0),
+        is_slim_exhaustive,
+        patchwork_check,
+    ])
+    def test_rejected(self, check):
+        with pytest.raises(InputError, match="^the set system has no members$"):
+            check(SetSystem([]))
+
+
 class TestExhaustiveScanOracles:
     """The one excess scan against exhaustive oracles over label sets."""
 

@@ -1,0 +1,168 @@
+"""Which setflex modules a request compiles, and the package's lazy exports.
+
+Every CLI request is a fresh interpreter, and with bytecode writing off
+each module it loads is compiled again, so a request should run only the
+layer modules it needs.  The layers are `LazyLoader` modules; these tests
+pin, per subcommand, the modules whose code is actually executed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import setflex
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Collects the names of the setflex modules whose code runs.
+HOOK = """
+import json, os, sys
+executed = set()
+
+def hook(event, args):
+    if event == "exec" and hasattr(args[0], "co_filename"):
+        path = args[0].co_filename
+        if os.path.basename(os.path.dirname(path)) == "setflex":
+            stem = os.path.basename(path)[:-3]
+            executed.add("setflex" if stem == "__init__" else "setflex." + stem)
+
+sys.addaudithook(hook)
+"""
+# One CLI request, then the executed modules as the last line.
+CLI = HOOK + """
+import setflex.cli
+code = setflex.cli.main(sys.argv[1:])
+print(json.dumps(sorted(executed)))
+sys.exit(code)
+"""
+
+# Every request runs the package, its errors and the CLI.
+ALWAYS = {"setflex", "setflex.errors", "setflex.cli"}
+
+INPUTS = {
+    "fig1.sets": "a,b,c\na,b,d\nb,c,e\nd,e,f\n",
+    "pairs.sets": "a,b\nb,c\nc,d\n",
+    "chain.triples": "a,b|c\nb,c|d\n",
+    "tree.nwk": "(((a,b),c),d);\n",
+    "orient.txt": "a,b\nb,c\n",
+}
+
+CASES = [
+    (("check", "thin", "fig1.sets"), {"setsys", "graphopt"}),
+    (("check", "slim", "fig1.sets"), {"setsys", "graphopt"}),
+    (("check", "flexible", "fig1.sets"), {"setsys", "graphopt"}),
+    (("check", "thin", "fig1.sets", "--method", "exhaustive"), {"setsys"}),
+    (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "graphopt"}),
+    (("check", "flexible", "fig1.sets", "--method", "bruteforce"),
+     {"setsys", "phylo", "flex"}),
+    (("count", "chain.triples"), {"setsys", "phylo", "flex"}),
+    (("count", "--formula-n", "6"), {"setsys", "phylo", "flex"}),
+    (("gen-defining", "tree.nwk"), {"setsys", "phylo", "flex"}),
+    (("supertree", "chain.triples"), {"setsys", "phylo"}),
+    (("represent", "median-caterpillar", "fig1.sets"),
+     {"setsys", "graphopt", "phylo", "represent"}),
+    (("represent", "lca-caterpillar", "pairs.sets"),
+     {"setsys", "graphopt", "phylo", "represent"}),
+    (("check", "order-flexible", "pairs.sets"),
+     {"setsys", "graphopt", "phylo", "represent"}),
+    (("order", "orient.txt"), {"setsys", "phylo", "represent"}),
+]
+
+# The names `setflex` re-exported when it imported every layer eagerly.
+EXPORTS = {
+    "errors": (
+        "BudgetExceededError", "CapExceededError", "InputError",
+        "InternalVerificationError", "MemberSizeError", "ParseError",
+        "PreconditionError", "SetflexError",
+    ),
+    "flex": (
+        "FlexReport", "count_displaying", "defining_triples",
+        "disjoint_count_formula", "enumerate_binary_trees",
+        "is_flexible_bruteforce", "is_unique_display",
+    ),
+    "graphopt": (
+        "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport", "SdrReport",
+        "gamma_star", "incidence_graph", "is_forest", "is_slim", "is_thin",
+        "max_flow", "sdr", "sigma_star", "surplus_forest",
+    ),
+    "phylo": (
+        "BuildResult", "RootedPhyloTree", "RootedTriple", "UnrootedPhyloTree",
+        "build_supertree", "cluster_graph", "displays_clusters", "displays_tree",
+        "displays_triple", "make_binary", "parse_newick", "parse_triple",
+        "parse_triples_text", "restrict", "spanning_triples", "triples_of",
+    ),
+    "represent": (
+        "OrderReport", "RepresentationReport", "caterpillar_median_representation",
+        "extend_to_total_order", "is_total_order_flexible",
+        "lca_caterpillar_representation", "rooted_caterpillar",
+        "unrooted_caterpillar", "verify_median_injective",
+    ),
+    "setsys": (
+        "CheckReport", "ExcessReport", "SetSystem", "Taxon",
+        "check_submodular_pair", "excess_general", "excess_uniform",
+        "format_sets_json", "format_sets_text", "gamma", "is_slim_exhaustive",
+        "is_thin_exhaustive", "leaf_union", "occurrence_count", "parse_sets",
+        "parse_sets_json", "parse_sets_text", "patchwork_check", "sigma",
+    ),
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def run_python(code, *argv, cwd=None):
+    """Exit code and stdout lines of `python -c code argv...` on these sources."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv, layers", CASES, ids=[" ".join(a) for a, _ in CASES])
+def test_request_executes_only_its_layers(tmp_path, argv, layers):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code, (output, executed) = run_python(CLI, *argv, "--json", "--no-stats", cwd=tmp_path)
+    assert code == 0 and "error" not in json.loads(output)
+    assert set(json.loads(executed)) == ALWAYS | {f"setflex.{layer}" for layer in layers}
+
+
+def test_package_import_executes_no_layer():
+    code, (registered, executed) = run_python(HOOK + """
+import setflex
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "setflex")))
+print(json.dumps(sorted(executed)))
+""")
+    # Every layer is registered in sys.modules, and none has run.
+    assert code == 0
+    assert json.loads(registered) == sorted(["setflex"] + [f"setflex.{m}" for m in EXPORTS])
+    assert json.loads(executed) == ["setflex", "setflex.errors"]
+
+
+def test_exports_are_the_module_attributes():
+    listed = set(dir(setflex)) & set(setflex.__all__)
+    assert [
+        name for module, name in NAMES
+        if getattr(setflex, name) is not getattr(getattr(setflex, module), name)
+        or name not in listed
+    ] == []
+
+
+def test_layers_are_the_registered_modules():
+    for module in EXPORTS:
+        assert getattr(setflex, module) is sys.modules[f"setflex.{module}"]
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from setflex import *", namespace)
+    assert {name for _, name in NAMES} <= set(namespace)
+
+
+def test_unknown_attribute():
+    assert not hasattr(setflex, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from setflex import no_such_name", {})
