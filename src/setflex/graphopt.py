@@ -1,21 +1,31 @@
 """Bipartite incidence graphs and the polynomial-time thin/slim checks.
 
 The surplus minimizers work by a forced-member min-cut reduction rather
-than a general submodular minimizer: with member s0 forced into the
+than a general submodular minimizer: with member v forced into the
 selection, the min cut of one flow network equals (constant offset) +
-the minimum of the measure over selections containing s0.  Minimizing
+the minimum of the measure over selections containing v.  Minimizing
 over the forced member then covers all non-empty selections.
 
-The network is built and max-flowed once; each forced member warm-starts
-from that flow's residual with one source arc raised (parametric max
-flow in the sense of Gallo, Grigoriadis and Tarjan, 1989), so a k-member
-minimization costs about one max flow plus k short augmentations, not k
-cold flows.  `max_flow` and the minimizer share one augmenting routine
-and one residual-cut routine.
+The network is max-flowed once, unforced, by Dinic's phases, the
+first of which routes each member straight through its free taxa.
+Forcing v only raises its source arc, and every augmenting path must
+then start with that arc, so v gains exactly the maximum flow from v
+to the sink in the base residual with the source dropped.  There every
+taxon passes at most one unit and members are uncapacitated, so by
+Menger v gains the largest number f_v of v -> sink paths sharing no
+taxon, and f_v is at most room_v, the taxa of v that carry none of v's
+base flow.  One dominator tree of the reversed residual, rooted at the
+sink, gives min(f_v, 2) for every member at once: 0 if v cannot reach
+the sink, 1 if a taxon dominates v, else 2.  That is f_v whenever
+room_v <= 2; only a member reading 2 with room_v > 2 is solved by an
+explicit forced augmentation, and only if it could still beat the best
+value found.  The witness and cut come from one forced augmentation of
+the chosen member.  `max_flow` and the minimizer share one augmenting
+routine and one residual-cut routine.
 
-Everything is deterministic: augmenting paths are found by BFS over arcs
-in insertion order, the forced-member loop breaks ties by canonical
-member index, and matchings are grown in canonical vertex order.
+Everything is deterministic: flows and searches take arcs in insertion
+order, the forced-member minimum breaks ties by canonical member index,
+and matchings are grown in canonical vertex order.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from .errors import (
     InternalVerificationError,
     MemberSizeError,
 )
-from .setsys import CheckReport, SetSystem, gamma, sigma, size_minus_two
+from .setsys import CheckReport, SetSystem, gamma, require_members, sigma, size_minus_two
 
 
 class BipartiteIncidenceGraph(NamedTuple):
@@ -122,42 +132,62 @@ class FlowResult(NamedTuple):
 
 
 def _augment(network: FlowNetwork, cap: list[int]) -> tuple[int, int]:
-    """Augment along BFS-shortest paths of the residual `cap` until none is left.
+    """Augment the residual `cap` to a maximum flow, by Dinic's phases.
 
-    `cap` is updated in place.  Returns the flow added and the number of
-    augmenting paths used.
+    Each phase levels the residual by one BFS from the source and then
+    augments along level-increasing paths, found depth first with a
+    current-arc pointer per node, until the sink is cut off; arcs are
+    tried in insertion order.  `cap` is updated in place.  Returns the
+    flow added and the number of augmenting paths used.
     """
     s, t = network.source, network.sink
     adj, arc_to = network.adj, network.arc_to
     node_count = len(network.names)
     added = paths = 0
     while True:
-        prev_arc = [-1] * node_count
-        prev_arc[s] = -2
+        level = [-1] * node_count
+        level[s] = 0
         queue = deque([s])
-        while queue and prev_arc[t] == -1:
+        while queue:
             u = queue.popleft()
+            if u == t:  # every node nearer the source has been expanded
+                break
             for a in adj[u]:
                 v = arc_to[a]
-                if cap[a] > 0 and prev_arc[v] == -1:
-                    prev_arc[v] = a
+                if cap[a] > 0 and level[v] == -1:
+                    level[v] = level[u] + 1
                     queue.append(v)
-        if prev_arc[t] == -1:
+        if level[t] == -1:
             return added, paths
-        bottleneck = None
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
-            v = arc_to[a ^ 1]
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = arc_to[a ^ 1]
-        added += bottleneck
-        paths += 1
+        pointer = [0] * node_count
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= bottleneck
+                    cap[a ^ 1] += bottleneck
+                added += bottleneck
+                paths += 1
+                # Back up to the tail of the first saturated arc.
+                cut = next(j for j, a in enumerate(path) if not cap[a])
+                u = arc_to[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs, i, deeper = adj[u], pointer[u], level[u] + 1
+            end = len(arcs)
+            while i < end and not (cap[arcs[i]] > 0 and level[arc_to[arcs[i]]] == deeper):
+                i += 1
+            pointer[u] = i
+            if i < end:
+                path.append(arcs[i])
+                u = arc_to[arcs[i]]
+            elif u == s:
+                break
+            else:  # dead end: drop the arc into it
+                u = arc_to[path.pop() ^ 1]
+                pointer[u] += 1
 
 
 def _residual_cut(network: FlowNetwork, cap: list[int]) -> tuple[frozenset[int], tuple]:
@@ -185,7 +215,7 @@ def _residual_cut(network: FlowNetwork, cap: list[int]) -> tuple[frozenset[int],
 
 
 def max_flow(network: FlowNetwork) -> FlowResult:
-    """Edmonds-Karp max flow; returns the value and one minimum cut.
+    """Dinic max flow; returns the value and one minimum cut.
 
     The cut is reported as the source side of the residual graph plus
     the saturated arcs crossing it.
@@ -202,6 +232,79 @@ def max_flow(network: FlowNetwork) -> FlowResult:
                       residual=tuple(cap), augmenting_paths=paths)
 
 
+def _sink_gains(network: FlowNetwork, cap, first_taxon: int) -> list[int]:
+    """min(2, taxon-disjoint paths to the sink) for every node, in residual `cap`.
+
+    Nodes from `first_taxon` on are the unit-capacity taxa; the source is
+    dropped.  The immediate dominators of the reversed residual, rooted
+    at the sink, come from Lengauer and Tarjan's algorithm (1979, the
+    simple version with path compression), on depth-first numbers; a
+    node that cannot reach the sink reads 0, one below a dominating
+    taxon reads 1.
+    """
+    s, t = network.source, network.sink
+    adj, arc_to = network.adj, network.arc_to
+    # Depth-first numbering along reversed arcs: u -> w whenever the
+    # residual has w -> u, i.e. cap[a ^ 1] for the arc a from u to w.  A
+    # node is numbered when popped, below the last node that pushed it.
+    num = [-1] * len(adj)
+    num[s] = -2
+    vertex, parent = [], []
+    stack = [(t, 0)]
+    while stack:
+        u, p = stack.pop()
+        if num[u] == -1:
+            num[u] = len(vertex)
+            vertex.append(u)
+            parent.append(p)
+            stack.extend((arc_to[a], num[u]) for a in adj[u]
+                         if cap[a ^ 1] and num[arc_to[a]] == -1)
+    n = len(vertex)
+    semi = list(range(n))
+    label = list(range(n))
+    ancestor = [-1] * n
+    idom = [0] * n
+    bucket: list[list[int]] = [[] for _ in range(n)]
+
+    def evaluate(v: int) -> int:
+        if ancestor[v] == -1:
+            return v
+        path, u = [], v
+        while ancestor[ancestor[u]] != -1:
+            path.append(u)
+            u = ancestor[u]
+        for x in reversed(path):  # compress, nearest the forest root first
+            a = ancestor[x]
+            if semi[label[a]] < semi[label[x]]:
+                label[x] = label[a]
+            ancestor[x] = ancestor[a]
+        return label[v]
+
+    for w in range(n - 1, 0, -1):
+        for a in adj[vertex[w]]:
+            v = num[arc_to[a]]
+            if cap[a] and v >= 0:
+                u = evaluate(v)
+                if semi[u] < semi[w]:
+                    semi[w] = semi[u]
+        bucket[semi[w]].append(w)
+        p = parent[w]
+        ancestor[w] = p
+        for v in bucket[p]:
+            u = evaluate(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p] = []
+    gains = [0] * len(adj)
+    below_taxon = [False] * n
+    for w in range(1, n):
+        if idom[w] != semi[w]:
+            idom[w] = idom[idom[w]]
+        d = idom[w]
+        below_taxon[w] = below_taxon[d] or vertex[d] >= first_taxon
+        gains[vertex[w]] = 1 if below_taxon[w] else 2
+    return gains
+
+
 # -- surplus minimization -----------------------------------------------------
 
 
@@ -210,8 +313,10 @@ class MinimizerReport(NamedTuple):
 
     The cut certifies optimality: its capacity equals value + offset,
     where offset is the total member weight of the reduction.
-    `augmenting_paths` (base flow plus every warm step) and
-    `forced_members` count the work done.
+    `augmenting_paths` (base flow and every forced augmentation),
+    `forced_members` (members minimized over) and
+    `forced_solves` (members solved by an explicit forced augmentation)
+    count the work done.
     """
 
     value: int
@@ -220,6 +325,7 @@ class MinimizerReport(NamedTuple):
     offset: int
     augmenting_paths: int
     forced_members: int
+    forced_solves: int
 
 
 def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
@@ -228,20 +334,29 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
     The network has source -> member arcs of the member weight,
     member -> taxon containment arcs and taxon -> sink arcs of capacity
     1.  A source side holding the members W (and necessarily their
-    taxa) cuts total_weight - w(W) + |L(W)|, so forcing member s0 onto
+    taxa) cuts total_weight - w(W) + |L(W)|, so forcing member v onto
     the source side (its source arc at a sentinel) gives total_weight
-    plus the minimum over selections containing s0.
+    plus the minimum over selections containing v.
 
-    The network is built once and max-flowed once, unforced.  Each
-    forced member then starts from a copy of that residual with its
-    source arc raised to the sentinel: the unforced maximum flow stays
-    feasible, and at most |s0| more units can pass through s0, so each
-    forced member costs at most |s0| augmenting paths rather than a
-    cold flow.  The witness and cut are those of a cold solve: the
-    nodes reachable from the source in the residual of *any* maximum
-    flow form the same, inclusion-minimal, minimum-cut source side, and
-    sentinel arcs are never cut, so the sentinel's value does not show.
-    Ties go to the lowest forced member index.
+    One max flow, unforced: Dinic's first phase is a greedy pass over
+    the length-3 paths source -> member -> free taxon -> sink, so a
+    chain needs about one pass.  Forcing v keeps that flow feasible and
+    adds f_v units: the number of taxon-disjoint v -> sink paths in its
+    residual without the source (Menger; members are uncapacitated, taxa
+    pass one unit).  f_v <= room_v = |v| - (base flow through v), and one
+    dominator pass (`_sink_gains`) gives min(f_v, 2), which is exact
+    when room_v <= 2: every gamma member (a saturated one has room 2, an
+    unsaturated one reaches no sink) and every sigma member of size <= 3.
+    A member reading 2 with room > 2 (sigma, size >= 4) is solved by a
+    forced augmentation from a copy of the base residual, unless its
+    lower bound cannot beat the best value found so far.
+
+    The witness and cut come from one forced augmentation of the lowest
+    minimizing member index, whose gain must match the dominator count.
+    They equal a cold solve's: the nodes reachable from the source in
+    the residual of *any* maximum flow form the same, inclusion-minimal,
+    minimum-cut source side, and sentinel arcs are never cut, so the
+    sentinel's value does not show.
     """
     k = graph.member_count
     if k == 0:
@@ -267,19 +382,45 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
         net.add_arc(tn, net.sink, 1)
 
     base = max_flow(net)
+    # Nodes are numbered source, sink, members, then taxa.
+    gains = _sink_gains(net, base.residual, 2 + k)
     paths = base.augmenting_paths
-    best: tuple[int, list[int]] | None = None
-    for forced in range(k):
-        cap = list(base.residual)
-        cap[source_arcs[forced]] += cinf - graph.weights[forced]
-        added, steps = _augment(net, cap)
-        paths += steps
-        value = base.value + added - total_weight
-        if best is None or value < best[0]:
-            best = (value, cap)
+    solves = 0
 
-    value, cap = best
-    source_side, cut = _residual_cut(net, cap)
+    def forced(i: int) -> tuple[int, list[int]]:
+        nonlocal paths, solves
+        res = list(base.residual)
+        res[source_arcs[i]] += cinf - graph.weights[i]
+        added, steps = _augment(net, res)
+        paths += steps
+        solves += 1
+        return added, res
+
+    # (gain, member) pairs; the least is the minimum with the lowest index.
+    known, fallback = [], []
+    for i in range(k):
+        room = len(graph.adjacency[i]) - graph.weights[i] + base.residual[source_arcs[i]]
+        gain = gains[member_nodes[i]]
+        if gain == 2 and room > 2:
+            fallback.append(i)
+        else:
+            known.append((gain, i))
+    best, best_res = min(known, default=None), None
+    for i in fallback:
+        if best is None or (2, i) < best:
+            added, res = forced(i)
+            if best is None or (added, i) < best:
+                best, best_res = (added, i), res
+    gain, member = best
+    if best_res is None:
+        added, best_res = forced(member)
+        if added != gain:
+            raise InternalVerificationError(
+                "forced augmentation disagrees with its dominator count"
+            )
+
+    value = base.value + gain - total_weight
+    source_side, cut = _residual_cut(net, best_res)
     witness = tuple(i for i in range(k) if member_nodes[i] in source_side)
     if not witness:
         raise InternalVerificationError("minimizer produced an empty witness")
@@ -295,7 +436,7 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
            for i, node in enumerate(member_nodes)):
         raise InternalVerificationError("witness differs from the source-side members")
     return MinimizerReport(value=value, witness=witness, cut=cut, offset=total_weight,
-                           augmenting_paths=paths, forced_members=k)
+                           augmenting_paths=paths, forced_members=k, forced_solves=solves)
 
 
 def sigma_star(system: SetSystem) -> MinimizerReport:
@@ -328,7 +469,8 @@ def is_thin(system: SetSystem, r: int) -> CheckReport:
     verdict = report.value >= r - 1
     stats = {"sigma_star": report.value, "threshold": r - 1,
              "augmenting_paths": report.augmenting_paths,
-             "forced_members": report.forced_members}
+             "forced_members": report.forced_members,
+             "forced_solves": report.forced_solves}
     if r == 2:
         stats["note"] = "r=2 threshold sigma* >= 1 follows from the excess definition"
     return CheckReport(
@@ -350,7 +492,8 @@ def is_slim(system: SetSystem) -> CheckReport:
         certificate=None if verdict else report,
         stats={"gamma_star": report.value, "threshold": 2,
                "augmenting_paths": report.augmenting_paths,
-               "forced_members": report.forced_members},
+               "forced_members": report.forced_members,
+               "forced_solves": report.forced_solves},
         recheck="setflex.setsys.gamma",
     )
 
@@ -381,7 +524,7 @@ def sdr(system: SetSystem, B) -> SdrReport:
     Uses augmenting-path matching in canonical order.  For thin systems
     success is guaranteed; otherwise the report carries a Hall violator.
     """
-    r = system.uniform_size()
+    r = require_members(system).uniform_size()
     if r is None:
         raise MemberSizeError("sdr requires a uniformly sized system")
     b_ids = set()

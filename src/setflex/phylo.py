@@ -13,21 +13,20 @@ carries degree-many children).
 
 Leaf sets inside a tree and inside BUILD are integer bitmasks over the
 sorted leaf labels (bit i is the i-th smallest label), so "smallest
-contained label" is "lowest set bit".  All triple queries on a tree
-(`lca`, `resolve`, `displays_triple`) share one descent over cluster
-masks; whole trees are compared on their cluster masks
-(`displays_clusters`) and enter BUILD as their `spanning_triples`, n-2
-for a binary tree, not as all C(n,3) of `triples_of`.  BUILD (Aho et
-al., 1981) runs on `(cherry_mask, all_mask)` pairs with an explicit
-stack of scopes.  Canonicalization, equality, indexing,
-Newick printing, `restrict` and `make_binary` also walk trees with
-explicit stacks, so trees of any depth can be built, compared, queried
-and printed.  `parse_newick` still recurses once per level of nesting.
+contained label" is "lowest set bit".  `resolve` and `displays_triple`
+share one descent over cluster masks, `lca`, `depth` and `median` one
+preorder sparse table (`_lca_table`).  Whole trees are compared on their
+cluster masks (`displays_clusters`) and enter BUILD as their
+`spanning_triples`, n-2 for a binary tree, not as all C(n,3) of
+`triples_of`.  BUILD (Aho et al., 1981) runs on `(cherry_mask,
+all_mask)` pairs with an explicit stack of scopes.  Canonicalization,
+equality, indexing, Newick printing, `restrict` and `make_binary` also
+walk trees with explicit stacks, so trees of any depth can be built,
+compared, queried and printed.  `parse_newick` still recurses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
@@ -83,6 +82,27 @@ def _canonical(shape, seen: dict[str, None]):
     return _fold(shape, leaf, interior)[0]
 
 
+def _lca_table(parents: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Depths and a sparse table for the lcas of a tree numbered in preorder:
+    for u < v the lca is the parent of any shallowest vertex in u+1..v, and
+    row j holds, per p, the least depth * n + parent over p..p+2^j-1."""
+    n = len(parents)
+    depths = [0] * n
+    for v in range(1, n):
+        depths[v] = depths[parents[v]] + 1
+    table = [[d * n + p for d, p in zip(depths, parents)]]
+    while 2 ** len(table) <= n:
+        table.append(list(map(min, table[-1], table[-1][2 ** (len(table) - 1):])))
+    return depths, table
+
+
+def _lca(table: list[list[int]], u: int, v: int) -> int:
+    if u == v:  # callers pass u <= v
+        return u
+    j = (v - u).bit_length() - 1
+    return min(table[j][u + 1], table[j][v + 1 - 2 ** j]) % len(table[0])
+
+
 class RootedPhyloTree:
     """A rooted phylogenetic tree with labeled leaves.
 
@@ -91,13 +111,13 @@ class RootedPhyloTree:
     isomorphic as leaf-labeled trees.
     """
 
-    __slots__ = ("_shape", "_leaves", "_index")
+    __slots__ = ("_shape", "_leaves", "_index", "_lca")
 
     def __init__(self, shape: Shape):
         seen: dict[str, None] = {}
         self._shape = _canonical(shape, seen)
         self._leaves = tuple(sorted(seen))
-        self._index = None
+        self._index = self._lca = None
 
     @classmethod
     def _from_canonical(cls, shape: Shape, leaves: tuple[str, ...]) -> RootedPhyloTree:
@@ -110,7 +130,7 @@ class RootedPhyloTree:
         tree = cls.__new__(cls)
         tree._shape = shape
         tree._leaves = leaves
-        tree._index = None
+        tree._index = tree._lca = None
         return tree
 
     @property
@@ -212,13 +232,15 @@ class RootedPhyloTree:
             lab for i, lab in enumerate(self._leaves) if mask >> i & 1
         )
 
+    def _lca_index(self):
+        if self._lca is None:
+            shapes, parents = self._ensure_index()[:2]
+            self._lca = (*_lca_table(parents),
+                         {s: v for v, s in enumerate(shapes) if isinstance(s, str)})
+        return self._lca
+
     def depth(self, v: int) -> int:
-        parents = self._ensure_index()[1]
-        d = 0
-        while parents[v] != -1:
-            v = parents[v]
-            d += 1
-        return d
+        return self._lca_index()[0][v]
 
     def interior_ids(self) -> tuple[int, ...]:
         shapes = self._ensure_index()[0]
@@ -249,7 +271,11 @@ class RootedPhyloTree:
 
     def lca(self, taxa: Iterable[str]) -> int:
         """Deepest vertex whose cluster contains all the given leaves."""
-        return self._descend(self._want_mask(taxa))
+        taxa = list(taxa)
+        self._want_mask(taxa)
+        _, table, vertex_of = self._lca_index()
+        ids = [vertex_of[lab] for lab in taxa]
+        return _lca(table, min(ids), max(ids))
 
     def leaf_bits(self) -> dict[str, int]:
         """The leaf-to-bit mapping of this tree's cluster masks.
@@ -747,7 +773,7 @@ def build_supertree(
 class UnrootedPhyloTree:
     """An unrooted phylogenetic tree: leaves labeled, interior degree >= 3."""
 
-    __slots__ = ("_adj", "_labels", "_label_to_v")
+    __slots__ = ("_adj", "_labels", "_label_to_v", "_hang", "_lca")
 
     def __init__(
         self,
@@ -777,26 +803,26 @@ class UnrootedPhyloTree:
                 raise InputError(f"labeled vertex {v} is not a leaf")
             if 1 < len(nb) < 3:
                 raise InputError(f"interior vertex {v} has degree {len(nb)} < 3")
-        # Connectivity and acyclicity.
-        if adj:
-            start = next(iter(adj))
-            seen = {start}
-            queue = deque([start])
-            edge_count = 0
-            while queue:
-                u = queue.popleft()
-                edge_count += len(adj[u])
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != len(adj):
-                raise InputError("tree is not connected")
-            if edge_count // 2 != len(adj) - 1:
-                raise InputError("edge count does not match a tree")
+        # Connectivity and acyclicity, with a preorder (vertex, parent position)
+        # from the smallest leaf's neighbour that hangs it for median and newick.
+        order, parents, pos = [], [], {}
+        root = adj[min(labels, key=labels.get)][0] if labels else next(iter(adj), None)
+        stack = [(root, -1)] if adj else []
+        while stack:
+            v, up = stack.pop()
+            if v not in pos:
+                pos[v] = len(order)
+                order.append(v)
+                parents.append(up)
+                stack.extend((w, pos[v]) for w in adj[v] if w not in pos)
+        if len(order) != len(adj):
+            raise InputError("tree is not connected")
+        if adj and sum(map(len, adj.values())) // 2 != len(adj) - 1:
+            raise InputError("edge count does not match a tree")
         self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         self._labels = labels
         self._label_to_v = {lab: v for v, lab in labels.items()}
+        self._hang, self._lca = (order, pos, parents), None
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -835,56 +861,30 @@ class UnrootedPhyloTree:
             count += leafy * (leafy - 1) // 2
         return count
 
-    def _path(self, u: int, v: int) -> list[int]:
-        prev = {u: None}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                break
-            for x in self._adj[w]:
-                if x not in prev:
-                    prev[x] = w
-                    queue.append(x)
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
     def median(self, taxa: Iterable[str]) -> int:
-        """The unique vertex shared by the three pairwise leaf paths."""
+        """The vertex shared by the three leaf paths: the deepest pairwise lca."""
         labs = sorted(set(taxa))
         if len(labs) != 3:
             raise InputError(f"median needs exactly three taxa, got {labs}")
-        a, b, c = (self.leaf_vertex(x) for x in labs)
-        shared = (
-            set(self._path(a, b)) & set(self._path(a, c)) & set(self._path(b, c))
-        )
-        if len(shared) != 1:
-            raise InputError("paths do not meet in a single vertex")
-        return shared.pop()
+        order, pos, parents = self._hang
+        if self._lca is None:
+            self._lca = _lca_table(parents)
+        depths, table = self._lca
+        a, b, c = sorted(pos[self.leaf_vertex(x)] for x in labs)
+        return order[max(_lca(table, a, b), _lca(table, a, c), _lca(table, b, c),
+                         key=depths.__getitem__)]
 
     def newick(self) -> str:
         """Serialize by rooting at the interior vertex next to the smallest leaf."""
         if len(self._adj) == 2:
             a, b = sorted(self._labels.values())
             return f"({a},{b});"
-        root = self._adj[self.leaf_vertex(min(self._labels.values()))][0]
-        # Hang the tree from `root` breadth first, build the nested shape
-        # from the far end back, and print its canonical form, whose
+        # The preorder hangs the tree from that vertex: build the nested
+        # shape from the far end back, and print its canonical form, whose
         # children are ordered by smallest leaf label.
-        order = [root]
-        came: dict[int, int | None] = {root: None}
-        for v in order:
-            for w in self._adj[v]:
-                if w not in came:
-                    came[w] = v
-                    order.append(w)
-        shapes: dict[int, Shape] = {}
-        for v in reversed(order):
-            if v in self._labels:
-                shapes[v] = self._labels[v]
-            else:
-                shapes[v] = tuple(shapes.pop(w) for w in self._adj[v] if w != came[v])
-        return RootedPhyloTree(shapes[root]).newick()
+        order, _, parents = self._hang
+        kids: list[list[Shape]] = [[] for _ in order]
+        for p in range(len(order) - 1, 0, -1):
+            v = order[p]
+            kids[parents[p]].append(self._labels[v] if v in self._labels else tuple(kids[p]))
+        return RootedPhyloTree(tuple(kids[0])).newick()

@@ -33,7 +33,7 @@ from .errors import (
     check_limit,
 )
 from .phylo import RootedPhyloTree, UnrootedPhyloTree
-from .setsys import CheckReport, SetSystem
+from .setsys import CheckReport, SetSystem, require_members
 
 DEFAULT_ORIENTATION_CAP = 20
 
@@ -237,7 +237,8 @@ def _peel_median(live: set, levels: list, skip: int) -> list[str]:
             for lab in y:
                 members_of.setdefault(lab, set()).add(y)
                 heapq.heappush(heap, (len(members_of[lab]), lab))
-        missing = sorted({lab for m in checked for lab in m} - {x} - members_of.keys())
+        missing = sorted({lab for m in checked for lab in m
+                          if lab != x and lab not in members_of})
         levels.append((missing + [x], checked, y, index))
 
     universe = sorted(members_of)
@@ -307,7 +308,7 @@ def caterpillar_median_representation(system: SetSystem) -> RepresentationReport
     taxa outside L(tau) are appended past the far end of the spine; the
     injectivity of the median map is recomputed from the finished tree.
     """
-    if system.uniform_size() != 3:
+    if require_members(system).uniform_size() != 3:
         raise MemberSizeError("median representation needs a system of triples")
     if len(system.universe) < 4:
         raise InputError(
@@ -326,18 +327,14 @@ def caterpillar_median_representation(system: SetSystem) -> RepresentationReport
     seq = seq + list(appended)
 
     tree = unrooted_caterpillar(seq)
-    ok, collision = verify_median_injective(tree, system)
+    vertex_map: dict[int, int] = {}
+    ok, collision = verify_median_injective(tree, system, vertex_map)
     if not ok:
         raise InternalVerificationError(
             f"median collision between members {collision}"
         )
-    n = len(seq)
-    vertex_map = {}
-    for i in range(system.member_count):
-        med = tree.median(system.member_labels(i))
-        if not 0 <= med <= n - 3:
-            raise InternalVerificationError("median landed on a leaf")
-        vertex_map[i] = med
+    if not all(0 <= med <= len(seq) - 3 for med in vertex_map.values()):
+        raise InternalVerificationError("median landed on a leaf")
     if not tree.is_binary() or tree.cherry_count() > 2:
         raise InternalVerificationError("construction is not a caterpillar")
     return RepresentationReport(
@@ -351,9 +348,13 @@ def caterpillar_median_representation(system: SetSystem) -> RepresentationReport
 
 
 def verify_median_injective(
-    tree: UnrootedPhyloTree, system: SetSystem
+    tree: UnrootedPhyloTree, system: SetSystem, medians: dict[int, int] | None = None
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Recompute every member's median; report the first colliding pair."""
+    """Recompute every member's median; report the first colliding pair.
+
+    Each median is computed once; `medians`, if given, receives member
+    index -> median for every member checked.
+    """
     leaves = set(tree.leaves)
     seen: dict[int, int] = {}
     for i in range(system.member_count):
@@ -361,6 +362,8 @@ def verify_median_injective(
         if not set(labels) <= leaves:
             raise InputError(f"member {','.join(labels)} has taxa outside the tree")
         med = tree.median(labels)
+        if medians is not None:
+            medians[i] = med
         if med in seen:
             return False, (seen[med], i)
         seen[med] = i
@@ -405,7 +408,7 @@ def lca_caterpillar_representation(system: SetSystem) -> RepresentationReport:
     existing spine and flagged in the report.  The lca map is recomputed
     from the finished tree and its depths give the spine numbering.
     """
-    if system.uniform_size() != 2:
+    if require_members(system).uniform_size() != 2:
         raise MemberSizeError("lca representation needs a system of pairs")
     if not graphopt.is_forest(graphopt.incidence_graph(system, "unit"))[0]:
         minimizer = graphopt.sigma_star(system)

@@ -275,11 +275,17 @@ class TestErrorSurface:
         ("flexible", "--method", "bruteforce"),
         ("order-flexible",),
         ("order-flexible", "--method", "bruteforce"),
+        ("represent", "median-caterpillar"),
+        ("represent", "lca-caterpillar"),
+        ("sdr", "--B", "a,b"),
     ], ids=" ".join)
     def test_empty_system_exit_2(self, capsys, tmp_path, text, argv):
         path = tmp_path / "empty.sets"
         path.write_text(text)
-        code, error = self.run_error(capsys, "check", argv[0], str(path), *argv[1:])
+        if argv[0] in ("represent", "sdr"):
+            code, error = self.run_error(capsys, *argv, str(path))
+        else:
+            code, error = self.run_error(capsys, "check", argv[0], str(path), *argv[1:])
         assert code == 2 and error == "the set system has no members"
 
     @pytest.fixture

@@ -28,6 +28,7 @@ from setflex import (
     restrict,
     spanning_triples,
     triples_of,
+    unrooted_caterpillar,
 )
 from setflex.setsys import check_label
 from conftest import (
@@ -1054,3 +1055,127 @@ class TestUnrooted:
     def test_cherries(self):
         assert self.quartet().cherry_count() == 2
         assert self.quartet().is_binary()
+
+
+# -- the lca index against the definitions it replaced ---------------------------
+
+
+def reference_path(tree: UnrootedPhyloTree, u: int, v: int) -> list[int]:
+    """The u-v path of an unrooted tree, by BFS from u."""
+    prev = {u: None}
+    queue = [u]
+    for w in queue:
+        for x in tree.neighbors(w):
+            if x not in prev:
+                prev[x] = w
+                queue.append(x)
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def reference_median(tree: UnrootedPhyloTree, taxa) -> int:
+    """The one vertex on all three pairwise leaf paths."""
+    a, b, c = (tree.leaf_vertex(x) for x in taxa)
+    (shared,) = (set(reference_path(tree, a, b)) & set(reference_path(tree, a, c))
+                 & set(reference_path(tree, b, c)))
+    return shared
+
+
+def reference_lca(tree: RootedPhyloTree, taxa) -> int:
+    """Descend from the root while some child's cluster holds every taxon."""
+    want = set(taxa)
+    v = 0
+    while True:
+        below = [c for c in tree.children_ids(v) if want <= tree.cluster(c)]
+        if not below:
+            return v
+        v = below[0]
+
+
+def reference_depth(tree: RootedPhyloTree, v: int) -> int:
+    d = 0
+    while tree.parent(v) != -1:
+        v = tree.parent(v)
+        d += 1
+    return d
+
+
+def reference_unrooted_newick(tree: UnrootedPhyloTree) -> str:
+    """Hang the tree from the smallest leaf's neighbour, breadth first."""
+    labels = {tree.leaf_vertex(lab): lab for lab in tree.leaves}
+    if len(tree.vertices) == 2:
+        return "({},{});".format(*tree.leaves)
+    root = tree.neighbors(tree.leaf_vertex(tree.leaves[0]))[0]
+    order, came = [root], {root: None}
+    for v in order:
+        for w in tree.neighbors(v):
+            if w not in came:
+                came[w] = v
+                order.append(w)
+    shapes = {}
+    for v in reversed(order):
+        shapes[v] = labels.get(v) or tuple(
+            shapes.pop(w) for w in tree.neighbors(v) if w != came[v])
+    return RootedPhyloTree(shapes[root]).newick()
+
+
+def random_unrooted(rng: random.Random, labels) -> UnrootedPhyloTree:
+    """Leaves added one at a time, each on a random edge or, at times, on a
+    random interior vertex, so interior degrees of 4 and more occur."""
+    edges = [(0, 1), (0, 2), (0, 3)]
+    leaf_of = {1: labels[0], 2: labels[1], 3: labels[2]}
+    interior = [0]
+    for lab in labels[3:]:
+        leaf = len(leaf_of) + len(interior)
+        if rng.random() < 0.2:
+            edges.append((rng.choice(interior), leaf))
+        else:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            mid = leaf + 1
+            interior.append(mid)
+            edges += [(u, mid), (mid, v), (mid, leaf)]
+        leaf_of[leaf] = lab
+    # Shuffle vertex ids, so the least vertex is no particular one.
+    ids = list(range(len(leaf_of) + len(interior)))
+    rng.shuffle(ids)
+    return UnrootedPhyloTree([(ids[u], ids[v]) for u, v in edges],
+                             {ids[v]: lab for v, lab in leaf_of.items()})
+
+
+class TestLcaIndexAgainstReference:
+    def test_median_random_trees_and_caterpillars(self):
+        rng = random.Random(61)
+        for trial in range(60):
+            labels = shuffled_labels(rng, rng.randint(3, 30))
+            if trial % 3 == 0 and len(labels) >= 4:
+                tree = unrooted_caterpillar(labels)
+            else:
+                tree = random_unrooted(rng, labels)
+            assert tree.newick() == reference_unrooted_newick(tree)
+            triples = list(combinations(tree.leaves, 3))
+            for taxa in rng.sample(triples, min(60, len(triples))):
+                assert tree.median(taxa) == reference_median(tree, taxa)
+
+    def test_lca_and_depth_random_trees_and_caterpillars(self):
+        rng = random.Random(67)
+        for trial in range(60):
+            labels = shuffled_labels(rng, rng.randint(1, 30))
+            if trial % 3 == 0:
+                tree = RootedPhyloTree(caterpillar_shape(rng, labels))
+            else:
+                tree = _random_tree(rng, labels, rng.choice((0.0, 0.4)))
+            for v in range(tree.vertex_count):
+                assert tree.depth(v) == reference_depth(tree, v)
+            for _ in range(40):
+                taxa = rng.sample(tree.leaves, rng.randint(1, min(5, tree.leaf_count)))
+                assert tree.lca(taxa) == reference_lca(tree, taxa)
+                assert tree.lca(iter(taxa)) == tree.lca(taxa)
+
+    def test_lca_errors_unchanged(self):
+        tree = T("((a,b),c);")
+        with pytest.raises(InputError, match="not in tree"):
+            tree.lca({"a", "z"})
+        with pytest.raises(InputError, match="at least one taxon"):
+            tree.lca(())

@@ -37,7 +37,7 @@ RECORDS = [
      {}, True),
     (MinimizerReport,
      dict(value=1, witness=(0, 1), cut=(("s", "m0", 1),), offset=4,
-          augmenting_paths=3, forced_members=2),
+          augmenting_paths=3, forced_members=2, forced_solves=1),
      {}, True),
     (SdrReport, dict(assignment={0: 2, 1: 3}, violator=None, derived=((2,), (3,))),
      {"found": True}, False),

@@ -65,6 +65,9 @@ class TestMedianCaterpillar:
         assert len(set(report.vertex_map.values())) == system.member_count
         ok, _ = verify_median_injective(report.tree, system)
         assert ok
+        medians: dict[int, int] = {}
+        assert verify_median_injective(report.tree, system, medians) == (True, None)
+        assert medians == report.vertex_map
 
     def test_fig1(self):
         report = caterpillar_median_representation(tsys(*FIG1))
