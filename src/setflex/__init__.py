@@ -13,10 +13,13 @@ are registered with `importlib.util.LazyLoader`: `setflex.graphopt` and
 source is compiled and run on its first attribute access.  Every CLI
 request is a fresh interpreter, so it pays only for the layers it runs:
 `check thin|slim|flexible` (mincut) and `sdr` load `setsys` and
-`graphopt`; `check flexible --method bruteforce`, `count` and
-`gen-defining` load `setsys`, `phylo` and `flex`; `supertree` loads
-`setsys` and `phylo`; `represent` and `check order-flexible` load all
-but `flex`; `order` loads `setsys`, `phylo` and `represent`.  Imports
+`graphopt`; `check thin|slim --method exhaustive` loads `setsys`;
+`check flexible --method bruteforce` loads `setsys`, `phylo` and
+`flex`; `count` and `gen-defining` load `phylo` and `flex`;
+`supertree` loads `phylo`; `represent` and `check order-flexible` load
+all but `flex`; `order` loads `setsys`, `phylo` and `represent`.  The
+tree layers stay off `setsys`: `phylo` takes `check_label` from
+`errors`, and `flex` names `setsys.SetSystem` only in annotations.  Imports
 inside each command function would save the same time, but the modules
 would then be missing from `sys.modules` after `import setflex.cli`,
 where a tracer that wraps their functions looks them up.  The names

@@ -1,21 +1,26 @@
 """Command-line interface.
 
 Subcommands: check, supertree, represent, count, sdr, order,
-gen-defining.  Exit codes: 0 verdict true / success, 1 verdict false
-(with certificate), 2 usage or input error, 3 budget or cap exceeded,
-4 an internal self-check failed (a bug; reported, never a traceback).
-JSON output (--json) is byte-deterministic for a fixed input and flag
-set: keys are sorted, label ordering is lexicographic, and timings are
-printed only in human mode.
+gen-defining.  `COMMANDS` maps each to its handler, its kind choices
+and its options, and one loop parses argv against it: every request is
+a fresh interpreter, and importing argparse and building its parser
+cost more than the parse.  A handler returns its exit code, JSON
+payload and human lines; `main` times it and prints them.  Exit codes:
+0 verdict true / success, 1 verdict false (with certificate), 2 usage
+or input error, 3 budget or cap exceeded, 4 an internal self-check
+failed (a bug; reported, never a traceback).  JSON output (--json) is
+byte-deterministic for a fixed input and flag set: keys are sorted,
+label ordering is lexicographic, and timings are printed only in human
+mode.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import flex, graphopt, phylo, represent, setsys
 from .errors import (
@@ -105,7 +110,7 @@ def _emit(ns, payload: dict, human_lines: list[str], elapsed: float) -> None:
 # -- check ----------------------------------------------------------------------
 
 
-def _flex_certificate(system: setsys.SetSystem, assignment) -> list[str]:
+def _flex_certificate(assignment) -> list[str]:
     lines = []
     for tree in assignment:
         if tree.leaf_count == 3:
@@ -116,62 +121,41 @@ def _flex_certificate(system: setsys.SetSystem, assignment) -> list[str]:
     return lines
 
 
-def _cmd_check(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_check(ns) -> tuple[int, dict, list[str]]:
     system = setsys.require_members(setsys.parse_sets(_read_input(ns.input)))
     kind = ns.kind
-    method = ns.method
+    method = ns.method or ("forest" if kind == "order-flexible" else "mincut")
     payload: dict = {"command": "check", "kind": kind}
-    certificate_json = None
-
     cap_kwargs = _given(cap=ns.cap)
     if kind == "thin":
-        r = ns.r if ns.r is not None else system.uniform_size()
+        r = payload["r"] = ns.r if ns.r is not None else system.uniform_size()
         if r is None:
             raise InputError("members have mixed sizes; pass --r or check 'slim'")
-        method = method or "mincut"
-        if method == "mincut":
-            report = graphopt.is_thin(system, r)
-        elif method == "exhaustive":
-            report = setsys.is_thin_exhaustive(system, r, **cap_kwargs)
-        else:
-            raise InputError(f"unsupported method {method!r} for thin")
-        payload["r"] = r
-        certificate_json = _render_certificate(system, report.certificate)
-    elif kind == "slim":
-        method = method or "mincut"
-        if method == "mincut":
-            report = graphopt.is_slim(system)
-        elif method == "exhaustive":
-            report = setsys.is_slim_exhaustive(system, **cap_kwargs)
-        else:
-            raise InputError(f"unsupported method {method!r} for slim")
-        certificate_json = _render_certificate(system, report.certificate)
-    elif kind == "flexible":
-        method = method or "mincut"
-        if method == "mincut":
-            report = graphopt.is_slim(system)
-        elif method == "bruteforce":
-            scan = flex.is_flexible_bruteforce(system, **_given(budget=ns.budget))
-            report = setsys.CheckReport(
-                verdict=scan.verdict,
-                method="bruteforce",
-                certificate=scan.counterexample,
-                stats={"assignments_checked": scan.assignments_checked},
-                recheck="setflex.phylo.build_supertree",
-            )
-            if scan.counterexample is not None:
-                certificate_json = _flex_certificate(system, scan.counterexample)
-        else:
-            raise InputError(f"unsupported method {method!r} for flexible")
-        if method == "mincut":
-            certificate_json = _render_certificate(system, report.certificate)
-    elif kind == "order-flexible":
-        method = method or "forest"
+    if kind == "order-flexible":
         report = represent.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
+    elif kind == "flexible" and method == "bruteforce":
+        scan = flex.is_flexible_bruteforce(system, **_given(budget=ns.budget))
+        report = setsys.CheckReport(
+            verdict=scan.verdict,
+            method="bruteforce",
+            certificate=scan.counterexample,
+            stats={"assignments_checked": scan.assignments_checked},
+            recheck="setflex.phylo.build_supertree",
+        )
+        certificate_json = scan.counterexample
+        if certificate_json is not None:
+            certificate_json = _flex_certificate(certificate_json)
     else:
-        raise InputError(f"unknown check kind {kind!r}")
+        if method == "mincut":
+            report = graphopt.is_thin(system, r) if kind == "thin" else graphopt.is_slim(system)
+        elif method == "exhaustive" and kind == "thin":
+            report = setsys.is_thin_exhaustive(system, r, **cap_kwargs)
+        elif method == "exhaustive" and kind == "slim":
+            report = setsys.is_slim_exhaustive(system, **cap_kwargs)
+        else:
+            raise InputError(f"unsupported method {method!r} for {kind}")
+        certificate_json = _render_certificate(system, report.certificate)
 
     payload["verdict"] = report.verdict
     payload["method"] = report.method
@@ -194,8 +178,7 @@ def _cmd_check(ns) -> int:
         lines.extend(certificate_json)
     elif certificate_json is not None:
         lines.append(f"certificate: {json.dumps(certificate_json, sort_keys=True)}")
-    _emit(ns, payload, lines, time.perf_counter() - t0)
-    return 0 if report.verdict else 1
+    return (0 if report.verdict else 1), payload, lines
 
 
 # -- supertree --------------------------------------------------------------------
@@ -223,8 +206,7 @@ def _parse_trees_and_triples(text: str):
     return trees, triples, taxa
 
 
-def _cmd_supertree(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_supertree(ns) -> tuple[int, dict, list[str]]:
     trees, triples, taxa = _parse_trees_and_triples(_read_input(ns.input))
     # Spanning triples give BUILD the same answer as all triples of a tree.
     pooled = [t for _, tree in trees for t in phylo.spanning_triples(tree)]
@@ -239,8 +221,7 @@ def _cmd_supertree(ns) -> int:
             "incompatible",
             f"witness: {','.join(result.witness)}",
         ]
-        _emit(ns, payload, lines, time.perf_counter() - t0)
-        return 1
+        return 1, payload, lines
     tree = phylo.make_binary(result.tree) if ns.binary else result.tree
     # Displaying a tree's clusters is displaying all of its triples.
     for lineno, guest in trees:
@@ -256,15 +237,13 @@ def _cmd_supertree(ns) -> int:
         "compatible": True,
         "newick": tree.newick(),
     }
-    _emit(ns, payload, [tree.newick()], time.perf_counter() - t0)
-    return 0
+    return 0, payload, [tree.newick()]
 
 
 # -- represent --------------------------------------------------------------------
 
 
-def _cmd_represent(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_represent(ns) -> tuple[int, dict, list[str]]:
     system = setsys.parse_sets(_read_input(ns.input))
     if ns.extra:
         extras = [lab.strip() for lab in ns.extra.split(",") if lab.strip()]
@@ -272,10 +251,8 @@ def _cmd_represent(ns) -> int:
         system = setsys.SetSystem(sets, extra_taxa=extras)
     if ns.kind == "median-caterpillar":
         report = represent.caterpillar_median_representation(system)
-    elif ns.kind == "lca-caterpillar":
-        report = represent.lca_caterpillar_representation(system)
     else:
-        raise InputError(f"unknown representation kind {ns.kind!r}")
+        report = represent.lca_caterpillar_representation(system)
     vertex_map = {
         _member_str(system, i): v for i, v in sorted(report.vertex_map.items())
     }
@@ -295,15 +272,13 @@ def _cmd_represent(ns) -> int:
     ]
     if report.appended:
         lines.append(f"appended_taxa: {','.join(report.appended)}")
-    _emit(ns, payload, lines, time.perf_counter() - t0)
-    return 0
+    return 0, payload, lines
 
 
 # -- count ------------------------------------------------------------------------
 
 
-def _cmd_count(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_count(ns) -> tuple[int, dict, list[str]]:
     enumerated = None
     formula = None
     if ns.input is not None:
@@ -324,23 +299,15 @@ def _cmd_count(ns) -> int:
             f"enumerated count {enumerated} does not match formula value {formula}"
         )
     count = enumerated if enumerated is not None else formula
-    method = (
-        "both"
-        if enumerated is not None and formula is not None
-        else "enumeration"
-        if enumerated is not None
-        else "formula"
-    )
+    method = "formula" if enumerated is None else "enumeration" if formula is None else "both"
     payload = {"command": "count", "count": count, "method": method}
-    _emit(ns, payload, [str(count)], time.perf_counter() - t0)
-    return 0
+    return 0, payload, [str(count)]
 
 
 # -- sdr --------------------------------------------------------------------------
 
 
-def _cmd_sdr(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_sdr(ns) -> tuple[int, dict, list[str]]:
     system = setsys.parse_sets(_read_input(ns.input))
     b_labels = [lab.strip() for lab in ns.B.split(",") if lab.strip()]
     report = graphopt.sdr(system, b_labels)
@@ -351,8 +318,7 @@ def _cmd_sdr(ns) -> int:
         }
         payload = {"command": "sdr", "found": True, "assignment": assignment}
         lines = [f"{k} -> {v}" for k, v in sorted(assignment.items())]
-        _emit(ns, payload, lines, time.perf_counter() - t0)
-        return 0
+        return 0, payload, lines
     violator_sets = [
         [system.label_of(x) for x in report.derived[i]] for i in report.violator
     ]
@@ -362,12 +328,11 @@ def _cmd_sdr(ns) -> int:
         "violator_members": [_member_str(system, i) for i in report.violator],
         "violator_derived": violator_sets,
     }
-    lines = ["no system of distinct representatives"]
-    lines.append(
-        "violator: " + "; ".join(",".join(s) if s else "-" for s in violator_sets)
-    )
-    _emit(ns, payload, lines, time.perf_counter() - t0)
-    return 1
+    lines = [
+        "no system of distinct representatives",
+        "violator: " + "; ".join(",".join(s) if s else "-" for s in violator_sets),
+    ]
+    return 1, payload, lines
 
 
 # -- order ------------------------------------------------------------------------
@@ -388,34 +353,25 @@ def _parse_orientation(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cmd_order(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_order(ns) -> tuple[int, dict, list[str]]:
     pairs = _parse_orientation(_read_input(ns.input))
     universe = sorted({x for pair in pairs for x in pair})
     report = represent.extend_to_total_order(universe, pairs)
     if report.extendable:
         payload = {"command": "order", "extendable": True, "order": list(report.order)}
-        _emit(ns, payload, [" < ".join(report.order)], time.perf_counter() - t0)
-        return 0
+        return 0, payload, [" < ".join(report.order)]
     payload = {"command": "order", "extendable": False, "cycle": list(report.cycle)}
     lines = ["not extendable", "cycle: " + " < ".join(report.cycle) + f" < {report.cycle[0]}"]
-    _emit(ns, payload, lines, time.perf_counter() - t0)
-    return 1
+    return 1, payload, lines
 
 
 # -- gen-defining -------------------------------------------------------------------
 
 
-def _cmd_gen_defining(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_gen_defining(ns) -> tuple[int, dict, list[str]]:
     tree = phylo.parse_newick(_read_input(ns.input).strip())
-    triples = flex.defining_triples(tree)
-    payload = {
-        "command": "gen-defining",
-        "triples": [t.compact() for t in triples],
-    }
-    _emit(ns, payload, [t.compact() for t in triples], time.perf_counter() - t0)
-    return 0
+    triples = [t.compact() for t in flex.defining_triples(tree)]
+    return 0, {"command": "gen-defining", "triples": triples}, triples
 
 
 # -- parser -------------------------------------------------------------------------
@@ -440,82 +396,133 @@ def _check_limits(ns) -> None:
             check_limit(f"--{flag}", value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="setflex",
-        description="Decide thin/slim/flexible taxon coverage and build certificates.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--no-stats", action="store_true", help="suppress stats/timing output"
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# Subcommand -> (handler, kind choices or None, options, required options).
+# An option's value type is int, str, a tuple of choices or None (a flag);
+# every subcommand also takes the COMMON flags.  A handler returns (exit
+# code, JSON payload, human-readable lines).
+COMMON = {"--json": None, "--no-stats": None}
+COMMANDS = {
+    "check": (_cmd_check, ("thin", "slim", "flexible", "order-flexible"), {
+        "--r": int, "--method": ("mincut", "exhaustive", "bruteforce", "forest"),
+        "--budget": int, "--cap": int,
+    }, ()),
+    "supertree": (_cmd_supertree, None, {"--binary": None}, ()),
+    "represent": (_cmd_represent, ("median-caterpillar", "lca-caterpillar"),
+                  {"--extra": str}, ()),
+    "count": (_cmd_count, None, {"--formula-n": int, "--cap": int}, ()),
+    "sdr": (_cmd_sdr, None, {"--B": str}, ("--B",)),
+    "order": (_cmd_order, None, {}, ()),
+    "gen-defining": (_cmd_gen_defining, None, {}, ()),
+}
+DESCRIPTION = """
+Decide thin/slim/flexible taxon coverage and build certificates.  The
+input is a file path, or stdin when it is absent or '-'.
+"""
 
-    p = sub.add_parser("check", parents=[common], help="decide a coverage property")
-    p.add_argument("kind", choices=["thin", "slim", "flexible", "order-flexible"])
-    p.add_argument("input", nargs="?", help="set-system file (default stdin)")
-    p.add_argument("--r", type=int, default=None, help="uniform member size for thin")
-    p.add_argument(
-        "--method",
-        choices=["mincut", "exhaustive", "bruteforce", "forest"],
-        default=None,
-        help="override the default polynomial method",
-    )
-    p.add_argument("--budget", type=int, default=None, help="brute-force budget")
-    p.add_argument(
-        "--cap", type=int, default=None, help="exhaustive/orientation cap override"
-    )
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser(
-        "supertree", parents=[common], help="run the supertree construction"
-    )
-    p.add_argument("input", nargs="?", help="triples/Newick file (default stdin)")
-    p.add_argument(
-        "--binary", action="store_true", help="refine the result to a binary tree"
-    )
-    p.set_defaults(func=_cmd_supertree)
+def _usage(names) -> str:
+    """One synopsis line per subcommand in `names`."""
+    lines = []
+    for name in names:
+        _, kinds, options, required = COMMANDS[name]
+        words = [name, "{" + ",".join(kinds) + "}"] if kinds else [name]
+        words.append("[input]")
+        for option, kind in {**options, **COMMON}.items():
+            if kind is not None:
+                option += " N" if kind is int else " x,y" if kind is str else (
+                    " {" + ",".join(kind) + "}")
+            words.append(option if option.split()[0] in required else f"[{option}]")
+        lines.append("setflex " + " ".join(words))
+    return "usage: " + "\n       ".join(lines) + "\n"
 
-    p = sub.add_parser(
-        "represent", parents=[common], help="build a caterpillar representation"
-    )
-    p.add_argument("kind", choices=["median-caterpillar", "lca-caterpillar"])
-    p.add_argument("input", nargs="?", help="set-system file (default stdin)")
-    p.add_argument(
-        "--extra", default=None, help="comma-separated extra taxa for the universe"
-    )
-    p.set_defaults(func=_cmd_represent)
 
-    p = sub.add_parser("count", parents=[common], help="count displaying trees")
-    p.add_argument("input", nargs="?", help="triples file")
-    p.add_argument("--formula-n", type=int, default=None, help="closed-form n (3|n)")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap")
-    p.set_defaults(func=_cmd_count)
+def _usage_exit(names, error: str | None = None):
+    """Help on stdout and exit 0, or usage and `error` on stderr and exit 2."""
+    if error is None:
+        print(_usage(names) + DESCRIPTION, end="")
+        raise SystemExit(0)
+    sys.stderr.write(f"{_usage(names)}setflex: error: {error}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser(
-        "sdr", parents=[common], help="system of distinct representatives"
-    )
-    p.add_argument("input", nargs="?", help="set-system file (default stdin)")
-    p.add_argument("--B", required=True, help="comma-separated removed taxa (size r-1)")
-    p.set_defaults(func=_cmd_sdr)
 
-    p = sub.add_parser(
-        "order", parents=[common], help="extend ordered pairs to a total order"
-    )
-    p.add_argument("input", nargs="?", help="orientation file of x,y lines")
-    p.set_defaults(func=_cmd_order)
+def _option_like(token: str) -> bool:
+    """As in argparse, '-' (stdin) and negative numbers are values, not options."""
+    return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdecimal()
 
-    p = sub.add_parser(
-        "gen-defining", parents=[common], help="defining triples of a binary tree"
-    )
-    p.add_argument("input", nargs="?", help="Newick file (default stdin)")
-    p.set_defaults(func=_cmd_gen_defining)
-    return parser
+
+def _dest(option: str) -> str:
+    return option.lstrip("-").replace("-", "_")
+
+
+def _parse(argv: list[str]):
+    """The handler of the subcommand `argv` names, and its arguments."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _usage_exit(COMMANDS)
+    if not argv:
+        _usage_exit(COMMANDS, "the following arguments are required: subcommand")
+    name = argv[0]
+    if name not in COMMANDS:
+        _usage_exit(COMMANDS, f"argument subcommand: invalid choice: {name!r} "
+                              f"(choose from {', '.join(COMMANDS)})")
+    handler, kinds, options, required = COMMANDS[name]
+    options = {**options, **COMMON}
+
+    def value(dest: str, kind, text: str):
+        if isinstance(kind, tuple) and text not in kind:
+            _usage_exit([name], f"argument {dest}: invalid choice: {text!r} "
+                                f"(choose from {', '.join(kind)})")
+        try:
+            return int(text) if kind is int else text
+        except ValueError:
+            _usage_exit([name], f"argument {dest}: invalid int value: {text!r}")
+
+    ns = SimpleNamespace(kind=None, input=None)
+    for option, kind in options.items():
+        setattr(ns, _dest(option), False if kind is None else None)
+    # As in argparse, the first run of positionals fills kind and input,
+    # and later positionals are left over.
+    slots = [("kind", kinds), ("input", str)] if kinds else [("input", str)]
+    run, extras = [], []
+    tokens = iter([*argv[1:], None])  # None ends the last run
+    for token in tokens:
+        if token is not None and not _option_like(token):
+            run.append(token)
+            continue
+        if run:
+            for (dest, kind), text in zip(slots, run):
+                setattr(ns, dest, value(dest, kind, text))
+            extras += run[len(slots):]
+            slots, run = [], []
+        if token is None:
+            break
+        option, eq, text = token.partition("=")
+        if option in ("-h", "--help"):
+            _usage_exit([name])
+        if option not in options:
+            extras.append(token)
+        elif options[option] is None:
+            if eq:
+                _usage_exit([name], f"argument {option}: ignored explicit argument {text!r}")
+            setattr(ns, _dest(option), True)
+        else:
+            if not eq:
+                text = next(tokens)
+                if text is None or _option_like(text):
+                    _usage_exit([name], f"argument {option}: expected one argument")
+            setattr(ns, _dest(option), value(option, options[option], text))
+    # A single leftover positional is the input: it followed the options.
+    if len(extras) == 1 and ns.input is None and not _option_like(extras[0]):
+        ns.input = extras.pop()
+    missing = ["kind"] if kinds and ns.kind is None else []
+    missing += [option for option in required if getattr(ns, _dest(option)) is None]
+    if missing:
+        _usage_exit([name], f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_exit([name], f"unrecognized arguments: {' '.join(extras)}")
+    return handler, ns
 
 
 def _print_error(ns, exc: Exception) -> None:
-    json_mode = bool(getattr(ns, "json", False))
     payload = {"error": str(exc)}
     if isinstance(exc, InternalVerificationError):
         payload["kind"] = "internal-verification"
@@ -524,7 +531,7 @@ def _print_error(ns, exc: Exception) -> None:
     ):
         payload["sigma_star"] = exc.certificate.value
         payload["witness_indices"] = list(exc.certificate.witness)
-    if json_mode:
+    if ns.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"error: {exc}", file=sys.stderr)
@@ -534,22 +541,13 @@ def _print_error(ns, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns, extras = parser.parse_known_args(argv)
-    # argparse fills an optional `input` with nothing when it reads the
-    # positionals before the options, so an input path after the options
-    # is left over; take it as the input.
-    if len(extras) == 1 and ns.input is None and (
-        extras[0] == "-" or not extras[0].startswith("-")
-    ):
-        ns.input = extras.pop()
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    handler, ns = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_limits(ns)
         if getattr(ns, "budget", None) is None and hasattr(ns, "budget"):
             ns.budget = _default_budget()
-        return ns.func(ns)
+        t0 = time.perf_counter()
+        code, payload, lines = handler(ns)
     except CapExceededError as exc:
         _print_error(ns, exc)
         return 3
@@ -559,6 +557,8 @@ def main(argv=None) -> int:
     except InternalVerificationError as exc:
         _print_error(ns, exc)
         return 4
+    _emit(ns, payload, lines, time.perf_counter() - t0)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ are usage/input problems (exit 2), including negative caps and budgets;
 (exit 3); `InternalVerificationError` is a failed self-check (exit 4),
 reported as an error message (with `--json`, a `{"error", "kind"}`
 object on stdout) rather than a traceback.
+
+The two input checks every layer shares live here too, in the one
+module every request loads: `check_limit` for caps and budgets, and
+`check_label` for taxon labels.
 """
 
 
@@ -56,3 +60,25 @@ def check_limit(name: str, value: int) -> int:
     if value < 0:
         raise InputError(f"{name} must be non-negative, got {value}")
     return value
+
+
+_FORBIDDEN_LABEL_CHARS = set("(),;:")
+
+
+def check_label(label: str) -> str:
+    """Validate a taxon label that every text format can read back.
+
+    Non-empty, no whitespace, none of ( ) , ; : # | and no leading quote.
+    """
+    if not isinstance(label, str) or not label:
+        raise InputError(f"taxon label must be a non-empty string, got {label!r}")
+    # split() drops or splits at exactly the characters isspace() accepts.
+    if label.split() != [label] or not _FORBIDDEN_LABEL_CHARS.isdisjoint(label):
+        raise InputError(
+            f"taxon label {label!r} contains whitespace or one of ( ) , ; :"
+        )
+    if "#" in label or "|" in label or label[0] in "'\"":
+        raise InputError(
+            f"taxon label {label!r} contains # or | or starts with a quote"
+        )
+    return label

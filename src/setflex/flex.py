@@ -16,8 +16,8 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, CapExceededError, InputError, check_limit
+from . import setsys
 from .phylo import RootedPhyloTree, RootedTriple, build_supertree, spanning_triples
-from .setsys import SetSystem
 
 DEFAULT_ENUM_CAP = 8
 DEFAULT_ASSIGNMENT_BUDGET = 10**6
@@ -91,7 +91,7 @@ class FlexReport(NamedTuple):
 
 
 def is_flexible_bruteforce(
-    system: SetSystem,
+    system: setsys.SetSystem,
     budget: int = DEFAULT_ASSIGNMENT_BUDGET,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> FlexReport:

@@ -31,8 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError, ParseError
-from .setsys import check_label
+from .errors import InputError, ParseError, check_label
 
 Shape = str | tuple
 

@@ -30,6 +30,7 @@ from .errors import (
     InternalVerificationError,
     MemberSizeError,
     PreconditionError,
+    check_label,
     check_limit,
 )
 from .phylo import RootedPhyloTree, UnrootedPhyloTree
@@ -472,9 +473,19 @@ def extend_to_total_order(
 
     Each pair (x, y) declares x before y.  If the precedence digraph is
     acyclic the lexicographically preferred topological order is
-    returned; otherwise a directed cycle is reported.
+    returned; otherwise a directed cycle is reported.  Every label must
+    pass `check_label`, so that the text formats can read it back.
     """
     nodes = sorted(set(universe))
+    for label in nodes:
+        check_label(label)
+    return _extend_sorted(nodes, orientation)
+
+
+def _extend_sorted(
+    nodes: list[str] | tuple[str, ...], orientation: Iterable[tuple[str, str]]
+) -> OrderReport:
+    """`extend_to_total_order` on sorted, distinct labels already checked."""
     node_set = set(nodes)
     succ: dict[str, set[str]] = {v: set() for v in nodes}
     indeg: dict[str, int] = {v: 0 for v in nodes}
@@ -554,7 +565,7 @@ def is_total_order_flexible(
             for i in range(k)
         ]
         checked += 1
-        report = extend_to_total_order(universe, orientation)
+        report = _extend_sorted(universe, orientation)
         if not report.extendable:
             return CheckReport(
                 verdict=False,

@@ -27,36 +27,16 @@ from .errors import (
     MemberSizeError,
     ParseError,
     PreconditionError,
+    check_label,
     check_limit,
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 16
 
-_FORBIDDEN_LABEL_CHARS = set("(),;:")
-
 
 class Taxon(NamedTuple):
     id: int
     label: str
-
-
-def check_label(label: str) -> str:
-    """Validate a taxon label that every text format can read back.
-
-    Non-empty, no whitespace, none of ( ) , ; : # | and no leading quote.
-    """
-    if not isinstance(label, str) or not label:
-        raise InputError(f"taxon label must be a non-empty string, got {label!r}")
-    # split() drops or splits at exactly the characters isspace() accepts.
-    if label.split() != [label] or not _FORBIDDEN_LABEL_CHARS.isdisjoint(label):
-        raise InputError(
-            f"taxon label {label!r} contains whitespace or one of ( ) , ; :"
-        )
-    if "#" in label or "|" in label or label[0] in "'\"":
-        raise InputError(
-            f"taxon label {label!r} contains # or | or starts with a quote"
-        )
-    return label
 
 
 class SetSystem:

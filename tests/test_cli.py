@@ -262,6 +262,13 @@ class TestErrorSurface:
         assert code == 2
         assert error == f"taxon label {label!r} contains # or | or starts with a quote"
 
+    @pytest.mark.parametrize("text", ["a b,c\n", "x,'q\n", "a,b|c\n"])
+    def test_order_label_the_text_formats_cannot_carry_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "pairs.txt"
+        path.write_text(text)
+        code, error = self.run_error(capsys, "order", str(path))
+        assert code == 2 and error.startswith("taxon label ")
+
     @pytest.mark.parametrize(
         "text", ["", "# no members\n\n", '{"sets": []}'], ids=["empty", "comment", "json"]
     )
@@ -557,6 +564,49 @@ class TestArgumentOrder:
         assert f"error: unrecognized arguments: {' '.join(extra)}" in err
 
 
+class TestParser:
+    # (argv, exit code, the stream that carries the text, the text).
+    CASES = [
+        (("check", "thin", "FIG1", "--r=3", "--method=mincut"), 0, "out", '"sigma_star": 2'),
+        (("sdr", "FIG1", "--B=a,b"), 0, "out", '"found": true'),
+        (("-h",), 0, "out", "usage:"),
+        (("--help",), 0, "out", "usage:"),
+        (("check", "-h"), 0, "out", "usage:"),
+        (("sdr", "FIG1", "--help"), 0, "out", "usage:"),
+        (("bogus", "FIG1"), 2, "err", "'bogus'"),
+        (("check", "thick", "FIG1"), 2, "err", "'thick'"),
+        (("check", "thin", "FIG1", "--method", "magic"), 2, "err", "'magic'"),
+        (("check", "thin", "FIG1", "--r", "three"), 2, "err", "'three'"),
+        (("check", "thin", "FIG1", "--r"), 2, "err", "--r"),
+        (("check", "thin", "FIG1", "--r", "--no-stats"), 2, "err", "--r"),
+        (("sdr", "FIG1"), 2, "err", "--B"),
+        (("check", "--r", "3"), 2, "err", "kind"),
+        ((), 2, "err", "subcommand"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, stream, text", CASES,
+                             ids=[" ".join(argv) or "no arguments" for argv, *_ in CASES])
+    def test_usage(self, capsys, fig1, argv, code, stream, text):
+        argv = [fig1 if a == "FIG1" else a for a in argv]
+        if code == 0 and text != "usage:":
+            argv += ["--json", "--no-stats"]
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code
+        assert text in (captured.out if stream == "out" else captured.err)
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == "" and "error:" in captured.err
+
+    def test_main_reads_sys_argv(self, capsys, fig1, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["setflex", "check", "thin", fig1, "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+
 class TestSupertreeLarge:
     def test_deep_caterpillar_exits_0(self, tmp_path):
         # x0,x_i|x_{i+1} force ((((x0,x1),x2),...),x1199), 1,199 levels
@@ -675,4 +725,4 @@ class TestStartup:
         # The star import runs every lazily loaded layer module.
         added = loaded("import setflex.cli\nfrom setflex import *") - loaded("pass")
         assert "setflex.cli" in added
-        assert not added & {"dataclasses", "inspect"}
+        assert not added & {"dataclasses", "inspect", "argparse", "gettext"}

@@ -236,6 +236,11 @@ class TestTotalOrder:
         with pytest.raises(InputError):
             extend_to_total_order("ab", [("a", "z")])
 
+    @pytest.mark.parametrize("label", ["a b", "'q", "b|c", "a#b", ""])
+    def test_label_the_text_formats_cannot_carry(self, label):
+        with pytest.raises(InputError, match="taxon label"):
+            extend_to_total_order(["x", label], [("x", label)])
+
     def test_self_pair(self):
         with pytest.raises(InputError):
             extend_to_total_order("ab", [("a", "a")])

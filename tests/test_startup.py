@@ -32,11 +32,13 @@ def hook(event, args):
 
 sys.addaudithook(hook)
 """
-# One CLI request, then the executed modules as the last line.
+# One CLI request, then the executed modules and the loaded argument
+# parsing modules of the standard library as the last two lines.
 CLI = HOOK + """
 import setflex.cli
 code = setflex.cli.main(sys.argv[1:])
 print(json.dumps(sorted(executed)))
+print(json.dumps(sorted({"argparse", "gettext"} & set(sys.modules))))
 sys.exit(code)
 """
 
@@ -59,10 +61,10 @@ CASES = [
     (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "graphopt"}),
     (("check", "flexible", "fig1.sets", "--method", "bruteforce"),
      {"setsys", "phylo", "flex"}),
-    (("count", "chain.triples"), {"setsys", "phylo", "flex"}),
-    (("count", "--formula-n", "6"), {"setsys", "phylo", "flex"}),
-    (("gen-defining", "tree.nwk"), {"setsys", "phylo", "flex"}),
-    (("supertree", "chain.triples"), {"setsys", "phylo"}),
+    (("count", "chain.triples"), {"phylo", "flex"}),
+    (("count", "--formula-n", "6"), {"phylo", "flex"}),
+    (("gen-defining", "tree.nwk"), {"phylo", "flex"}),
+    (("supertree", "chain.triples"), {"phylo"}),
     (("represent", "median-caterpillar", "fig1.sets"),
      {"setsys", "graphopt", "phylo", "represent"}),
     (("represent", "lca-caterpillar", "pairs.sets"),
@@ -125,9 +127,12 @@ def run_python(code, *argv, cwd=None):
 def test_request_executes_only_its_layers(tmp_path, argv, layers):
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
-    code, (output, executed) = run_python(CLI, *argv, "--json", "--no-stats", cwd=tmp_path)
+    code, (output, executed, parsers) = run_python(
+        CLI, *argv, "--json", "--no-stats", cwd=tmp_path
+    )
     assert code == 0 and "error" not in json.loads(output)
     assert set(json.loads(executed)) == ALWAYS | {f"setflex.{layer}" for layer in layers}
+    assert json.loads(parsers) == []
 
 
 def test_package_import_executes_no_layer():
