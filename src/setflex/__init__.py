@@ -15,11 +15,14 @@ request is a fresh interpreter, so it pays only for the layers it runs:
 `check thin|slim|flexible` (mincut) and `sdr` load `setsys` and
 `graphopt`; `check thin|slim --method exhaustive` loads `setsys`;
 `check flexible --method bruteforce` loads `setsys`, `phylo` and
-`flex`; `count` and `gen-defining` load `phylo` and `flex`;
-`supertree` loads `phylo`; `represent` and `check order-flexible` load
-all but `flex`; `order` loads `setsys`, `phylo` and `represent`.  The
-tree layers stay off `setsys`: `phylo` takes `check_label` from
-`errors`, and `flex` names `setsys.SetSystem` only in annotations.  Imports
+`flex`; `count` and `gen-defining` load `phylo` and `flex`, and
+`count --formula-n` alone only `flex`; `supertree` loads `phylo`;
+`represent` loads all but `flex`, `check order-flexible` `setsys`,
+`graphopt` and `represent`, and `order` only `represent`.  The tree
+layers stay off `setsys`: `phylo` takes `check_label` from `errors`,
+and `flex` names `setsys.SetSystem` only in annotations.  `flex` and
+`represent` reach the other layers as module attributes, so a layer
+runs only when a function that needs it does.  Imports
 inside each command function would save the same time, but the modules
 would then be missing from `sys.modules` after `import setflex.cli`,
 where a tracer that wraps their functions looks them up.  The names

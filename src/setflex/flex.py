@@ -7,6 +7,13 @@ order (the last member cycles fastest) and stops at the first
 incompatible assignment, so the reported counterexample is reproducible.
 A budget guards the combinatorial explosion; overflowing it is an error,
 never a verdict.
+
+The number of binary trees displaying a triple set is counted without
+listing trees: a BUILD-style recursion over the possible root splits of
+each leaf mask (`_count_by_splits`), at most about 3^n/2 split terms on
+n leaves instead of (2n-3)!! trees.  The enumeration cap still bounds
+the leaf count, with the same error.  `phylo` is reached as a module
+attribute, like `setsys`, so loading this module does not load it.
 """
 
 from __future__ import annotations
@@ -15,9 +22,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, CapExceededError, InputError, check_limit
-from . import setsys
-from .phylo import RootedPhyloTree, RootedTriple, build_supertree, spanning_triples
+from .errors import BudgetExceededError, CapExceededError, InputError, check_label, check_limit
+from . import phylo, setsys
 
 DEFAULT_ENUM_CAP = 8
 DEFAULT_ASSIGNMENT_BUDGET = 10**6
@@ -50,23 +56,16 @@ def _insert_everywhere(shape, leaf: str):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_trees(labels: tuple[str, ...]) -> tuple[RootedPhyloTree, ...]:
+def _enumerate_trees(labels: tuple[str, ...]) -> tuple[phylo.RootedPhyloTree, ...]:
     shapes = [labels[0]]
     for leaf in labels[1:]:
         shapes = [s for old in shapes for s in _insert_everywhere(old, leaf)]
-    return tuple(RootedPhyloTree(s) for s in shapes)
+    return tuple(phylo.RootedPhyloTree(s) for s in shapes)
 
 
-def enumerate_binary_trees(
-    leaves, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[RootedPhyloTree, ...]:
-    """All (2m-3)!! rooted binary trees on the given leaves, in a fixed order.
-
-    Trees are generated by inserting the leaves in sorted-label order at
-    every edge plus the above-root position; no two outputs are
-    isomorphic.  The result is cached, so repeated scans share tree
-    objects and their lazily built indexes.
-    """
+def _capped_labels(leaves, cap: int) -> tuple[str, ...]:
+    """The sorted distinct leaves: at least one, no more than `cap`, and
+    each a label a tree accepts."""
     labels = tuple(sorted(set(leaves)))
     if not labels:
         raise InputError("cannot enumerate trees on an empty leaf set")
@@ -74,7 +73,22 @@ def enumerate_binary_trees(
         raise CapExceededError(
             f"{len(labels)} leaves exceed the enumeration cap {cap}"
         )
-    return _enumerate_trees(labels)
+    for lab in labels:
+        check_label(lab)
+    return labels
+
+
+def enumerate_binary_trees(
+    leaves, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[phylo.RootedPhyloTree, ...]:
+    """All (2m-3)!! rooted binary trees on the given leaves, in a fixed order.
+
+    Trees are generated by inserting the leaves in sorted-label order at
+    every edge plus the above-root position; no two outputs are
+    isomorphic.  The result is cached, so repeated scans share tree
+    objects and their lazily built indexes.
+    """
+    return _enumerate_trees(_capped_labels(leaves, cap))
 
 
 class FlexReport(NamedTuple):
@@ -86,7 +100,7 @@ class FlexReport(NamedTuple):
     """
 
     verdict: bool
-    counterexample: tuple[RootedPhyloTree, ...] | None
+    counterexample: tuple[phylo.RootedPhyloTree, ...] | None
     assignments_checked: int
 
 
@@ -125,18 +139,20 @@ def is_flexible_bruteforce(
     # concatenates its members' lists.  BUILD gives the same result as on
     # all their triples (see `spanning_triples`), and a triple listed by
     # two members counts once.
-    triple_lists = [[spanning_triples(t) for t in lst] for lst in tree_lists]
+    triple_lists = [[phylo.spanning_triples(t) for t in lst] for lst in tree_lists]
+    # One attribute lookup per scan, not per assignment.
+    build = phylo.build_supertree
 
     k = system.member_count
     digits = [0] * k
     taxa = system.leaf_labels()
     checked = 0
     while True:
-        pooled: list[RootedTriple] = []
+        pooled: list[phylo.RootedTriple] = []
         for i in range(k):
             pooled += triple_lists[i][digits[i]]
         checked += 1
-        result = build_supertree(pooled, taxa=taxa)
+        result = build(pooled, taxa=taxa)
         if not result.compatible:
             assignment = tuple(tree_lists[i][digits[i]] for i in range(k))
             return FlexReport(
@@ -164,6 +180,7 @@ def _triple_masks(hosts, triples):
 
 
 def _count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
+    """How many of `hosts` display every triple: the enumeration oracle."""
     pairs = _triple_masks(hosts, triples)
     count = 0
     for host in hosts:
@@ -177,22 +194,92 @@ def _count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
     return count
 
 
+def _components(scope: int, inside: list[tuple[int, int]]) -> list[int]:
+    """Components of the cluster graph of the triples inside `scope`,
+    in order of lowest bit (`inside` holds their `(cherry, all)` masks)."""
+    comps = []
+    rest = scope
+    while rest:
+        comp = rest & -rest
+        grown = True
+        while grown:
+            grown = False
+            for cherry, _ in inside:
+                if cherry & comp and cherry & ~comp:
+                    comp |= cherry
+                    grown = True
+        comps.append(comp)
+        rest ^= comp
+    return comps
+
+
+def _count_by_splits(labels: tuple[str, ...], triples) -> int:
+    """Number of rooted binary trees on `labels` displaying every triple.
+
+    A binary tree on S splits at its root into A and S-A.  It displays
+    the triples iff no triple inside S has its cherry across the split
+    and each side displays the triples inside it; a triple ab|c with a, b
+    on one side and c on the other is displayed by every such tree.  So
+    A is a union of components of the cluster graph of the triples
+    inside S, and with f(S) the count on S (1 on one leaf),
+    f(S) = sum of f(A) * f(S-A) over the unions A that hold the lowest
+    component and leave S-A non-empty; f(S) = 0 when the graph is
+    connected.  Each unordered split is counted once.
+
+    A first pass from the full mask finds every scope the sum reaches
+    and its split terms; the counts are then summed smallest scope first,
+    so there is no recursion.  A scope of k components has 2^(k-1) - 1
+    terms, at most about 3^n/2 over all scopes on n leaves.
+    """
+    bit = {lab: 1 << i for i, lab in enumerate(labels)}
+    pairs = [
+        (bit[t.first] | bit[t.second], bit[t.first] | bit[t.second] | bit[t.out])
+        for t in triples
+    ]
+    full = (1 << len(labels)) - 1
+    terms: dict[int, list[tuple[int, int]]] = {}
+    stack = [(full, pairs)]
+    while stack:
+        scope, outer = stack.pop()
+        if scope in terms or not scope & (scope - 1):
+            continue
+        inside = [p for p in outer if p[1] | scope == scope]
+        low, *rest = _components(scope, inside)
+        splits = terms[scope] = []
+        for pick in range((1 << len(rest)) - 1):
+            side = low
+            for i, comp in enumerate(rest):
+                if pick >> i & 1:
+                    side |= comp
+            splits.append((side, scope ^ side))
+            stack.append((side, inside))
+            stack.append((scope ^ side, inside))
+    count = dict.fromkeys(bit.values(), 1)
+    for scope in sorted(terms, key=int.bit_count):
+        count[scope] = sum(count[a] * count[b] for a, b in terms[scope])
+    return count[full]
+
+
 def count_displaying(
     trees, taxa, cap: int = DEFAULT_ENUM_CAP
 ) -> int:
-    """Exact number of rooted binary trees on `taxa` displaying every tree given."""
-    guests = list(trees)
-    labels = tuple(sorted(set(taxa)))
-    pooled: list[RootedTriple] = []
-    for g in guests:
-        if not set(g.leaves) <= set(labels):
+    """Exact number of rooted binary trees on `taxa` displaying every tree given.
+
+    The guests are binary, so a tree displays one iff it displays its
+    spanning triples; those are pooled and counted by the split
+    recursion (`_count_by_splits`), not by listing the (2n-3)!! trees.
+    More than `cap` taxa is a `CapExceededError`, as for enumeration.
+    """
+    labels = set(taxa)
+    pooled: list[phylo.RootedTriple] = []
+    for g in trees:
+        if not set(g.leaves) <= labels:
             raise InputError("guest leaves must lie inside the taxon set")
         if not g.is_binary():
             raise InputError("count_displaying expects binary guest trees")
         # A binary tree is the only tree displaying its spanning triples.
-        pooled.extend(spanning_triples(g))
-    hosts = enumerate_binary_trees(labels, cap=cap)
-    return _count_displaying_hosts(hosts, pooled)
+        pooled.extend(phylo.spanning_triples(g))
+    return _count_by_splits(_capped_labels(labels, cap), pooled)
 
 
 def disjoint_count_formula(n: int) -> int:
@@ -205,7 +292,7 @@ def disjoint_count_formula(n: int) -> int:
     return value
 
 
-def defining_triples(tree: RootedPhyloTree) -> tuple[RootedTriple, ...]:
+def defining_triples(tree: phylo.RootedPhyloTree) -> tuple[phylo.RootedTriple, ...]:
     """n-2 rooted triples whose only displaying tree is the given binary tree.
 
     Peeling: take the cherry {a, b} (a < b) whose smaller label is least,
@@ -244,7 +331,7 @@ def defining_triples(tree: RootedPhyloTree) -> tuple[RootedTriple, ...]:
     ]
     heapify(heap)
     alive = masks[0]
-    out: list[RootedTriple] = []
+    out: list[phylo.RootedTriple] = []
     while len(out) < len(labels) - 2:
         _, v = heappop(heap)
         a, b = sorted(kids[v], key=leaf_index)
@@ -254,7 +341,9 @@ def defining_triples(tree: RootedPhyloTree) -> tuple[RootedTriple, ...]:
         sibling = kids[u][1 - slot]
         rest = masks[sibling] & alive
         outgroup = (rest & -rest).bit_length() - 1
-        out.append(RootedTriple(labels[leaf_index(a)], labels[leaf_index(b)], labels[outgroup]))
+        out.append(phylo.RootedTriple(
+            labels[leaf_index(a)], labels[leaf_index(b)], labels[outgroup]
+        ))
         alive ^= masks[a]
         kids[u][slot] = b
         if not kids[sibling]:
@@ -270,7 +359,8 @@ def is_unique_display(
 
     Uniqueness among binary trees settles uniqueness among all
     phylogenetic trees: a non-binary displaying tree refines to at least
-    two displaying binary trees.
+    two displaying binary trees.  The count comes from the split
+    recursion of `count_displaying`, under the same cap.
     """
     tr = list(triples)
     labels = set(taxa) if taxa is not None else set()
@@ -278,5 +368,4 @@ def is_unique_display(
         labels |= t.taxa
     if not labels:
         raise InputError("no taxa to enumerate over")
-    hosts = enumerate_binary_trees(tuple(sorted(labels)), cap=cap)
-    return _count_displaying_hosts(hosts, tr, stop_at=2) == 1
+    return _count_by_splits(_capped_labels(labels, cap), tr) == 1

@@ -23,7 +23,7 @@ import heapq
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
-from . import graphopt
+from . import graphopt, phylo, setsys
 from .errors import (
     CapExceededError,
     InputError,
@@ -33,8 +33,6 @@ from .errors import (
     check_label,
     check_limit,
 )
-from .phylo import RootedPhyloTree, UnrootedPhyloTree
-from .setsys import CheckReport, SetSystem, require_members
 
 DEFAULT_ORIENTATION_CAP = 20
 
@@ -42,7 +40,7 @@ DEFAULT_ORIENTATION_CAP = 20
 # -- caterpillar builders -----------------------------------------------------
 
 
-def unrooted_caterpillar(sequence: Iterable[str]) -> UnrootedPhyloTree:
+def unrooted_caterpillar(sequence: Iterable[str]) -> phylo.UnrootedPhyloTree:
     """The unrooted caterpillar with the given leaf order.
 
     Interior spine vertices are numbered 0..n-3 along the sequence;
@@ -60,10 +58,10 @@ def unrooted_caterpillar(sequence: Iterable[str]) -> UnrootedPhyloTree:
     for p in range(2, n - 1):
         edges.append((spine[p - 1], leaf_ids[p]))
     edges.append((spine[n - 3], leaf_ids[n - 1]))
-    return UnrootedPhyloTree(edges, {leaf_ids[i]: seq[i] for i in range(n)})
+    return phylo.UnrootedPhyloTree(edges, {leaf_ids[i]: seq[i] for i in range(n)})
 
 
-def rooted_caterpillar(sequence: Iterable[str]) -> RootedPhyloTree:
+def rooted_caterpillar(sequence: Iterable[str]) -> phylo.RootedPhyloTree:
     """The rooted caterpillar whose deepest cherry is the first two leaves."""
     seq = list(sequence)
     if len(seq) < 2:
@@ -71,7 +69,7 @@ def rooted_caterpillar(sequence: Iterable[str]) -> RootedPhyloTree:
     shape = (seq[0], seq[1])
     for leaf in seq[2:]:
         shape = (shape, leaf)
-    return RootedPhyloTree(shape)
+    return phylo.RootedPhyloTree(shape)
 
 
 # -- reports -------------------------------------------------------------------
@@ -88,7 +86,7 @@ class RepresentationReport(NamedTuple):
     """
 
     kind: str
-    tree: UnrootedPhyloTree | RootedPhyloTree
+    tree: phylo.UnrootedPhyloTree | phylo.RootedPhyloTree
     sequence: tuple[str, ...]
     vertex_map: dict[int, int]
     verified: bool
@@ -229,7 +227,8 @@ def _peel_median(live: set, levels: list, skip: int) -> list[str]:
                               if frozenset(c) not in live]
             for index in range(skip, len(candidates)):
                 y = candidates[index]
-                if graphopt.sigma_star(SetSystem([sorted(m) for m in live | {y}])).value >= 2:
+                trial = setsys.SetSystem([sorted(m) for m in live | {y}])
+                if graphopt.sigma_star(trial).value >= 2:
                     break
             else:
                 raise InternalVerificationError("no reduction worked in the n=2 case")
@@ -301,7 +300,7 @@ def _canonical_sequence(seq: list[str]) -> list[str]:
     return min(normalized(seq), normalized(seq[::-1]))
 
 
-def caterpillar_median_representation(system: SetSystem) -> RepresentationReport:
+def caterpillar_median_representation(system: setsys.SetSystem) -> RepresentationReport:
     """An unrooted caterpillar on the universe with injective member medians.
 
     The system must be uniformly of size 3, thin (checked via the
@@ -309,7 +308,7 @@ def caterpillar_median_representation(system: SetSystem) -> RepresentationReport
     taxa outside L(tau) are appended past the far end of the spine; the
     injectivity of the median map is recomputed from the finished tree.
     """
-    if require_members(system).uniform_size() != 3:
+    if setsys.require_members(system).uniform_size() != 3:
         raise MemberSizeError("median representation needs a system of triples")
     if len(system.universe) < 4:
         raise InputError(
@@ -349,7 +348,9 @@ def caterpillar_median_representation(system: SetSystem) -> RepresentationReport
 
 
 def verify_median_injective(
-    tree: UnrootedPhyloTree, system: SetSystem, medians: dict[int, int] | None = None
+    tree: phylo.UnrootedPhyloTree,
+    system: setsys.SetSystem,
+    medians: dict[int, int] | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Recompute every member's median; report the first colliding pair.
 
@@ -399,7 +400,7 @@ def _place_pairs(tau: frozenset[frozenset[str]]) -> list[str]:
     return seq
 
 
-def lca_caterpillar_representation(system: SetSystem) -> RepresentationReport:
+def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationReport:
     """A rooted caterpillar on the universe with injective member lcas.
 
     The system must be uniformly of size 2 and thin (sigma* >= 1), which
@@ -409,7 +410,7 @@ def lca_caterpillar_representation(system: SetSystem) -> RepresentationReport:
     existing spine and flagged in the report.  The lca map is recomputed
     from the finished tree and its depths give the spine numbering.
     """
-    if require_members(system).uniform_size() != 2:
+    if setsys.require_members(system).uniform_size() != 2:
         raise MemberSizeError("lca representation needs a system of pairs")
     if not graphopt.is_forest(graphopt.incidence_graph(system, "unit"))[0]:
         minimizer = graphopt.sigma_star(system)
@@ -532,8 +533,8 @@ def _extend_sorted(
 
 
 def is_total_order_flexible(
-    system: SetSystem, mode: str = "forest", cap: int = DEFAULT_ORIENTATION_CAP
-) -> CheckReport:
+    system: setsys.SetSystem, mode: str = "forest", cap: int = DEFAULT_ORIENTATION_CAP
+) -> setsys.CheckReport:
     """Whether every orientation of the pair system extends to a total order.
 
     `forest` mode delegates to the incidence-graph acyclicity test;
@@ -544,7 +545,7 @@ def is_total_order_flexible(
         raise MemberSizeError("total-order flexibility needs a system of pairs")
     if mode == "forest":
         ok, cycle = graphopt.is_forest(graphopt.incidence_graph(system, "unit"))
-        return CheckReport(
+        return setsys.CheckReport(
             verdict=ok,
             method="forest",
             certificate=cycle,
@@ -567,14 +568,14 @@ def is_total_order_flexible(
         checked += 1
         report = _extend_sorted(universe, orientation)
         if not report.extendable:
-            return CheckReport(
+            return setsys.CheckReport(
                 verdict=False,
                 method="bruteforce",
                 certificate=(tuple(orientation), report.cycle),
                 stats={"orientations_checked": checked},
                 recheck="setflex.represent.extend_to_total_order",
             )
-    return CheckReport(
+    return setsys.CheckReport(
         verdict=True,
         method="bruteforce",
         certificate=None,

@@ -631,6 +631,25 @@ class TestSupertreeLarge:
         assert proc.stdout.strip() == expected
 
 
+class TestCountLarge:
+    def test_eight_taxa_at_the_default_cap(self, tmp_path):
+        # 8 taxa, the default cap: enumerating the 135,135 binary trees
+        # took about 12 s; the golden case count-cap8 holds the same
+        # input and the count that enumeration recorded.
+        path = tmp_path / "cap8.triples"
+        path.write_text("a,b|c\nd,e|f\ng,h|a\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "setflex", "count", str(path), "--no-stats"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3861\n", "")
+
+
 class TestSupertreeOverlapLarge:
     """Three overlapping 1,500-leaf restrictions of a 2,000-leaf Yule tree.
 

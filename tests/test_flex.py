@@ -28,8 +28,9 @@ from setflex import (
     sigma_star,
     triples_of,
 )
-from setflex.flex import double_factorial, tree_count
+from setflex.flex import _count_displaying_hosts, double_factorial, tree_count
 from conftest import (
+    ALPHA,
     FIG1,
     FIG1P,
     balanced_shape,
@@ -205,6 +206,63 @@ class TestCountDisplaying:
     def test_leaf_coverage_checked(self):
         with pytest.raises(InputError):
             count_displaying([parse_triple("a,b|z").as_tree()], "abc")
+
+    def test_two_disjoint_triples_on_eight_taxa(self):
+        # Each triple keeps a third of the trees: 13!!/9.  Enumerating
+        # the 135,135 trees took about 11 s.
+        trees = [parse_triple("a,b|c").as_tree(), parse_triple("d,e|f").as_tree()]
+        start = time.perf_counter()
+        assert count_displaying(trees, "abcdefgh") == 15015 == tree_count(8) // 9
+        assert time.perf_counter() - start < 1.0
+
+    def test_errors_of_the_enumeration(self):
+        with pytest.raises(CapExceededError, match="^9 leaves exceed the enumeration cap 8$"):
+            count_displaying([], "abcdefghi")
+        with pytest.raises(InputError, match="^cannot enumerate trees on an empty leaf set$"):
+            count_displaying([], "")
+        with pytest.raises(InputError, match="expects binary guest trees"):
+            count_displaying([parse_newick("(a,b,c);")], "abc")
+        with pytest.raises(InputError, match="^taxon label .b#c. contains"):
+            count_displaying([], ["a", "b#c"])
+
+
+def random_guests(rng: random.Random, taxa: str) -> list[RootedPhyloTree]:
+    """Up to four random triples and binary trees on random subsets of taxa."""
+    guests = []
+    for _ in range(rng.randint(0, 4)):
+        if len(taxa) >= 3 and rng.random() < 0.5:
+            guests.append(RootedTriple.of(*rng.sample(taxa, 3)).as_tree())
+        else:
+            subset = rng.sample(taxa, rng.randint(1, len(taxa)))
+            guests.append(RootedPhyloTree(yule_shape(rng, subset)))
+    return guests
+
+
+class TestCountOracle:
+    """The split recursion against enumerating all (2n-3)!! binary trees."""
+
+    @staticmethod
+    def check(taxa: str, guests) -> int:
+        hosts = enumerate_binary_trees(taxa)
+        triples = [t for g in guests for t in triples_of(g)]
+        expected = _count_displaying_hosts(hosts, triples)
+        assert count_displaying(guests, taxa) == expected
+        assert is_unique_display(triples, taxa=taxa) == (expected == 1)
+        return expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_matches_enumeration(self, data):
+        n = data.draw(st.integers(1, 7), label="taxa")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = random.Random(seed)
+        self.check(ALPHA[:n], random_guests(rng, ALPHA[:n]))
+
+    def test_cases_cover_zero_one_and_many(self):
+        rng = random.Random(13)
+        counts = [self.check(ALPHA[:n], random_guests(rng, ALPHA[:n]))
+                  for n in (4, 5, 6) for _ in range(40)]
+        assert 0 in counts and 1 in counts and max(counts) > 1
 
 
 class TestNegativeLimits:
