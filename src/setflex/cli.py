@@ -54,6 +54,8 @@ def _member_str(system: setsys.SetSystem, index: int) -> str:
 
 
 def _render_certificate(system: setsys.SetSystem, certificate) -> object:
+    """An exhaustive check's `ExcessReport` or a min-cut check's
+    `MinimizerReport`, or None."""
     if certificate is None:
         return None
     if isinstance(certificate, setsys.ExcessReport):
@@ -62,12 +64,10 @@ def _render_certificate(system: setsys.SetSystem, certificate) -> object:
             "leaf_count": certificate.leaf_count,
             "witness": [_member_str(system, i) for i in certificate.witness],
         }
-    if isinstance(certificate, graphopt.MinimizerReport):
-        return {
-            "value": certificate.value,
-            "witness": [_member_str(system, i) for i in certificate.witness],
-        }
-    return str(certificate)
+    return {
+        "value": certificate.value,
+        "witness": [_member_str(system, i) for i in certificate.witness],
+    }
 
 
 def _render_order_certificate(system: setsys.SetSystem, report) -> object:

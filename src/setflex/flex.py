@@ -11,8 +11,11 @@ never a verdict.
 The number of binary trees displaying a triple set is counted without
 listing trees: a BUILD-style recursion over the possible root splits of
 each leaf mask (`_count_by_splits`), at most about 3^n/2 split terms on
-n leaves instead of (2n-3)!! trees.  The enumeration cap still bounds
-the leaf count, with the same error.  `phylo` is reached as a module
+n leaves instead of (2n-3)!! trees.  Its scopes split into components
+by `phylo._components`, the union-find BUILD runs.  The enumeration cap
+still bounds the leaf count of a count, with the same error.  Whether
+exactly one tree displays a triple set is one BUILD call
+(`is_unique_display`), with no cap.  `phylo` is reached as a module
 attribute, like `setsys`, so loading this module does not load it.
 """
 
@@ -194,25 +197,6 @@ def _count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
     return count
 
 
-def _components(scope: int, inside: list[tuple[int, int]]) -> list[int]:
-    """Components of the cluster graph of the triples inside `scope`,
-    in order of lowest bit (`inside` holds their `(cherry, all)` masks)."""
-    comps = []
-    rest = scope
-    while rest:
-        comp = rest & -rest
-        grown = True
-        while grown:
-            grown = False
-            for cherry, _ in inside:
-                if cherry & comp and cherry & ~comp:
-                    comp |= cherry
-                    grown = True
-        comps.append(comp)
-        rest ^= comp
-    return comps
-
-
 def _count_by_splits(labels: tuple[str, ...], triples) -> int:
     """Number of rooted binary trees on `labels` displaying every triple.
 
@@ -244,7 +228,7 @@ def _count_by_splits(labels: tuple[str, ...], triples) -> int:
         if scope in terms or not scope & (scope - 1):
             continue
         inside = [p for p in outer if p[1] | scope == scope]
-        low, *rest = _components(scope, inside)
+        low, *rest = phylo._components(scope, inside)
         splits = terms[scope] = []
         for pick in range((1 << len(rest)) - 1):
             side = low
@@ -352,15 +336,17 @@ def defining_triples(tree: phylo.RootedPhyloTree) -> tuple[phylo.RootedTriple, .
     return tuple(out)
 
 
-def is_unique_display(
-    triples, taxa=None, cap: int = DEFAULT_ENUM_CAP
-) -> bool:
+def is_unique_display(triples, taxa=None) -> bool:
     """True iff exactly one binary tree on the taxa displays all the triples.
 
     Uniqueness among binary trees settles uniqueness among all
     phylogenetic trees: a non-binary displaying tree refines to at least
-    two displaying binary trees.  The count comes from the split
-    recursion of `count_displaying`, under the same cap.
+    two displaying binary trees.  It takes one BUILD call, with no cap:
+    every restriction of a compatible set is compatible, so every split
+    term of `_count_by_splits` is at least 1 and a scope of k >= 3
+    components has at least 3 terms.  The count is therefore 1 iff every
+    BUILD scope falls into exactly two components, that is iff BUILD's
+    tree is binary.
     """
     tr = list(triples)
     labels = set(taxa) if taxa is not None else set()
@@ -368,4 +354,9 @@ def is_unique_display(
         labels |= t.taxa
     if not labels:
         raise InputError("no taxa to enumerate over")
-    return _count_by_splits(_capped_labels(labels, cap), tr) == 1
+    # BUILD checks labels only on compatible input.
+    leaves = sorted(labels)
+    for lab in leaves:
+        check_label(lab)
+    result = phylo.build_supertree(tr, taxa=leaves)
+    return result.compatible and result.tree.is_binary()

@@ -725,30 +725,16 @@ def surplus_forest(graph: BipartiteIncidenceGraph):
 
 
 def _verify_degree_two_forest(graph: BipartiteIncidenceGraph, edges) -> None:
-    degree = {i: 0 for i in range(graph.member_count)}
+    chosen: list[list[int]] = [[] for _ in range(graph.member_count)]
     for i, x in edges:
         if x not in graph.adjacency[i]:
             raise InternalVerificationError("forest edge outside the graph")
-        degree[i] += 1
-    if any(d != 2 for d in degree.values()):
+        chosen[i].append(x)
+    if any(len(pair) != 2 for pair in chosen):
         raise InternalVerificationError("member degree differs from two")
-    # Forest iff |edges| = |vertices| - |components| over the touched subgraph.
-    parent: dict = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    vertices = set()
-    for i, x in edges:
-        vertices.add(("member", i))
-        vertices.add(("taxon", x))
-    for v in vertices:
-        parent[v] = v
-    for i, x in edges:
-        a, b = find(("member", i)), find(("taxon", x))
-        if a == b:
-            raise InternalVerificationError("forest verification found a cycle")
-        parent[a] = b
+    # `is_forest` reads adjacency as a simple graph, so a repeated edge,
+    # a cycle of length two, is caught here.
+    if any(x == y for x, y in chosen) or not is_forest(
+        graph._replace(adjacency=tuple(map(tuple, chosen)))
+    )[0]:
+        raise InternalVerificationError("forest verification found a cycle")

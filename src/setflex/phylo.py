@@ -19,10 +19,13 @@ preorder sparse table (`_lca_table`).  Whole trees are compared on their
 cluster masks (`displays_clusters`) and enter BUILD as their
 `spanning_triples`, n-2 for a binary tree, not as all C(n,3) of
 `triples_of`.  BUILD (Aho et al., 1981) runs on `(cherry_mask,
-all_mask)` pairs with an explicit stack of scopes.  Canonicalization,
-equality, indexing, Newick printing, `restrict` and `make_binary` also
-walk trees with explicit stacks, so trees of any depth can be built,
-compared, queried and printed.  `parse_newick` still recurses.
+all_mask)` pairs with an explicit stack of scopes; `_components`, its
+union-find over leaf bits, is the one routine that splits a scope into
+cluster-graph components, and `flex` counts displaying trees with it.
+Canonicalization, equality, indexing, Newick printing, `restrict` and
+`make_binary` also walk trees with explicit stacks, so trees of any
+depth can be built, compared, queried and printed.  `parse_newick`
+still recurses.
 """
 
 from __future__ import annotations
@@ -622,6 +625,45 @@ class BuildResult(NamedTuple):
         return self.tree is not None
 
 
+def _components(scope: int, inside: list[tuple[int, int]]) -> list[int]:
+    """Components of the cluster graph of the `(cherry_mask, all_mask)`
+    pairs `inside` on the leaf mask `scope`, in order of lowest bit.
+
+    A union-find over leaf bits (`up` links a bit to its parent, `mask`
+    holds each root's component, smaller component under larger) merges
+    the cherries, so a scope costs O(pairs * log leaves) plus one find per
+    component.
+    """
+    up: dict[int, int] = {}
+    mask: dict[int, int] = {}
+    for cherry, _ in inside:
+        a = cherry & -cherry
+        b = cherry ^ a
+        while a in up:
+            a = up[a]
+        while b in up:
+            b = up[b]
+        if a != b:
+            ma = mask.pop(a, a)
+            mb = mask.pop(b, b)
+            if ma.bit_count() < mb.bit_count():
+                up[a] = b
+                a = b
+            else:
+                up[b] = a
+            mask[a] = ma | mb
+    comps = []
+    rest = scope
+    while rest:
+        r = rest & -rest
+        while r in up:
+            r = up[r]
+        comp = mask.get(r, r)
+        comps.append(comp)
+        rest ^= comp
+    return comps
+
+
 def _build_masks(pairs: list[tuple[int, int]], root: int):
     """BUILD on `(cherry_mask, all_mask)` pairs over the leaf mask `root`.
 
@@ -632,45 +674,14 @@ def _build_masks(pairs: list[tuple[int, int]], root: int):
     two-leaf component always splits into its two singletons; it is
     neither expanded nor listed, and the caller makes it a cherry.
     Otherwise `witness` is the first scope in preorder whose cluster
-    graph is connected.
-
-    Each scope arrives with the pairs inside it.  A union-find over leaf
-    bits (`up` links a bit to its parent, `mask` holds each root's
-    component, smaller component under larger) merges the cherries, so a
-    scope costs O(pairs * log leaves) plus one find per component, and
-    the components are read off in order of lowest bit.
+    graph is connected.  Each scope arrives with the pairs inside it,
+    and `_components` splits it.
     """
     splits: list[tuple[int, list[int]]] = []
     stack = [(root, pairs)] if root & (root - 1) else []
     while stack:
         scope, inside = stack.pop()
-        up: dict[int, int] = {}
-        mask: dict[int, int] = {}
-        for cherry, _ in inside:
-            a = cherry & -cherry
-            b = cherry ^ a
-            while a in up:
-                a = up[a]
-            while b in up:
-                b = up[b]
-            if a != b:
-                ma = mask.pop(a, a)
-                mb = mask.pop(b, b)
-                if ma.bit_count() < mb.bit_count():
-                    up[a] = b
-                    a = b
-                else:
-                    up[b] = a
-                mask[a] = ma | mb
-        comps = []
-        rest = scope
-        while rest:
-            r = rest & -rest
-            while r in up:
-                r = up[r]
-            comp = mask.get(r, r)
-            comps.append(comp)
-            rest ^= comp
+        comps = _components(scope, inside)
         if len(comps) == 1:
             return splits, scope
         splits.append((scope, comps))

@@ -284,10 +284,6 @@ class TestNegativeLimits:
         with pytest.raises(InputError, match="cap must be non-negative"):
             count_displaying([parse_triple("a,b|c").as_tree()], "abc", cap=-1)
 
-    def test_is_unique_display(self):
-        with pytest.raises(InputError, match="cap must be non-negative"):
-            is_unique_display([parse_triple("a,b|c")], cap=-1)
-
     def test_zero_is_a_limit_not_an_error(self):
         with pytest.raises(BudgetExceededError):
             is_flexible_bruteforce(tsys(*FIG1), budget=0)
@@ -417,3 +413,45 @@ class TestUniqueDisplay:
     def test_full_triple_set_identifies(self):
         tree = enumerate_binary_trees("abcde")[17]
         assert is_unique_display(triples_of(tree))
+
+    def test_defining_triples_identify_past_the_cap(self):
+        # One BUILD call, so no leaf count is too large.
+        rng = random.Random(61)
+        kinds = sorted(SHAPES)
+        for i in range(60):
+            n = rng.randint(9, 60)
+            tree = RootedPhyloTree(SHAPES[kinds[i % 3]](rng, shuffled_labels(rng, n)))
+            assert is_unique_display(defining_triples(tree))
+
+    def test_defining_triples_of_1000_leaves_under_two_seconds(self):
+        # A caterpillar, the deepest shape: 998 nested BUILD scopes.
+        rng = random.Random(1000)
+        tree = RootedPhyloTree(caterpillar_shape(rng, shuffled_labels(rng, 1000)))
+        triples = defining_triples(tree)
+        start = time.perf_counter()
+        assert is_unique_display(triples)
+        assert time.perf_counter() - start < 2.0
+
+    def test_dropping_a_defining_triple_loses_uniqueness(self):
+        # A binary tree on n leaves needs n-2 triples to be identified.
+        rng = random.Random(67)
+        trees = [RootedPhyloTree(caterpillar_shape(rng, shuffled_labels(rng, n)))
+                 for n in (9, 200)]
+        trees += [RootedPhyloTree(yule_shape(rng, shuffled_labels(rng, n)))
+                  for n in (9, 30, 60)]
+        for tree in trees:
+            triples = defining_triples(tree)
+            for i in range(len(triples)):
+                rest = triples[:i] + triples[i + 1:]
+                assert not is_unique_display(rest, taxa=tree.leaves)
+
+    def test_bad_label_is_an_input_error_compatible_or_not(self):
+        compatible = [parse_triple("a,b|c")]
+        incompatible = [parse_triple("a,b|c"), parse_triple("a,c|b")]
+        for triples in (compatible, incompatible):
+            with pytest.raises(InputError, match="^taxon label .b#c. contains"):
+                is_unique_display(triples, taxa=["a", "b", "c", "b#c"])
+
+    def test_no_taxa_is_an_input_error(self):
+        with pytest.raises(InputError, match="no taxa"):
+            is_unique_display([])

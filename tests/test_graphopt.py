@@ -33,7 +33,8 @@ from setflex import (
     surplus_forest,
 )
 from conftest import ALPHA, FIG1, FIG1P, brute_minimum, random_system, tsys
-from setflex.graphopt import _minimize_surplus
+from setflex.errors import InternalVerificationError
+from setflex.graphopt import _minimize_surplus, _verify_degree_two_forest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -619,3 +620,38 @@ class TestSurplusForest:
             s = random_system(rng, rng.randint(3, 7), rng.randint(1, 6), (2,))
             ok, _ = is_forest(incidence_graph(s, "unit"))
             assert ok == is_thin(s, 2).verdict
+
+
+class TestVerifyDegreeTwoForest:
+    """The self-check `surplus_forest` runs on its own result."""
+
+    # Members abc, abd, bce, def with taxa a..f as ids 0..5.
+    GRAPH = incidence_graph(tsys(*FIG1), "unit")
+
+    def test_found_forest_passes(self):
+        _verify_degree_two_forest(self.GRAPH, surplus_forest(self.GRAPH))
+
+    def test_cycle(self):
+        # abc and abd both pick {a, b}: a-abc-b-abd-a.
+        edges = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 4), (3, 3), (3, 5)]
+        with pytest.raises(InternalVerificationError, match="found a cycle"):
+            _verify_degree_two_forest(self.GRAPH, edges)
+
+    def test_repeated_edge(self):
+        edges = [(0, 0), (0, 0), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]
+        with pytest.raises(InternalVerificationError, match="found a cycle"):
+            _verify_degree_two_forest(self.GRAPH, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 0), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)],
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)],
+    ], ids=["degree-1", "degree-3"])
+    def test_degree_other_than_two(self, edges):
+        with pytest.raises(InternalVerificationError, match="degree differs from two"):
+            _verify_degree_two_forest(self.GRAPH, edges)
+
+    def test_edge_outside_the_graph(self):
+        # Member abc does not hold d (id 3).
+        edges = [(0, 0), (0, 3), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]
+        with pytest.raises(InternalVerificationError, match="outside the graph"):
+            _verify_degree_two_forest(self.GRAPH, edges)
