@@ -132,6 +132,8 @@ def _cmd_check(ns) -> tuple[int, dict, list[str]]:
         if r is None:
             raise InputError("members have mixed sizes; pass --r or check 'slim'")
     if kind == "order-flexible":
+        if method not in ("forest", "bruteforce"):
+            raise InputError(f"unsupported method {method!r} for {kind}")
         report = represent.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
     elif kind == "flexible" and method == "bruteforce":

@@ -23,6 +23,12 @@ value found.  The witness and cut come from one forced augmentation of
 the chosen member.  `max_flow` and the minimizer share one augmenting
 routine and one residual-cut routine.
 
+The minimizer also decides the degree-two forests of Lovasz's theorem:
+sigma* >= 1 iff each member can keep two taxa so that the kept pairs
+form a forest.  `surplus_forest` builds the first one by a greedy
+union-find pass, or, if that pass fails, by fixing one member's pair at
+a time for which the minimizer still reads sigma* >= 1.
+
 Everything is deterministic: flows and searches take arcs in insertion
 order, the forced-member minimum breaks ties by canonical member index,
 and matchings are grown in canonical vertex order.
@@ -656,70 +662,58 @@ def is_forest(graph: BipartiteIncidenceGraph) -> tuple[bool, tuple | None]:
 def surplus_forest(graph: BipartiteIncidenceGraph):
     """A forest using exactly two incident edges per member, or None.
 
-    Such a forest exists iff the graph has positive surplus viewed from
-    the member side (sigma* >= 1, checked first via the minimizer).  The
-    search assigns edge pairs in canonical order with union-find pruning
-    and backtracks on dead ends; the result is verified acyclic with
-    every member of degree exactly two before being returned.
+    By Lovasz's theorem (1970, "A generalization of Konig's theorem"),
+    each member can keep two of its taxa so that the kept pairs form a
+    forest iff every non-empty selection W covers at least |W| + 1 taxa,
+    that is iff sigma* >= 1; the minimizer decides that first.  The
+    forest returned is the lexicographically first: members in canonical
+    order, each member's pairs in `combinations` order.
+
+    A greedy union-find pass takes, per member, the first pair that
+    joins two components.  Each pair it skips closes a cycle with the
+    earlier choices, so no forest with that prefix uses it; if every
+    member gets a pair, the greedy choice is the first forest.
+    Otherwise a self-reduction starts again from member 0 and fixes,
+    per member, the first pair joining two components for which the
+    system with earlier members reduced to their pairs and later members
+    whole still has sigma* >= 1.  By the theorem that holds exactly when
+    the prefix extends to a forest, so this too gives the first forest,
+    at one minimizer call per pair tried.  The result is verified
+    acyclic with every member of degree exactly two.
     """
     if any(w != 1 for w in graph.weights):
         raise InputError("surplus_forest requires unit weights")
     if _minimize_surplus(graph).value < 1:
         return None
 
-    k = graph.member_count
-    parent: dict[int, int] = {x: x for x in graph.taxa}
-    rank: dict[int, int] = {x: 0 for x in graph.taxa}
+    def first_pairs(feasible) -> list[tuple[int, int]] | None:
+        parent = {x: x for x in graph.taxa}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    trail: list[tuple[int, int]] = []
+        chosen: list[tuple[int, int]] = []
+        for i, taxa in enumerate(graph.adjacency):
+            for x, y in combinations(taxa, 2):
+                if find(x) != find(y) and feasible(i, (x, y), chosen):
+                    break
+            else:
+                return None
+            parent[find(x)] = find(y)
+            chosen.append((x, y))
+        return chosen
 
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rank[rx] < rank[ry]:
-            rx, ry = ry, rx
-        trail.append((ry, 0 if rank[rx] > rank[ry] else 1))
-        parent[ry] = rx
-        if rank[rx] == rank[ry]:
-            rank[rx] += 1
-        return True
+    def extends(i: int, pair: tuple[int, int], chosen: list) -> bool:
+        reduced = (*chosen, pair, *graph.adjacency[i + 1:])
+        return _minimize_surplus(graph._replace(adjacency=reduced)).value >= 1
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            child, bumped = trail.pop()
-            if bumped:
-                rank[find(child)] -= 1
-            parent[child] = child
-
-    choice: list[tuple[int, int] | None] = [None] * k
-
-    def solve(i: int) -> bool:
-        if i == k:
-            return True
-        for x, y in combinations(graph.adjacency[i], 2):
-            mark = len(trail)
-            if union(x, y):
-                choice[i] = (x, y)
-                if solve(i + 1):
-                    return True
-                undo(mark)
-        choice[i] = None
-        return False
-
-    if not solve(0):
-        raise InternalVerificationError(
-            "positive surplus but no degree-two forest found"
-        )
-
-    edges = tuple(
-        (i, x) for i in range(k) for x in choice[i]
-    )
+    pairs = first_pairs(lambda *_: True) or first_pairs(extends)
+    if pairs is None:
+        raise InternalVerificationError("positive surplus but no degree-two forest found")
+    edges = tuple((i, x) for i, pair in enumerate(pairs) for x in pair)
     _verify_degree_two_forest(graph, edges)
     return edges
 

@@ -183,6 +183,19 @@ class TestErrorSurface:
         code, payload = run_json(capsys, *argv)
         assert code == 2 and "--cap" in payload["error"]
 
+    @pytest.mark.parametrize("kind, method", [
+        ("order-flexible", "mincut"),
+        ("order-flexible", "exhaustive"),
+        ("thin", "bruteforce"),
+        ("slim", "forest"),
+        ("flexible", "exhaustive"),
+    ])
+    def test_unsupported_method_exit_2(self, capsys, kind, method):
+        path = Path(__file__).parent / "golden" / "pair_square.sets"
+        code, payload = run_json(capsys, "check", kind, str(path), "--method", method)
+        assert code == 2
+        assert payload == {"error": f"unsupported method {method!r} for {kind}"}
+
     @pytest.mark.parametrize("value", ["-1", "lots"])
     @pytest.mark.parametrize("kind", ["thin", "slim", "flexible", "order-flexible"])
     def test_budget_env_validated_on_every_check(

@@ -1,9 +1,12 @@
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
 from collections import deque
+from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
@@ -33,6 +36,7 @@ from setflex import (
     surplus_forest,
 )
 from conftest import ALPHA, FIG1, FIG1P, brute_minimum, random_system, tsys
+from setflex import graphopt
 from setflex.errors import InternalVerificationError
 from setflex.graphopt import _minimize_surplus, _verify_degree_two_forest
 
@@ -584,6 +588,73 @@ class TestForest:
         assert verdicts == {True, False}
 
 
+def backtracking_forest(graph):
+    """Reference: the lexicographically first degree-two forest by a
+    depth-first search over each member's pairs in `combinations` order,
+    with an undoable rank union-find; None if the search fails.
+    Exponential in the worst case, so for small systems only."""
+    k = graph.member_count
+    parent = {x: x for x in graph.taxa}
+    rank = {x: 0 for x in graph.taxa}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    trail = []
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if rank[rx] < rank[ry]:
+            rx, ry = ry, rx
+        trail.append((ry, 0 if rank[rx] > rank[ry] else 1))
+        parent[ry] = rx
+        if rank[rx] == rank[ry]:
+            rank[rx] += 1
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            child, bumped = trail.pop()
+            if bumped:
+                rank[find(child)] -= 1
+            parent[child] = child
+
+    choice = [None] * k
+
+    def solve(i):
+        if i == k:
+            return True
+        for x, y in combinations(graph.adjacency[i], 2):
+            mark = len(trail)
+            if union(x, y):
+                choice[i] = (x, y)
+                if solve(i + 1):
+                    return True
+                undo(mark)
+        choice[i] = None
+        return False
+
+    if not solve(0):
+        return None
+    return tuple((i, x) for i in range(k) for x in choice[i])
+
+
+def minimizer_calls(monkeypatch) -> list:
+    """Record each `_minimize_surplus` call `surplus_forest` makes."""
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return _minimize_surplus(graph)
+
+    monkeypatch.setattr(graphopt, "_minimize_surplus", counted)
+    return calls
+
+
 class TestSurplusForest:
     def test_fig1_has_forest(self):
         g = incidence_graph(tsys(*FIG1), "unit")
@@ -603,12 +674,16 @@ class TestSurplusForest:
         assert edges is not None and len(edges) == 2
 
     def test_exists_iff_sigma_star_positive(self):
-        rng = random.Random(41)
-        for _ in range(60):
-            s = random_system(rng, rng.randint(3, 8), rng.randint(1, 6), (2, 3))
-            g = incidence_graph(s, "unit")
-            edges = surplus_forest(g)
-            assert (edges is not None) == (sigma_star(s).value >= 1)
+        verdicts = set()
+        for seed in (41, 42, 44, 45):
+            rng = random.Random(seed)
+            for _ in range(60):
+                sizes = rng.choice([(2, 3), (3, 4), (2, 3, 4)])
+                s = random_system(rng, rng.randint(3, 9), rng.randint(1, 8), sizes)
+                edges = surplus_forest(incidence_graph(s, "unit"))
+                assert (edges is not None) == (sigma_star(s).value >= 1)
+                verdicts.add(edges is not None)
+        assert verdicts == {True, False}
 
     def test_requires_unit_weights(self):
         with pytest.raises(InputError):
@@ -620,6 +695,102 @@ class TestSurplusForest:
             s = random_system(rng, rng.randint(3, 7), rng.randint(1, 6), (2,))
             ok, _ = is_forest(incidence_graph(s, "unit"))
             assert ok == is_thin(s, 2).verdict
+
+    def test_self_reduction_when_the_greedy_pass_fails(self, monkeypatch):
+        # Members in canonical order ab, acd, bc.  The greedy pass gives
+        # acd the pair {a,c}, and bc then closes a cycle; the first forest
+        # gives acd the pair {a,d}.
+        calls = minimizer_calls(monkeypatch)
+        g = incidence_graph(tsys("ab", "bc", "acd"), "unit")
+        edges = surplus_forest(g)
+        assert edges == backtracking_forest(g) == ((0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2))
+        assert len(calls) > 1
+
+
+class TestSurplusForestAgainstBacktracking:
+    def test_random_systems(self, monkeypatch):
+        calls = minimizer_calls(monkeypatch)
+        rng = random.Random(47)
+        outcomes = {"none": 0, "greedy": 0, "self-reduction": 0}
+        for _ in range(400):
+            s = random_system(rng, rng.randint(3, 9), rng.randint(1, 9), (2, 3, 4))
+            g = incidence_graph(s, "unit")
+            calls.clear()
+            edges = surplus_forest(g)
+            assert edges == backtracking_forest(g)
+            if edges is None:
+                outcomes["none"] += 1
+            else:
+                outcomes["greedy" if len(calls) == 1 else "self-reduction"] += 1
+        assert min(outcomes.values()) >= 10
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.frozensets(st.sampled_from(ALPHA[:8]), min_size=2, max_size=4),
+        min_size=1, max_size=8, unique=True,
+    ))
+    def test_property_first_forest(self, members):
+        g = incidence_graph(SetSystem([sorted(m) for m in members]), "unit")
+        assert surplus_forest(g) == backtracking_forest(g)
+
+
+@contextmanager
+def time_bound(seconds: float):
+    """Raise TimeoutError once `seconds` pass, so that a search that runs
+    far past its bound fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds}-s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSurplusForestLarge:
+    """Each bound is about 8 times the measured time (2-vCPU Xeon VM,
+    CPython 3.11), noted per test."""
+
+    def test_10000_triple_chain(self, monkeypatch):
+        # Measured: about 0.4 s.  Labels in chain order put the members in
+        # chain order, so the greedy pass completes.
+        calls = minimizer_calls(monkeypatch)
+        names = [f"t{i:05d}" for i in range(10_002)]
+        g = incidence_graph(SetSystem([names[i:i + 3] for i in range(10_000)]), "unit")
+        with time_bound(3.0):
+            edges = surplus_forest(g)
+        assert len(edges) == 20_000 and len(calls) == 1
+        _verify_degree_two_forest(g, edges)
+
+    def test_dense_20_taxon_systems(self):
+        # Measured: about 0.45 s for all 47; 44 of them take the
+        # self-reduction.
+        rng = random.Random(11)
+        graphs = []
+        while len(graphs) < 47:
+            s = random_system(rng, 20, 18, (3, 4))
+            if sigma_star(s).value >= 1:
+                graphs.append(incidence_graph(s, "unit"))
+        with time_bound(3.0):
+            forests = [surplus_forest(g) for g in graphs]
+        for g, edges in zip(graphs, forests):
+            _verify_degree_two_forest(g, edges)
+
+    def test_self_reduction_on_a_200_member_shuffled_chain(self, monkeypatch):
+        # Measured: about 0.65 s, with 211 minimizer calls.  Shuffled
+        # labels take the members out of chain order, and the greedy
+        # pass fails.
+        calls = minimizer_calls(monkeypatch)
+        names = chain_names(203)
+        s = SetSystem([names[i:i + 3 + i % 2] for i in range(200)])
+        g = incidence_graph(s, "unit")
+        with time_bound(5.0):
+            edges = surplus_forest(g)
+        assert len(calls) > 1
+        _verify_degree_two_forest(g, edges)
 
 
 class TestVerifyDegreeTwoForest:
