@@ -137,12 +137,15 @@ def _cmd_check(ns) -> tuple[int, dict, list[str]]:
         report = represent.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
     elif kind == "flexible" and method == "bruteforce":
-        scan = flex.is_flexible_bruteforce(system, **_given(budget=ns.budget))
+        scan = flex.is_flexible_bruteforce(
+            system, **_given(budget=ns.budget, enum_cap=ns.cap)
+        )
         report = setsys.CheckReport(
             verdict=scan.verdict,
             method="bruteforce",
             certificate=scan.counterexample,
-            stats={"assignments_checked": scan.assignments_checked},
+            stats={"assignments_checked": scan.assignments_checked,
+                   "core_members": scan.core_members},
             recheck="setflex.phylo.build_supertree",
         )
         certificate_json = scan.counterexample

@@ -8,6 +8,14 @@ incompatible assignment, so the reported counterexample is reproducible.
 A budget guards the combinatorial explosion; overflowing it is an error,
 never a verdict.
 
+Two compatible triple sets whose leaf sets share at most two taxa have
+a compatible union.  So a member that meets the union of the other
+members in at most two taxa never decides whether an assignment is
+compatible, and dropping such members one by one, until none is left
+to drop, leaves a core (`_core`) whose triples alone decide it.  The
+scan still counts every assignment and reports full assignments; it
+only hands BUILD the core's triples.
+
 The number of binary trees displaying a triple set is counted without
 listing trees: a BUILD-style recursion over the possible root splits of
 each leaf mask (`_count_by_splits`), at most about 3^n/2 split terms on
@@ -100,11 +108,31 @@ class FlexReport(NamedTuple):
     `counterexample`, present when the verdict is false, assigns one
     tree per member in canonical member order; pooling its triples and
     running the supertree construction reproduces the incompatibility.
+    `core_members` is the size of the core whose triples BUILD was given.
     """
 
     verdict: bool
     counterexample: tuple[phylo.RootedPhyloTree, ...] | None
     assignments_checked: int
+    core_members: int
+
+
+def _core(members: list[frozenset]) -> list[int]:
+    """Indices of the members left after repeatedly dropping one that
+    meets the union of the other remaining members in at most two taxa.
+
+    A member can only become droppable as others go, so the order of the
+    drops does not change the result.
+    """
+    core = list(range(len(members)))
+    while True:
+        for i in core:
+            rest = set().union(*(members[j] for j in core if j != i))
+            if len(members[i] & rest) <= 2:
+                core.remove(i)
+                break
+        else:
+            return core
 
 
 def is_flexible_bruteforce(
@@ -117,6 +145,14 @@ def is_flexible_bruteforce(
     True iff every assignment pools into a compatible triple set.  The
     total number of assignments (product of per-member tree counts) must
     fit the budget.
+
+    Each assignment is one BUILD call on the spanning triples of the
+    core's trees only (`_core`).  Rooted trees whose leaf sets share at
+    most two taxa are always compatible, so a member meeting the rest in
+    at most two taxa cannot make an assignment incompatible, and the
+    verdict, the counterexample (the first failing assignment, every
+    member's tree included) and `assignments_checked` are those of a scan
+    that pools every member.
     """
     check_limit("budget", budget)
     check_limit("enum_cap", enum_cap)
@@ -129,8 +165,9 @@ def is_flexible_bruteforce(
                 "flexibility scans need members of size >= 3; "
                 f"got {','.join(labels)}"
             )
-    tree_lists = [enumerate_binary_trees(labels, cap=enum_cap) for labels in member_labels]
-    counts = [len(lst) for lst in tree_lists]
+    # The budget is checked on the tree counts, before any tree is built.
+    member_labels = [_capped_labels(labels, enum_cap) for labels in member_labels]
+    counts = [tree_count(len(labels)) for labels in member_labels]
     total = 1
     for c in counts:
         total *= c
@@ -138,6 +175,7 @@ def is_flexible_bruteforce(
         raise BudgetExceededError(
             f"{total} assignments exceed the budget {budget}"
         )
+    tree_lists = [enumerate_binary_trees(labels, cap=enum_cap) for labels in member_labels]
     # Each tree's spanning triples, listed once; an assignment
     # concatenates its members' lists.  BUILD gives the same result as on
     # all their triples (see `spanning_triples`), and a triple listed by
@@ -145,6 +183,7 @@ def is_flexible_bruteforce(
     triple_lists = [[phylo.spanning_triples(t) for t in lst] for lst in tree_lists]
     # One attribute lookup per scan, not per assignment.
     build = phylo.build_supertree
+    core = _core([frozenset(labels) for labels in member_labels])
 
     k = system.member_count
     digits = [0] * k
@@ -152,14 +191,15 @@ def is_flexible_bruteforce(
     checked = 0
     while True:
         pooled: list[phylo.RootedTriple] = []
-        for i in range(k):
+        for i in core:
             pooled += triple_lists[i][digits[i]]
         checked += 1
         result = build(pooled, taxa=taxa)
         if not result.compatible:
             assignment = tuple(tree_lists[i][digits[i]] for i in range(k))
             return FlexReport(
-                verdict=False, counterexample=assignment, assignments_checked=checked
+                verdict=False, counterexample=assignment,
+                assignments_checked=checked, core_members=len(core),
             )
         pos = k - 1
         while pos >= 0:
@@ -170,7 +210,8 @@ def is_flexible_bruteforce(
             pos -= 1
         if pos < 0:
             return FlexReport(
-                verdict=True, counterexample=None, assignments_checked=checked
+                verdict=True, counterexample=None,
+                assignments_checked=checked, core_members=len(core),
             )
 
 

@@ -136,6 +136,23 @@ class TestCheck:
         )
         assert code == 3
 
+    def test_bruteforce_cap_exceeded_exit_3(self, capsys, fig1):
+        code = main(["check", "flexible", fig1, "--method", "bruteforce", "--cap", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "3 leaves exceed the enumeration cap 2" in captured.err
+        code, payload = run_json(
+            capsys, "check", "flexible", fig1, "--method", "bruteforce", "--cap", "3"
+        )
+        assert code == 0 and payload["verdict"] is True
+
+    def test_bruteforce_stats_carry_the_core(self, capsys, fig1p):
+        code, out = run(
+            capsys, "check", "flexible", fig1p, "--method", "bruteforce", "--json"
+        )
+        assert code == 1
+        assert json.loads(out)["stats"] == {"assignments_checked": 31, "core_members": 4}
+
     def test_orientation_cap_default_is_20(self, capsys, tmp_path):
         # 17 pairs exceed the exhaustive cap but fit the orientation cap;
         # the leading triangle makes the scan fail fast.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from setflex import (
     BudgetExceededError,
     CapExceededError,
+    FlexReport,
     InputError,
     RootedPhyloTree,
     RootedTriple,
@@ -28,13 +29,16 @@ from setflex import (
     sigma_star,
     triples_of,
 )
+from setflex import flex, phylo
 from setflex.flex import _count_displaying_hosts, double_factorial, tree_count
 from conftest import (
     ALPHA,
     FIG1,
     FIG1P,
+    FIG3,
     balanced_shape,
     caterpillar_shape,
+    random_system,
     shuffled_labels,
     tsys,
     yule_shape,
@@ -124,6 +128,15 @@ class TestFlexibleBruteforce:
         with pytest.raises(BudgetExceededError):
             is_flexible_bruteforce(s, budget=1000)
 
+    def test_budget_is_checked_before_trees_are_built(self, monkeypatch):
+        # One 10-leaf member has 34,459,425 trees; none may be built.
+        def refuse(labels):
+            raise AssertionError(f"enumerated {len(labels)} leaves")
+
+        monkeypatch.setattr(flex, "_enumerate_trees", refuse)
+        with pytest.raises(BudgetExceededError, match="^34459425 assignments exceed"):
+            is_flexible_bruteforce(tsys("abcdefghij"), enum_cap=10)
+
     def test_pair_members_rejected(self):
         with pytest.raises(InputError):
             is_flexible_bruteforce(SetSystem([["a", "b"]]))
@@ -189,6 +202,86 @@ class TestFlexibleBruteforce:
                 for combo in combinations(range(len(sets)), size):
                     sub = SetSystem([sorted(sets[i]) for i in combo])
                     assert is_flexible_bruteforce(sub).verdict
+
+
+def full_pool_scan(system: SetSystem):
+    """The reference scan: every assignment pools the triples of every
+    member, in the same mixed-radix order (last member fastest).
+    Returns (verdict, counterexample, assignments_checked)."""
+    tree_lists = [
+        enumerate_binary_trees(system.member_labels(i))
+        for i in range(system.member_count)
+    ]
+    taxa = system.leaf_labels()
+    checked = 0
+    for assignment in product(*tree_lists):
+        checked += 1
+        pooled = [t for tree in assignment for t in triples_of(tree)]
+        if not build_supertree(pooled, taxa=taxa).compatible:
+            return False, assignment, checked
+    return True, None, checked
+
+
+class TestScanCore:
+    """Peeling members that meet the rest in <= 2 taxa changes nothing
+    the scan reports."""
+
+    @staticmethod
+    def check(system: SetSystem) -> FlexReport:
+        report = is_flexible_bruteforce(system)
+        verdict, counterexample, checked = full_pool_scan(system)
+        assert report.verdict == verdict
+        assert report.counterexample == counterexample
+        assert report.assignments_checked == checked
+        return report
+
+    @pytest.mark.parametrize("words, core", [
+        (FIG1, 0),
+        (FIG1P, 4),
+        (FIG3, 4),
+        # Three triples on four taxa, then a stride-2 chain hanging off them.
+        (("abc", "abd", "acd", "dfg", "ghi", "ijk"), 3),
+        (("abcd",), 0),
+    ])
+    def test_core_members(self, words, core):
+        report = is_flexible_bruteforce(tsys(*words))
+        assert report.core_members == core
+
+    def test_seeded_random_systems_match_the_full_pool(self):
+        rng = random.Random(16)
+        cores = set()
+        verdicts = set()
+        for _ in range(400):
+            s = random_system(rng, rng.randint(4, 7), rng.randint(2, 5), (3, 4))
+            report = self.check(s)
+            cores.add(report.core_members)
+            verdicts.add(report.verdict)
+        assert verdicts == {True, False}
+        assert {0, 3, 4} <= cores
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_property_matches_the_full_pool(self, data):
+        n = data.draw(st.integers(4, 7), label="taxa")
+        count = data.draw(st.integers(1, 4), label="members")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        self.check(random_system(random.Random(seed), n, count, (3, 4)))
+
+    def test_slim_chain_builds_on_no_triples(self, monkeypatch):
+        sizes = []
+        real = phylo.build_supertree
+
+        def counting(triples, taxa=None):
+            triples = list(triples)
+            sizes.append(len(triples))
+            return real(triples, taxa=taxa)
+
+        monkeypatch.setattr(phylo, "build_supertree", counting)
+        # Six triples on consecutive taxa: each shares the two latest taxa.
+        report = is_flexible_bruteforce(tsys(*(ALPHA[i:i + 3] for i in range(6))))
+        assert report.verdict and report.core_members == 0
+        assert report.assignments_checked == 729
+        assert sizes == [0] * 729
 
 
 class TestCountDisplaying:

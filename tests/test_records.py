@@ -25,7 +25,8 @@ TREE = RootedPhyloTree((("a", "b"), "c"))
 
 # (record type, keywords, {property: expected value}, hashable)
 RECORDS = [
-    (FlexReport, dict(verdict=False, counterexample=(TREE,), assignments_checked=3),
+    (FlexReport, dict(verdict=False, counterexample=(TREE,), assignments_checked=3,
+                      core_members=2),
      {}, True),
     (BipartiteIncidenceGraph,
      dict(member_count=2, taxa=(0, 1, 2), taxon_labels=("a", "b", "c"),
