@@ -152,7 +152,8 @@ def is_flexible_bruteforce(
     at most two taxa cannot make an assignment incompatible, and the
     verdict, the counterexample (the first failing assignment, every
     member's tree included) and `assignments_checked` are those of a scan
-    that pools every member.
+    that pools every member.  BUILD caches its leaf index per taxa tuple
+    and its star tree, the answer to an empty core (Fig. 1, slim chains).
     """
     check_limit("budget", budget)
     check_limit("enum_cap", enum_cap)

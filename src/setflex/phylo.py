@@ -696,9 +696,10 @@ def _build_masks(pairs: list[tuple[int, int]], root: int):
 
 
 @lru_cache(maxsize=32)
-def _leaf_bits(leaves: tuple[str, ...]) -> dict[str, int]:
-    """Bit i for the i-th of the sorted `leaves`; shared, so never mutated."""
-    return {lab: 1 << i for i, lab in enumerate(leaves)}
+def _leaf_index(taxa: tuple[str, ...]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """Sorted distinct `taxa` and bit i for the i-th; shared, never mutated."""
+    leaves = tuple(sorted(set(taxa)))
+    return leaves, {lab: 1 << i for i, lab in enumerate(leaves)}
 
 
 @lru_cache(maxsize=32)
@@ -707,6 +708,14 @@ def _check_leaves(leaves: tuple[str, ...]) -> bool:
     for lab in leaves:
         check_label(lab)
     return True
+
+
+@lru_cache(maxsize=32)
+def _star(leaves: tuple[str, ...]) -> BuildResult:
+    """The star tree on `leaves` (a lone leaf for one), what no triples give."""
+    _check_leaves(leaves)
+    shape = leaves if len(leaves) > 1 else leaves[0]
+    return BuildResult(tree=RootedPhyloTree._from_canonical(shape, leaves), witness=None)
 
 
 def build_supertree(
@@ -729,27 +738,29 @@ def build_supertree(
     therefore already the canonical shape (children in order of smallest
     label, every interior vertex with two or more children, distinct
     labels), so the tree is assembled bottom-up and wrapped without
-    re-canonicalizing.  The leaf-to-bit map and the label check are
-    cached per sorted leaf tuple, so repeated calls on one leaf set (the
-    flexibility scan makes one per assignment) pay for neither again;
-    labels are checked only when the input is compatible, and a bad
-    label raises on every call, since a raising check is not cached.
+    re-canonicalizing.  The sorted leaves and bit map are cached per
+    `taxa` tuple as passed, the label check and the star tree (the answer
+    to no triples, shared between calls) per sorted leaf tuple, so
+    repeated calls with one taxa tuple (the flexibility scan makes one
+    per assignment) pay for none of them again.  Labels are checked only
+    when the input is compatible, and a bad label raises on every call,
+    since a raising check is not cached.
     """
     tr = list(triples)
     if taxa is None:
         leaf_set: set[str] = set()
         for t in tr:
             leaf_set.update(t)
-    else:
-        leaf_set = set(taxa)
-    leaves = tuple(sorted(leaf_set))
-    bit_of = _leaf_bits(leaves)
+        taxa = sorted(leaf_set)
+    leaves, bit_of = _leaf_index(tuple(taxa))
     try:
         pairs = [(ab := bit_of[a] | bit_of[b], ab | bit_of[c]) for a, b, c in tr]
     except KeyError:
         raise InputError("triples mention taxa outside the given leaf set") from None
     if not leaves:
         raise InputError("supertree needs at least one taxon")
+    if not pairs:
+        return _star(leaves)
 
     full = (1 << len(leaves)) - 1
     splits, witness = _build_masks(pairs, full)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setflex import phylo
 from setflex import (
     BuildResult,
     InputError,
@@ -565,6 +566,24 @@ class TestBuildAgainstMaskReference:
         assert result == reference_mask_build(triples, taxa="abcdefgz")
         assert build_supertree([], taxa="ab").tree.newick() == "(a,b);"
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_empty_pool_any_taxa_iterable(self, n):
+        labels = ALPHA[:n]
+        expected = reference_mask_build([], taxa=labels)
+        given = {
+            "sorted tuple": lambda: tuple(labels),
+            "unsorted tuple with duplicates": lambda: tuple(labels[::-1] + labels[:2]),
+            "list": lambda: list(labels),
+            "set": lambda: set(labels),
+            "str": lambda: labels,
+            "generator": lambda: (lab for lab in labels),
+        }
+        for make in given.values():
+            for _ in range(2):  # the second call meets the caches
+                result = build_supertree([], taxa=make())
+                assert result == expected
+                assert result.tree.leaves == tuple(labels)
+
 
 class TestBuildLabels:
     def test_bad_label_raises_on_every_compatible_call(self):
@@ -588,6 +607,56 @@ class TestBuildLabels:
         with pytest.raises(InputError):
             build_supertree([trip("a,b|c")], taxa={"a", "b", "c", "x,y"})
         assert build_supertree([trip("a,b|c")]).compatible
+
+
+class TestBuildEmptyPool:
+    """No triples take a cached star tree; the checks stay as they were."""
+
+    def test_bad_label_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InputError, match="b;"):
+                build_supertree([], taxa={"a", "b;"})
+
+    def test_empty_taxa(self):
+        for taxa in ((), [], "", None):
+            with pytest.raises(InputError, match="at least one taxon"):
+                build_supertree([], taxa=taxa)
+
+    def test_outside_taxon_after_cached_calls(self):
+        taxa = tuple("abcd")
+        for triples in ([], [trip("a,b|c")], [trip("a,b|z")], [], [trip("a,z|b")]):
+            if "z" in {lab for t in triples for lab in t}:
+                with pytest.raises(InputError, match="outside"):
+                    build_supertree(triples, taxa=taxa)
+            else:
+                assert build_supertree(triples, taxa=taxa) == reference_mask_build(
+                    triples, taxa=taxa)
+
+    def test_more_leaf_sets_than_the_caches_hold(self):
+        rng = random.Random(810)
+        leaf_sets = [tuple(rng.sample(ALPHA, rng.randint(1, 12))) for _ in range(80)]
+        for round_ in range(3):
+            for i, taxa in enumerate(leaf_sets):
+                count = 0 if (i + round_) % 2 or len(taxa) < 3 else rng.randint(1, 6)
+                triples = _random_triples(rng, taxa, count)
+                assert build_supertree(triples, taxa=taxa) == reference_mask_build(
+                    triples, taxa=taxa)
+
+    def test_no_mask_build_without_triples(self, monkeypatch):
+        calls = []
+        real = phylo._build_masks
+
+        def counting(pairs, root):
+            calls.append(len(pairs))
+            return real(pairs, root)
+
+        monkeypatch.setattr(phylo, "_build_masks", counting)
+        for n in (1, 2, 3, 7, 20):
+            for _ in range(2):
+                assert build_supertree([], taxa=ALPHA[:n]).compatible
+        assert calls == []
+        assert build_supertree([trip("a,b|c")], taxa="abcd").compatible
+        assert calls == [1]
 
 
 class TestBuildLarge:
