@@ -7,27 +7,28 @@ constructs the accompanying certificates: minimizing subsets, systems of
 distinct representatives, supertrees, caterpillar representations, and
 total-order extensions.
 
-The layer modules `setsys`, `phylo`, `graphopt`, `flex` and `represent`
-are registered with `importlib.util.LazyLoader`: `setflex.graphopt` and
-`sys.modules["setflex.graphopt"]` exist from the start, but the module's
-source is compiled and run on its first attribute access.  Every CLI
-request is a fresh interpreter, so it pays only for the layers it runs:
-`check thin|slim|flexible` (mincut) and `sdr` load `setsys` and
-`graphopt`; `check thin|slim --method exhaustive` loads `setsys`;
-`check flexible --method bruteforce` loads `setsys`, `phylo` and
-`flex`; `count` and `gen-defining` load `phylo` and `flex`, and
-`count --formula-n` alone only `flex`; `supertree` loads `phylo`;
-`represent` loads all but `flex`, `check order-flexible` `setsys`,
+The layer modules `setsys`, `exhaustive`, `phylo`, `graphopt`, `flex`
+and `represent` are registered with `importlib.util.LazyLoader`:
+`setflex.graphopt` and `sys.modules["setflex.graphopt"]` exist from the
+start, but the module's source is compiled and run on its first
+attribute access.  Every CLI request is a fresh interpreter, so it pays
+only for the layers it runs: `check thin|slim|flexible` (mincut) and
+`sdr` load `setsys` and `graphopt`; `check thin|slim --method
+exhaustive` loads `setsys` and `exhaustive`; `check flexible --method
+bruteforce` loads `setsys`, `phylo` and `flex`; `count` and
+`gen-defining` load `phylo` and `flex`, and `count --formula-n` alone
+only `flex`; `supertree` loads `phylo`; `represent` loads `setsys`,
+`graphopt`, `phylo` and `represent`, `check order-flexible` `setsys`,
 `graphopt` and `represent`, and `order` only `represent`.  The tree
 layers stay off `setsys`: `phylo` takes `check_label` from `errors`,
 and `flex` names `setsys.SetSystem` only in annotations.  `flex` and
 `represent` reach the other layers as module attributes, so a layer
-runs only when a function that needs it does.  Imports
-inside each command function would save the same time, but the modules
-would then be missing from `sys.modules` after `import setflex.cli`,
-where a tracer that wraps their functions looks them up.  The names
-re-exported here (`setflex.is_thin`, ...) are served by a module
-`__getattr__`, so they too load their module on first use.
+runs only when a function that needs it does.  Imports inside each
+command function would save the same time, but the modules would then
+be missing from `sys.modules` after `import setflex.cli`, where a
+tracer that wraps their functions looks them up.  The names re-exported
+here (`setflex.is_thin`, ...) are served by a module `__getattr__`, so
+they too load their module on first use.
 """
 
 import importlib.util
@@ -46,6 +47,10 @@ from .errors import (
 
 # Layer module -> the names the package re-exports from it.
 _EXPORTS = {
+    "exhaustive": (
+        "ExcessReport", "check_submodular_pair", "is_slim_exhaustive",
+        "is_thin_exhaustive", "patchwork_check",
+    ),
     "flex": (
         "FlexReport", "count_displaying", "defining_triples", "disjoint_count_formula",
         "enumerate_binary_trees", "is_flexible_bruteforce", "is_unique_display",
@@ -56,23 +61,20 @@ _EXPORTS = {
         "sdr", "sigma_star", "surplus_forest",
     ),
     "phylo": (
-        "BuildResult", "RootedPhyloTree", "RootedTriple", "UnrootedPhyloTree",
-        "build_supertree", "cluster_graph", "displays_clusters", "displays_tree",
-        "displays_triple", "make_binary", "parse_newick", "parse_triple",
-        "parse_triples_text", "restrict", "spanning_triples", "triples_of",
+        "BuildResult", "RootedPhyloTree", "RootedTriple", "build_supertree",
+        "displays_clusters", "displays_triple", "make_binary", "parse_newick",
+        "parse_triple", "parse_triples_text", "spanning_triples", "triples_of",
     ),
     "represent": (
-        "OrderReport", "RepresentationReport", "caterpillar_median_representation",
-        "extend_to_total_order", "is_total_order_flexible",
-        "lca_caterpillar_representation", "rooted_caterpillar", "unrooted_caterpillar",
-        "verify_median_injective",
+        "OrderReport", "RepresentationReport", "UnrootedPhyloTree",
+        "caterpillar_median_representation", "extend_to_total_order",
+        "is_total_order_flexible", "lca_caterpillar_representation",
+        "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
     "setsys": (
-        "CheckReport", "ExcessReport", "SetSystem", "Taxon", "check_submodular_pair",
-        "excess_general", "excess_uniform", "format_sets_json", "format_sets_text",
-        "gamma", "is_slim_exhaustive", "is_thin_exhaustive", "leaf_union",
-        "occurrence_count", "parse_sets", "parse_sets_json", "parse_sets_text",
-        "patchwork_check", "sigma",
+        "CheckReport", "SetSystem", "Taxon", "excess_general", "excess_uniform",
+        "gamma", "occurrence_count", "parse_sets", "parse_sets_json",
+        "parse_sets_text", "sigma",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

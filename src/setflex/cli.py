@@ -22,7 +22,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import flex, graphopt, phylo, represent, setsys
+from . import exhaustive, flex, graphopt, phylo, represent, setsys
 from .errors import (
     CapExceededError,
     InputError,
@@ -53,21 +53,20 @@ def _member_str(system: setsys.SetSystem, index: int) -> str:
     return ",".join(system.member_labels(index))
 
 
-def _render_certificate(system: setsys.SetSystem, certificate) -> object:
+def _render_certificate(system: setsys.SetSystem, report) -> object:
     """An exhaustive check's `ExcessReport` or a min-cut check's
-    `MinimizerReport`, or None."""
+    `MinimizerReport`, told apart by the report's method, or None."""
+    certificate = report.certificate
     if certificate is None:
         return None
-    if isinstance(certificate, setsys.ExcessReport):
+    witness = [_member_str(system, i) for i in certificate.witness]
+    if report.method == "exhaustive":
         return {
             "excess": certificate.value,
             "leaf_count": certificate.leaf_count,
-            "witness": [_member_str(system, i) for i in certificate.witness],
+            "witness": witness,
         }
-    return {
-        "value": certificate.value,
-        "witness": [_member_str(system, i) for i in certificate.witness],
-    }
+    return {"value": certificate.value, "witness": witness}
 
 
 def _render_order_certificate(system: setsys.SetSystem, report) -> object:
@@ -155,12 +154,12 @@ def _cmd_check(ns) -> tuple[int, dict, list[str]]:
         if method == "mincut":
             report = graphopt.is_thin(system, r) if kind == "thin" else graphopt.is_slim(system)
         elif method == "exhaustive" and kind == "thin":
-            report = setsys.is_thin_exhaustive(system, r, **cap_kwargs)
+            report = exhaustive.is_thin_exhaustive(system, r, **cap_kwargs)
         elif method == "exhaustive" and kind == "slim":
-            report = setsys.is_slim_exhaustive(system, **cap_kwargs)
+            report = exhaustive.is_slim_exhaustive(system, **cap_kwargs)
         else:
             raise InputError(f"unsupported method {method!r} for {kind}")
-        certificate_json = _render_certificate(system, report.certificate)
+        certificate_json = _render_certificate(system, report)
 
     payload["verdict"] = report.verdict
     payload["method"] = report.method

@@ -21,7 +21,8 @@ listing trees: a BUILD-style recursion over the possible root splits of
 each leaf mask (`_count_by_splits`), at most about 3^n/2 split terms on
 n leaves instead of (2n-3)!! trees.  Its scopes split into components
 by `phylo._components`, the union-find BUILD runs.  The enumeration cap
-still bounds the leaf count of a count, with the same error.  Whether
+still bounds the leaf count of a count, with the same error, and the
+assignment budget bounds its split terms.  Whether
 exactly one tree displays a triple set is one BUILD call
 (`is_unique_display`), with no cap.  `phylo` is reached as a module
 attribute, like `setsys`, so loading this module does not load it.
@@ -216,29 +217,6 @@ def is_flexible_bruteforce(
             )
 
 
-def _triple_masks(hosts, triples):
-    bits = hosts[0].leaf_bits()
-    return [
-        (bits[t.first] | bits[t.second] | bits[t.out], bits[t.first] | bits[t.second])
-        for t in triples
-    ]
-
-
-def _count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
-    """How many of `hosts` display every triple: the enumeration oracle."""
-    pairs = _triple_masks(hosts, triples)
-    count = 0
-    for host in hosts:
-        for want, cherry in pairs:
-            if host.resolve_mask(want) != cherry:
-                break
-        else:
-            count += 1
-            if stop_at is not None and count >= stop_at:
-                return count
-    return count
-
-
 def _count_by_splits(labels: tuple[str, ...], triples) -> int:
     """Number of rooted binary trees on `labels` displaying every triple.
 
@@ -255,7 +233,10 @@ def _count_by_splits(labels: tuple[str, ...], triples) -> int:
     A first pass from the full mask finds every scope the sum reaches
     and its split terms; the counts are then summed smallest scope first,
     so there is no recursion.  A scope of k components has 2^(k-1) - 1
-    terms, at most about 3^n/2 over all scopes on n leaves.
+    terms, at most about 3^n/2 over all scopes on n leaves, so the table
+    is bounded: more than `DEFAULT_ASSIGNMENT_BUDGET` terms is a
+    `BudgetExceededError`, raised before the scope that passes it is
+    listed.
     """
     bit = {lab: 1 << i for i, lab in enumerate(labels)}
     pairs = [
@@ -263,26 +244,35 @@ def _count_by_splits(labels: tuple[str, ...], triples) -> int:
         for t in triples
     ]
     full = (1 << len(labels)) - 1
-    terms: dict[int, list[tuple[int, int]]] = {}
-    stack = [(full, pairs)]
+    # A scope's terms are its sides A, and S-A is scope ^ A.  A scope is
+    # queued once, when first reached; one leaf needs no terms.
+    terms: dict[int, list[int]] = {full: []} if full & (full - 1) else {}
+    stack = [(full, pairs)] if terms else []
+    listed = 0
     while stack:
         scope, outer = stack.pop()
-        if scope in terms or not scope & (scope - 1):
-            continue
         inside = [p for p in outer if p[1] | scope == scope]
         low, *rest = phylo._components(scope, inside)
-        splits = terms[scope] = []
+        listed += (1 << len(rest)) - 1
+        if listed > DEFAULT_ASSIGNMENT_BUDGET:
+            raise BudgetExceededError(
+                f"counting trees on {len(labels)} taxa needs more than "
+                f"{DEFAULT_ASSIGNMENT_BUDGET} split terms"
+            )
+        splits = terms[scope]
         for pick in range((1 << len(rest)) - 1):
             side = low
             for i, comp in enumerate(rest):
                 if pick >> i & 1:
                     side |= comp
-            splits.append((side, scope ^ side))
-            stack.append((side, inside))
-            stack.append((scope ^ side, inside))
+            splits.append(side)
+            for part in (side, scope ^ side):
+                if part & (part - 1) and part not in terms:
+                    terms[part] = []
+                    stack.append((part, inside))
     count = dict.fromkeys(bit.values(), 1)
     for scope in sorted(terms, key=int.bit_count):
-        count[scope] = sum(count[a] * count[b] for a, b in terms[scope])
+        count[scope] = sum(count[a] * count[scope ^ a] for a in terms[scope])
     return count[full]
 
 
@@ -294,7 +284,9 @@ def count_displaying(
     The guests are binary, so a tree displays one iff it displays its
     spanning triples; those are pooled and counted by the split
     recursion (`_count_by_splits`), not by listing the (2n-3)!! trees.
-    More than `cap` taxa is a `CapExceededError`, as for enumeration.
+    More than `cap` taxa is a `CapExceededError`, as for enumeration, and
+    more than `DEFAULT_ASSIGNMENT_BUDGET` split terms a
+    `BudgetExceededError`.
     """
     labels = set(taxa)
     pooled: list[phylo.RootedTriple] = []

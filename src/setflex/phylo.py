@@ -1,38 +1,35 @@
-"""Rooted and unrooted phylogenetic trees, rooted triples, and supertrees.
+"""Rooted phylogenetic trees, rooted triples, and supertrees.
 
 Rooted trees are stored as canonical nested tuples: a leaf is its label,
 an interior vertex is the tuple of its child subtrees sorted by smallest
 contained label.  Equality of canonical forms decides leaf-labeled
 isomorphism, and Newick output of a canonical tree round-trips to the
 byte.  Vertices are addressed by preorder index over the canonical form.
-
 Newick here is deliberately restricted: no branch lengths, no quoted
-labels, no internal labels.  Unrooted trees are serialized by rooting at
-the interior vertex adjacent to the smallest leaf label (the root then
-carries degree-many children).
+labels, no internal labels.
 
 Leaf sets inside a tree and inside BUILD are integer bitmasks over the
 sorted leaf labels (bit i is the i-th smallest label), so "smallest
 contained label" is "lowest set bit".  `resolve` and `displays_triple`
-share one descent over cluster masks, `lca`, `depth` and `median` one
-preorder sparse table (`_lca_table`).  Whole trees are compared on their
+share one descent over cluster masks, and `lca` and `depth` read one
+preorder sparse table (`_lca_table`), which `represent`'s unrooted
+caterpillars use for medians too.  Whole trees are compared on their
 cluster masks (`displays_clusters`) and enter BUILD as their
 `spanning_triples`, n-2 for a binary tree, not as all C(n,3) of
 `triples_of`.  BUILD (Aho et al., 1981) runs on `(cherry_mask,
 all_mask)` pairs with an explicit stack of scopes; `_components`, its
 union-find over leaf bits, is the one routine that splits a scope into
 cluster-graph components, and `flex` counts displaying trees with it.
-Canonicalization, equality, indexing, Newick printing, `restrict` and
-`make_binary` also walk trees with explicit stacks, so trees of any
-depth can be built, compared, queried and printed.  `parse_newick`
-still recurses.
+Canonicalization, equality, indexing, Newick printing and `make_binary`
+also walk trees with explicit stacks, so trees of any depth can be
+built, compared, queried and printed.  `parse_newick` still recurses.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, ParseError, check_label
 
@@ -550,33 +547,6 @@ def displays_clusters(host: RootedPhyloTree, guest: RootedPhyloTree) -> bool:
     return {m & span for m in host._ensure_index()[3]}.issuperset(mapped)
 
 
-def displays_tree(host: RootedPhyloTree, guest: RootedPhyloTree) -> bool:
-    """True iff every rooted triple of the binary guest is displayed by host."""
-    if not guest.is_binary():
-        raise InputError("guest tree must be binary")
-    return displays_clusters(host, guest)
-
-
-def restrict(tree: RootedPhyloTree, taxa: Iterable[str]) -> RootedPhyloTree:
-    """Minimal subtree spanning the given leaves, degree-2 vertices suppressed."""
-    want = set(taxa)
-    if not want:
-        raise InputError("cannot restrict to an empty leaf set")
-    missing = want - set(tree.leaves)
-    if missing:
-        raise InputError(f"taxa not in tree: {sorted(missing)}")
-
-    def prune(values: list):
-        kept = [v for v in values if v is not None]
-        if not kept:
-            return None
-        return kept[0] if len(kept) == 1 else tuple(kept)
-
-    return RootedPhyloTree(
-        _fold(tree.shape, lambda leaf: leaf if leaf in want else None, prune)
-    )
-
-
 def make_binary(tree: RootedPhyloTree) -> RootedPhyloTree:
     """Deterministic binary refinement: fold children left-leaning in canonical order."""
 
@@ -590,23 +560,6 @@ def make_binary(tree: RootedPhyloTree) -> RootedPhyloTree:
 
 
 # -- cluster graph and BUILD ---------------------------------------------------
-
-
-def cluster_graph(
-    triples: Iterable[RootedTriple], taxa: Iterable[str]
-) -> dict[str, tuple[str, ...]]:
-    """The graph on `taxa` with an edge {a,b} for each triple ab|c inside it.
-
-    Only triples with all three leaves in `taxa` contribute.
-    """
-    nodes = sorted(set(taxa))
-    node_set = set(nodes)
-    adj: dict[str, set[str]] = {v: set() for v in nodes}
-    for t in triples:
-        if t.taxa <= node_set:
-            adj[t.first].add(t.second)
-            adj[t.second].add(t.first)
-    return {v: tuple(sorted(adj[v])) for v in nodes}
 
 
 class BuildResult(NamedTuple):
@@ -744,7 +697,8 @@ def build_supertree(
     repeated calls with one taxa tuple (the flexibility scan makes one
     per assignment) pay for none of them again.  Labels are checked only
     when the input is compatible, and a bad label raises on every call,
-    since a raising check is not cached.
+    since a raising check is not cached.  A triple that repeats a taxon
+    is an `InputError`.
     """
     tr = list(triples)
     if taxa is None:
@@ -761,6 +715,11 @@ def build_supertree(
         raise InputError("supertree needs at least one taxon")
     if not pairs:
         return _star(leaves)
+    # The plain `RootedTriple(...)` constructor checks nothing; a repeated
+    # taxon leaves fewer than three bits.
+    for t, (_, whole) in zip(tr, pairs):
+        if whole.bit_count() != 3:
+            raise InputError(f"rooted triple needs three distinct taxa, got {tuple(t)}")
 
     full = (1 << len(leaves)) - 1
     splits, witness = _build_masks(pairs, full)
@@ -787,125 +746,3 @@ def build_supertree(
     tree = RootedPhyloTree._from_canonical(shape, leaves)
     return BuildResult(tree=tree, witness=None)
 
-
-# -- unrooted trees -------------------------------------------------------------
-
-
-class UnrootedPhyloTree:
-    """An unrooted phylogenetic tree: leaves labeled, interior degree >= 3."""
-
-    __slots__ = ("_adj", "_labels", "_label_to_v", "_hang", "_lca")
-
-    def __init__(
-        self,
-        edges: Iterable[tuple[int, int]],
-        leaf_labels: Mapping[int, str],
-    ):
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            if u == v:
-                raise InputError("self-loops are not allowed")
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        for v, nb in adj.items():
-            if len(nb) != len(set(nb)):
-                raise InputError(f"parallel edges at vertex {v}")
-        labels = dict(leaf_labels)
-        for v, lab in labels.items():
-            check_label(lab)
-            if v not in adj:
-                raise InputError(f"labeled vertex {v} has no edges")
-        if len(set(labels.values())) != len(labels):
-            raise InputError("duplicate leaf labels")
-        for v, nb in adj.items():
-            if len(nb) == 1 and v not in labels:
-                raise InputError(f"degree-1 vertex {v} is unlabeled")
-            if len(nb) > 1 and v in labels:
-                raise InputError(f"labeled vertex {v} is not a leaf")
-            if 1 < len(nb) < 3:
-                raise InputError(f"interior vertex {v} has degree {len(nb)} < 3")
-        # Connectivity and acyclicity, with a preorder (vertex, parent position)
-        # from the smallest leaf's neighbour that hangs it for median and newick.
-        order, parents, pos = [], [], {}
-        root = adj[min(labels, key=labels.get)][0] if labels else next(iter(adj), None)
-        stack = [(root, -1)] if adj else []
-        while stack:
-            v, up = stack.pop()
-            if v not in pos:
-                pos[v] = len(order)
-                order.append(v)
-                parents.append(up)
-                stack.extend((w, pos[v]) for w in adj[v] if w not in pos)
-        if len(order) != len(adj):
-            raise InputError("tree is not connected")
-        if adj and sum(map(len, adj.values())) // 2 != len(adj) - 1:
-            raise InputError("edge count does not match a tree")
-        self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
-        self._labels = labels
-        self._label_to_v = {lab: v for v, lab in labels.items()}
-        self._hang, self._lca = (order, pos, parents), None
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._adj))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(sorted(self._labels.values()))
-
-    def leaf_vertex(self, label: str) -> int:
-        try:
-            return self._label_to_v[label]
-        except KeyError:
-            raise InputError(f"unknown leaf {label!r}") from None
-
-    def label(self, v: int) -> str | None:
-        return self._labels.get(v)
-
-    def interior_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if v not in self._labels)
-
-    def is_binary(self) -> bool:
-        return all(len(self._adj[v]) == 3 for v in self.interior_vertices())
-
-    def cherry_count(self) -> int:
-        """Number of leaf pairs sharing a neighbor."""
-        count = 0
-        for v in self.interior_vertices():
-            leafy = sum(1 for w in self._adj[v] if w in self._labels)
-            count += leafy * (leafy - 1) // 2
-        return count
-
-    def median(self, taxa: Iterable[str]) -> int:
-        """The vertex shared by the three leaf paths: the deepest pairwise lca."""
-        labs = sorted(set(taxa))
-        if len(labs) != 3:
-            raise InputError(f"median needs exactly three taxa, got {labs}")
-        order, pos, parents = self._hang
-        if self._lca is None:
-            self._lca = _lca_table(parents)
-        depths, table = self._lca
-        a, b, c = sorted(pos[self.leaf_vertex(x)] for x in labs)
-        return order[max(_lca(table, a, b), _lca(table, a, c), _lca(table, b, c),
-                         key=depths.__getitem__)]
-
-    def newick(self) -> str:
-        """Serialize by rooting at the interior vertex next to the smallest leaf."""
-        if len(self._adj) == 2:
-            a, b = sorted(self._labels.values())
-            return f"({a},{b});"
-        # The preorder hangs the tree from that vertex: build the nested
-        # shape from the far end back, and print its canonical form, whose
-        # children are ordered by smallest leaf label.
-        order, _, parents = self._hang
-        kids: list[list[Shape]] = [[] for _ in order]
-        for p in range(len(order) - 1, 0, -1):
-            v = order[p]
-            kids[parents[p]].append(self._labels[v] if v in self._labels else tuple(kids[p]))
-        return RootedPhyloTree(tuple(kids[0])).newick()

@@ -1,5 +1,13 @@
 """Caterpillar representations and total-order flexibility.
 
+Median representations live on unrooted trees, so `UnrootedPhyloTree`
+is defined here, where its only user is: an edge list with labeled
+leaves, its medians read off `phylo`'s preorder sparse table
+(`phylo._lca_table`) of the tree hung from the interior vertex next to
+the smallest leaf, and its Newick text printed through
+`phylo.RootedPhyloTree` from the same hanging.  Requests that never
+build one (supertree, count, the flexibility scan) do not compile it.
+
 A caterpillar is handled as a leaf sequence: sequence position p (with
 0 <= p <= n-1) attaches to spine vertex w_{max(0, min(p-1, n-3))}, and
 the median of a 3-set is the spine vertex of its middle element.  A
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import graphopt, phylo, setsys
 from .errors import (
@@ -37,10 +45,134 @@ from .errors import (
 DEFAULT_ORIENTATION_CAP = 20
 
 
+# -- unrooted trees -------------------------------------------------------------
+
+
+class UnrootedPhyloTree:
+    """An unrooted phylogenetic tree: leaves labeled, interior degree >= 3."""
+
+    __slots__ = ("_adj", "_labels", "_label_to_v", "_hang", "_lca")
+
+    def __init__(
+        self,
+        edges: Iterable[tuple[int, int]],
+        leaf_labels: Mapping[int, str],
+    ):
+        adj: dict[int, list[int]] = {}
+        for u, v in edges:
+            if u == v:
+                raise InputError("self-loops are not allowed")
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        for v, nb in adj.items():
+            if len(nb) != len(set(nb)):
+                raise InputError(f"parallel edges at vertex {v}")
+        labels = dict(leaf_labels)
+        for v, lab in labels.items():
+            check_label(lab)
+            if v not in adj:
+                raise InputError(f"labeled vertex {v} has no edges")
+        if len(set(labels.values())) != len(labels):
+            raise InputError("duplicate leaf labels")
+        for v, nb in adj.items():
+            if len(nb) == 1 and v not in labels:
+                raise InputError(f"degree-1 vertex {v} is unlabeled")
+            if len(nb) > 1 and v in labels:
+                raise InputError(f"labeled vertex {v} is not a leaf")
+            if 1 < len(nb) < 3:
+                raise InputError(f"interior vertex {v} has degree {len(nb)} < 3")
+        # Connectivity and acyclicity, with a preorder (vertex, parent position)
+        # from the smallest leaf's neighbour that hangs it for median and newick.
+        order, parents, pos = [], [], {}
+        root = adj[min(labels, key=labels.get)][0] if labels else next(iter(adj), None)
+        stack = [(root, -1)] if adj else []
+        while stack:
+            v, up = stack.pop()
+            if v not in pos:
+                pos[v] = len(order)
+                order.append(v)
+                parents.append(up)
+                stack.extend((w, pos[v]) for w in adj[v] if w not in pos)
+        if len(order) != len(adj):
+            raise InputError("tree is not connected")
+        if adj and sum(map(len, adj.values())) // 2 != len(adj) - 1:
+            raise InputError("edge count does not match a tree")
+        self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
+        self._labels = labels
+        self._label_to_v = {lab: v for v, lab in labels.items()}
+        self._hang, self._lca = (order, pos, parents), None
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self._adj))
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    @property
+    def leaves(self) -> tuple[str, ...]:
+        return tuple(sorted(self._labels.values()))
+
+    def leaf_vertex(self, label: str) -> int:
+        try:
+            return self._label_to_v[label]
+        except KeyError:
+            raise InputError(f"unknown leaf {label!r}") from None
+
+    def label(self, v: int) -> str | None:
+        return self._labels.get(v)
+
+    def interior_vertices(self) -> tuple[int, ...]:
+        return tuple(v for v in self.vertices if v not in self._labels)
+
+    def is_binary(self) -> bool:
+        return all(len(self._adj[v]) == 3 for v in self.interior_vertices())
+
+    def cherry_count(self) -> int:
+        """Number of leaf pairs sharing a neighbor."""
+        count = 0
+        for v in self.interior_vertices():
+            leafy = sum(1 for w in self._adj[v] if w in self._labels)
+            count += leafy * (leafy - 1) // 2
+        return count
+
+    def median(self, taxa: Iterable[str]) -> int:
+        """The vertex shared by the three leaf paths: the deepest pairwise lca."""
+        labs = sorted(set(taxa))
+        if len(labs) != 3:
+            raise InputError(f"median needs exactly three taxa, got {labs}")
+        order, pos, parents = self._hang
+        if self._lca is None:
+            self._lca = phylo._lca_table(parents)
+        depths, table = self._lca
+        a, b, c = sorted(pos[self.leaf_vertex(x)] for x in labs)
+        lca = phylo._lca
+        return order[max(lca(table, a, b), lca(table, a, c), lca(table, b, c),
+                         key=depths.__getitem__)]
+
+    def newick(self) -> str:
+        """Serialize by rooting at the interior vertex next to the smallest leaf."""
+        if len(self._adj) == 2:
+            a, b = sorted(self._labels.values())
+            return f"({a},{b});"
+        # The preorder hangs the tree from that vertex: build the nested
+        # shape from the far end back, and print its canonical form, whose
+        # children are ordered by smallest leaf label.
+        order, _, parents = self._hang
+        kids: list[list] = [[] for _ in order]
+        for p in range(len(order) - 1, 0, -1):
+            v = order[p]
+            kids[parents[p]].append(self._labels[v] if v in self._labels else tuple(kids[p]))
+        return phylo.RootedPhyloTree(tuple(kids[0])).newick()
+
+
 # -- caterpillar builders -----------------------------------------------------
 
 
-def unrooted_caterpillar(sequence: Iterable[str]) -> phylo.UnrootedPhyloTree:
+def unrooted_caterpillar(sequence: Iterable[str]) -> UnrootedPhyloTree:
     """The unrooted caterpillar with the given leaf order.
 
     Interior spine vertices are numbered 0..n-3 along the sequence;
@@ -58,7 +190,7 @@ def unrooted_caterpillar(sequence: Iterable[str]) -> phylo.UnrootedPhyloTree:
     for p in range(2, n - 1):
         edges.append((spine[p - 1], leaf_ids[p]))
     edges.append((spine[n - 3], leaf_ids[n - 1]))
-    return phylo.UnrootedPhyloTree(edges, {leaf_ids[i]: seq[i] for i in range(n)})
+    return UnrootedPhyloTree(edges, {leaf_ids[i]: seq[i] for i in range(n)})
 
 
 def rooted_caterpillar(sequence: Iterable[str]) -> phylo.RootedPhyloTree:
@@ -86,7 +218,7 @@ class RepresentationReport(NamedTuple):
     """
 
     kind: str
-    tree: phylo.UnrootedPhyloTree | phylo.RootedPhyloTree
+    tree: UnrootedPhyloTree | phylo.RootedPhyloTree
     sequence: tuple[str, ...]
     vertex_map: dict[int, int]
     verified: bool
@@ -348,7 +480,7 @@ def caterpillar_median_representation(system: setsys.SetSystem) -> Representatio
 
 
 def verify_median_injective(
-    tree: phylo.UnrootedPhyloTree,
+    tree: UnrootedPhyloTree,
     system: setsys.SetSystem,
     medians: dict[int, int] | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:

@@ -1,14 +1,13 @@
 """Set systems over an interned taxon universe and their excess measures.
 
 A `SetSystem` is a finite collection of distinct non-empty subsets of a
-taxon universe.  This module provides the surplus-style measures on
-member selections (uniform and general excess, sigma, gamma) and the
-submodular-inequality check used as a testing primitive.  Thin and slim
-are one Hall-type inequality |L(sel)| - sum(w(s)) >= c (thin: w = 1,
-c = r-1; slim: w = |s|-2, c = 2), so the exhaustive thin, slim and
-patchwork checks share one scan, which yields the minimizing witness
-and the zero-excess family together.  Everything here is exact integer
-combinatorics; the polynomial-time checks live in `graphopt`.
+taxon universe.  This module parses the text and JSON set-system
+formats and evaluates the surplus-style measures on member selections:
+uniform and general excess, sigma and gamma.  Thin and slim are one
+Hall-type inequality on these measures; `graphopt` decides them in
+polynomial time and `exhaustive` by scanning every selection, whose
+certificates name `excess_uniform` or `excess_general` here as their
+`recheck`.  Everything here is exact integer combinatorics.
 
 Taxa are interned: the universe is the lexicographically sorted tuple of
 labels and a taxon id is its position in that tuple.  Members are stored
@@ -21,17 +20,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    CapExceededError,
-    InputError,
-    MemberSizeError,
-    ParseError,
-    PreconditionError,
-    check_label,
-    check_limit,
-)
-
-DEFAULT_EXHAUSTIVE_CAP = 16
+from .errors import InputError, MemberSizeError, ParseError, check_label
 
 
 class Taxon(NamedTuple):
@@ -175,14 +164,6 @@ def normalize_selection(
 # -- reports -------------------------------------------------------------
 
 
-class ExcessReport(NamedTuple):
-    """A measure value together with the selection that achieves it."""
-
-    value: int
-    witness: tuple[int, ...]
-    leaf_count: int
-
-
 class CheckReport(NamedTuple):
     """Verdict plus certificate for a decision procedure.
 
@@ -201,15 +182,6 @@ class CheckReport(NamedTuple):
 
 
 # -- measures -------------------------------------------------------------
-
-
-def leaf_union(system: SetSystem, selection: Iterable[int]) -> frozenset[int]:
-    """Union of the selected members, as taxon ids.  Empty selection is empty."""
-    sel = normalize_selection(system, selection, allow_empty=True)
-    out: set[int] = set()
-    for i in sel:
-        out.update(system.members[i])
-    return frozenset(out)
 
 
 def _union_bits(system: SetSystem, sel: tuple[int, ...]) -> int:
@@ -283,165 +255,11 @@ def occurrence_count(system: SetSystem, x: int | str) -> int:
     return sum(1 for m in system.members if tid in m)
 
 
-# -- exhaustive thin/slim -------------------------------------------------
-
-
 def require_members(system: SetSystem) -> SetSystem:
     """Return the system unchanged; one without members is an `InputError`."""
     if not system.member_count:
         raise InputError("the set system has no members")
     return system
-
-
-def _check_cap(system: SetSystem, cap: int, hint: str) -> None:
-    if system.member_count > check_limit("cap", cap):
-        raise CapExceededError(
-            f"{system.member_count} members exceed the exhaustive cap {cap}; "
-            f"use {hint} instead"
-        )
-
-
-def _scan_excess(
-    system: SetSystem, weights: list[int], offset: int, smallest: int, recheck: str
-) -> tuple[CheckReport, list[int]]:
-    """Scan |L(sel)| - sum(w(s)) - offset over all selections of >= smallest members.
-
-    Each selection mask, in increasing order, is one OR and two sums of
-    (union, weight sum, size) subset tables of its low k//2 members and
-    the rest.  Ties on the minimum go to fewer members, then to the smaller
-    sorted index tuple: the mask holding the lowest differing bit.
-    Returns the report and the masks of excess 0, in increasing order.
-    """
-    bits = system.member_bits()
-    tables = []
-    for part in (slice(0, len(bits) // 2), slice(len(bits) // 2, None)):
-        table = [(0, 0, 0)]
-        for b, w in zip(bits[part], weights[part]):
-            table += [(u | b, s + w, n + 1) for u, s, n in table]
-        tables.append(table)
-    checked = mask = best_value = best_size = best_mask = best_union = 0
-    zeros: list[int] = []
-    for high_union, high_weight, high_size in tables[1]:
-        for low_union, low_weight, low_size in tables[0]:
-            size = high_size + low_size
-            if size >= smallest:
-                union = high_union | low_union
-                value = union.bit_count() - high_weight - low_weight - offset
-                if value == 0:
-                    zeros.append(mask)
-                if not checked or value < best_value or value == best_value and (
-                    size < best_size
-                    or size == best_size and mask & (d := mask ^ best_mask) & -d
-                ):
-                    best_value, best_size, best_mask, best_union = value, size, mask, union
-                checked += 1
-            mask += 1
-    verdict = not checked or best_value >= 0
-    certificate = None if verdict else ExcessReport(
-        best_value, _mask_to_sel(best_mask), best_union.bit_count()
-    )
-    stats = {"subsets_checked": checked,
-             "min_excess_scanned": best_value if checked else None}
-    return CheckReport(verdict, "exhaustive", certificate, stats, recheck), zeros
-
-
-def is_thin_exhaustive(
-    system: SetSystem, r: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> CheckReport:
-    """Scan all non-empty selections for negative uniform excess.
-
-    The witness (reported only on a false verdict) is the selection of
-    minimal excess, ties broken by smallest cardinality and then by
-    sorted index order.  For r=3 selections of size <= 2 are skipped:
-    their excess is never negative.
-    """
-    size = require_members(system).uniform_size()
-    if size != r:
-        raise MemberSizeError(f"system is not uniformly of size {r}")
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    _check_cap(system, cap, "graphopt.is_thin")
-    return _scan_excess(
-        system, [1] * system.member_count, r - 1, 3 if r == 3 else 1,
-        "setflex.setsys.excess_uniform",
-    )[0]
-
-
-def _slim_scan(system: SetSystem, cap: int) -> tuple[CheckReport, list[int]]:
-    weights = size_minus_two(require_members(system))
-    _check_cap(system, cap, "graphopt.is_slim")
-    return _scan_excess(system, weights, 2, 1, "setflex.setsys.excess_general")
-
-
-def is_slim_exhaustive(
-    system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> CheckReport:
-    """Scan all non-empty selections for negative general excess."""
-    return _slim_scan(system, cap)[0]
-
-
-# -- submodularity and patchwork -------------------------------------------
-
-
-def check_submodular_pair(
-    measure: str,
-    system: SetSystem,
-    sel1: Iterable[int],
-    sel2: Iterable[int],
-) -> tuple[bool, tuple[int, int, int, int]]:
-    """Evaluate f(A)+f(B) >= f(A|B)+f(A&B) for f in {sigma, gamma}.
-
-    Returns the verdict and the four evaluated values (A, B, union,
-    intersection).  Holds for every input; used as a property-test hook.
-    """
-    if measure == "sigma":
-        fn = sigma
-    elif measure == "gamma":
-        fn = gamma
-    else:
-        raise InputError(f"measure must be 'sigma' or 'gamma', got {measure!r}")
-    a = normalize_selection(system, sel1, allow_empty=True)
-    b = normalize_selection(system, sel2, allow_empty=True)
-    union = tuple(sorted(set(a) | set(b)))
-    inter = tuple(sorted(set(a) & set(b)))
-    fa, fb = fn(system, a), fn(system, b)
-    fu, fi = fn(system, union), fn(system, inter)
-    return fa + fb >= fu + fi, (fa, fb, fu, fi)
-
-
-def patchwork_check(
-    system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> CheckReport:
-    """Check that the zero-general-excess subset family is a patchwork.
-
-    The system must be slim (verified first).  The family P of non-empty
-    selections with general excess 0 is enumerated; the verdict is true
-    iff for every intersecting pair A,B in P both the union and the
-    intersection are again in P.  For slim inputs a counterexample must
-    not occur.
-    """
-    slim, family = _slim_scan(system, cap)
-    if not slim.verdict:
-        raise PreconditionError(
-            "patchwork_check requires a slim system", certificate=slim.certificate
-        )
-    in_family = set(family)
-    counterexample = next((
-        (_mask_to_sel(m1), _mask_to_sel(m2))
-        for pos, m1 in enumerate(family) for m2 in family[pos + 1:]
-        if m1 & m2 and not {m1 | m2, m1 & m2} <= in_family
-    ), None)
-    return CheckReport(
-        verdict=counterexample is None,
-        method="exhaustive",
-        certificate=counterexample,
-        stats={"family_size": len(family)},
-        recheck="setflex.setsys.excess_general",
-    )
-
-
-def _mask_to_sel(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # -- text and JSON formats --------------------------------------------------
@@ -461,11 +279,6 @@ def parse_sets_text(text: str) -> SetSystem:
     return SetSystem(sets)
 
 
-def format_sets_text(system: SetSystem) -> str:
-    lines = [",".join(system.member_labels(i)) for i in range(system.member_count)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def parse_sets_json(text: str) -> SetSystem:
     """JSON form: {"sets": [["a","b","c"], ...], "extra_taxa": [...]}."""
     try:
@@ -480,16 +293,6 @@ def parse_sets_json(text: str) -> SetSystem:
     if not isinstance(extra, list):
         raise ParseError('"extra_taxa" must be an array of labels')
     return SetSystem(sets, extra_taxa=extra)
-
-
-def format_sets_json(system: SetSystem) -> str:
-    payload: dict = {
-        "sets": [list(system.member_labels(i)) for i in range(system.member_count)]
-    }
-    extras = sorted(set(system.universe) - set(system.leaf_labels()))
-    if extras:
-        payload["extra_taxa"] = extras
-    return json.dumps(payload, sort_keys=True)
 
 
 def parse_sets(text: str) -> SetSystem:

@@ -6,11 +6,12 @@ independent of the library's id/bitmask code paths.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
-from setflex import InputError, SetSystem
-from setflex.setsys import check_label
+from setflex import InputError, RootedPhyloTree, SetSystem, phylo
+from setflex.setsys import check_label, normalize_selection
 
 ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -96,6 +97,83 @@ def component_count(adj: dict) -> int:
                     seen.add(w)
                     stack.append(w)
     return count
+
+
+def leaf_union(system: SetSystem, selection) -> frozenset[int]:
+    """Union of the selected members, as taxon ids.  Empty selection is empty."""
+    sel = normalize_selection(system, selection, allow_empty=True)
+    return frozenset(x for i in sel for x in system.members[i])
+
+
+def cluster_graph(triples, taxa) -> dict[str, tuple[str, ...]]:
+    """The graph on `taxa` with an edge {a,b} for each triple ab|c inside it."""
+    nodes = sorted(set(taxa))
+    node_set = set(nodes)
+    adj: dict[str, set[str]] = {v: set() for v in nodes}
+    for t in triples:
+        if t.taxa <= node_set:
+            adj[t.first].add(t.second)
+            adj[t.second].add(t.first)
+    return {v: tuple(sorted(adj[v])) for v in nodes}
+
+
+def restrict(tree: RootedPhyloTree, taxa) -> RootedPhyloTree:
+    """Minimal subtree spanning the given leaves, degree-2 vertices suppressed.
+
+    A fold with an explicit stack (`phylo._fold`), so trees of any depth work.
+    """
+    want = set(taxa)
+    if not want:
+        raise InputError("cannot restrict to an empty leaf set")
+    missing = want - set(tree.leaves)
+    if missing:
+        raise InputError(f"taxa not in tree: {sorted(missing)}")
+
+    def prune(values: list):
+        kept = [v for v in values if v is not None]
+        if not kept:
+            return None
+        return kept[0] if len(kept) == 1 else tuple(kept)
+
+    return RootedPhyloTree(
+        phylo._fold(tree.shape, lambda leaf: leaf if leaf in want else None, prune)
+    )
+
+
+def count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
+    """How many of `hosts` (trees on one leaf set) display every triple."""
+    bits = hosts[0].leaf_bits()
+    pairs = [
+        (bits[t.first] | bits[t.second] | bits[t.out], bits[t.first] | bits[t.second])
+        for t in triples
+    ]
+    count = 0
+    for host in hosts:
+        if all(host.resolve_mask(want) == cherry for want, cherry in pairs):
+            count += 1
+            if stop_at is not None and count >= stop_at:
+                break
+    return count
+
+
+# -- set-system formats -----------------------------------------------------------
+
+
+def format_sets_text(system: SetSystem) -> str:
+    """One member per line, the form `parse_sets_text` reads."""
+    lines = [",".join(system.member_labels(i)) for i in range(system.member_count)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def format_sets_json(system: SetSystem) -> str:
+    """The JSON form `parse_sets_json` reads, extra taxa included."""
+    payload: dict = {
+        "sets": [list(system.member_labels(i)) for i in range(system.member_count)]
+    }
+    extras = sorted(set(system.universe) - set(system.leaf_labels()))
+    if extras:
+        payload["extra_taxa"] = extras
+    return json.dumps(payload, sort_keys=True)
 
 
 # -- random generators ----------------------------------------------------------

@@ -35,13 +35,14 @@ from setflex import (
     sdr,
     sigma_star,
 )
-from setflex.flex import enumerate_binary_trees, _count_displaying_hosts
+from setflex.flex import enumerate_binary_trees
 from conftest import (
     ALPHA,
     FIG1,
     FIG1P,
     FIG3,
     brute_minimum,
+    count_displaying_hosts,
     oracle_gamma,
     oracle_sigma,
     random_slim_system,
@@ -222,7 +223,7 @@ def test_criterion_7_defining_triples():
         count = 0
         for assignment in product(*choice_sets):
             count += 1
-            assert _count_displaying_hosts(hosts, assignment, stop_at=2) == 2
+            assert count_displaying_hosts(hosts, assignment, stop_at=2) == 2
         assert count == 81
 
 

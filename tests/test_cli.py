@@ -14,14 +14,13 @@ from setflex import (
     BuildResult,
     InternalVerificationError,
     RootedPhyloTree,
-    displays_tree,
+    displays_clusters,
     graphopt,
     parse_newick,
     phylo,
-    restrict,
 )
 from setflex.cli import main
-from conftest import shuffled_labels, yule_shape
+from conftest import restrict, shuffled_labels, yule_shape
 
 
 @pytest.fixture
@@ -679,6 +678,26 @@ class TestCountLarge:
         assert time.perf_counter() - start < 2.0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3861\n", "")
 
+    def test_seventeen_taxa_stop_at_the_budget(self, tmp_path):
+        # The shared cherry a,b barely constrains the count, so the split
+        # table on 17 taxa would grow to about 3^17/2 terms and gigabytes;
+        # the assignment budget stops it with exit 3 (about 1.5 s here).
+        path = tmp_path / "cherry17.triples"
+        path.write_text("".join(f"a,b|c{i:02d}\n" for i in range(1, 16)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "setflex", "count", str(path), "--cap", "17", "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 15.0
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert json.loads(proc.stdout) == {
+            "error": "counting trees on 17 taxa needs more than 1000000 split terms"
+        }
+
 
 class TestSupertreeOverlapLarge:
     """Three overlapping 1,500-leaf restrictions of a 2,000-leaf Yule tree.
@@ -724,7 +743,7 @@ class TestSupertreeOverlapLarge:
         code, payload = self.supertree(tmp_path, [t.newick() for t in trees])
         assert code == 0
         result = parse_newick(payload["newick"])
-        assert all(displays_tree(result, t) for t in trees)
+        assert all(displays_clusters(result, t) for t in trees)
 
     def test_perturbed_exits_1(self, tmp_path, inputs):
         trees, perturbed = inputs

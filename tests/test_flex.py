@@ -25,12 +25,11 @@ from setflex import (
     is_unique_display,
     parse_newick,
     parse_triple,
-    restrict,
     sigma_star,
     triples_of,
 )
 from setflex import flex, phylo
-from setflex.flex import _count_displaying_hosts, double_factorial, tree_count
+from setflex.flex import double_factorial, tree_count
 from conftest import (
     ALPHA,
     FIG1,
@@ -38,7 +37,9 @@ from conftest import (
     FIG3,
     balanced_shape,
     caterpillar_shape,
+    count_displaying_hosts,
     random_system,
+    restrict,
     shuffled_labels,
     tsys,
     yule_shape,
@@ -318,6 +319,16 @@ class TestCountDisplaying:
         with pytest.raises(InputError, match="^taxon label .b#c. contains"):
             count_displaying([], ["a", "b#c"])
 
+    def test_split_terms_are_bounded(self):
+        # 13 taxa without triples take about 8e5 split terms; 14 pass the
+        # budget (about 2.4e6), which stops the count before listing them.
+        assert count_displaying([], [f"t{i:02d}" for i in range(13)], cap=13) == tree_count(13)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="^counting trees on 14 taxa needs "
+                                                      "more than 1000000 split terms$"):
+            count_displaying([], [f"t{i:02d}" for i in range(14)], cap=14)
+        assert time.perf_counter() - start < 10.0
+
 
 def random_guests(rng: random.Random, taxa: str) -> list[RootedPhyloTree]:
     """Up to four random triples and binary trees on random subsets of taxa."""
@@ -338,7 +349,7 @@ class TestCountOracle:
     def check(taxa: str, guests) -> int:
         hosts = enumerate_binary_trees(taxa)
         triples = [t for g in guests for t in triples_of(g)]
-        expected = _count_displaying_hosts(hosts, triples)
+        expected = count_displaying_hosts(hosts, triples)
         assert count_displaying(guests, taxa) == expected
         assert is_unique_display(triples, taxa=taxa) == (expected == 1)
         return expected

@@ -15,12 +15,9 @@ from setflex import (
     check_submodular_pair,
     excess_general,
     excess_uniform,
-    format_sets_json,
-    format_sets_text,
     gamma,
     is_slim_exhaustive,
     is_thin_exhaustive,
-    leaf_union,
     occurrence_count,
     parse_sets,
     parse_sets_json,
@@ -36,6 +33,9 @@ from conftest import (
     brute_minimum,
     brute_slim,
     brute_thin,
+    format_sets_json,
+    format_sets_text,
+    leaf_union,
     oracle_gamma,
     oracle_sigma,
     random_slim_system,

@@ -57,7 +57,8 @@ CASES = [
     (("check", "thin", "fig1.sets"), {"setsys", "graphopt"}),
     (("check", "slim", "fig1.sets"), {"setsys", "graphopt"}),
     (("check", "flexible", "fig1.sets"), {"setsys", "graphopt"}),
-    (("check", "thin", "fig1.sets", "--method", "exhaustive"), {"setsys"}),
+    (("check", "thin", "fig1.sets", "--method", "exhaustive"), {"setsys", "exhaustive"}),
+    (("check", "slim", "fig1.sets", "--method", "exhaustive"), {"setsys", "exhaustive"}),
     (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "graphopt"}),
     (("check", "flexible", "fig1.sets", "--method", "bruteforce"),
      {"setsys", "phylo", "flex"}),
@@ -73,12 +74,16 @@ CASES = [
     (("order", "orient.txt"), {"represent"}),
 ]
 
-# The names `setflex` re-exported when it imported every layer eagerly.
+# The names `setflex` re-exports, by the module that defines them.
 EXPORTS = {
     "errors": (
         "BudgetExceededError", "CapExceededError", "InputError",
         "InternalVerificationError", "MemberSizeError", "ParseError",
         "PreconditionError", "SetflexError",
+    ),
+    "exhaustive": (
+        "ExcessReport", "check_submodular_pair", "is_slim_exhaustive",
+        "is_thin_exhaustive", "patchwork_check",
     ),
     "flex": (
         "FlexReport", "count_displaying", "defining_triples",
@@ -91,31 +96,59 @@ EXPORTS = {
         "max_flow", "sdr", "sigma_star", "surplus_forest",
     ),
     "phylo": (
-        "BuildResult", "RootedPhyloTree", "RootedTriple", "UnrootedPhyloTree",
-        "build_supertree", "cluster_graph", "displays_clusters", "displays_tree",
-        "displays_triple", "make_binary", "parse_newick", "parse_triple",
-        "parse_triples_text", "restrict", "spanning_triples", "triples_of",
+        "BuildResult", "RootedPhyloTree", "RootedTriple", "build_supertree",
+        "displays_clusters", "displays_triple", "make_binary", "parse_newick",
+        "parse_triple", "parse_triples_text", "spanning_triples", "triples_of",
     ),
     "represent": (
-        "OrderReport", "RepresentationReport", "caterpillar_median_representation",
-        "extend_to_total_order", "is_total_order_flexible",
-        "lca_caterpillar_representation", "rooted_caterpillar",
-        "unrooted_caterpillar", "verify_median_injective",
+        "OrderReport", "RepresentationReport", "UnrootedPhyloTree",
+        "caterpillar_median_representation", "extend_to_total_order",
+        "is_total_order_flexible", "lca_caterpillar_representation",
+        "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
     "setsys": (
-        "CheckReport", "ExcessReport", "SetSystem", "Taxon",
-        "check_submodular_pair", "excess_general", "excess_uniform",
-        "format_sets_json", "format_sets_text", "gamma", "is_slim_exhaustive",
-        "is_thin_exhaustive", "leaf_union", "occurrence_count", "parse_sets",
-        "parse_sets_json", "parse_sets_text", "patchwork_check", "sigma",
+        "CheckReport", "SetSystem", "Taxon", "excess_general", "excess_uniform",
+        "gamma", "occurrence_count", "parse_sets", "parse_sets_json",
+        "parse_sets_text", "sigma",
     ),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
-def run_python(code, *argv, cwd=None):
+# One CLI request, then the setflex source files it compiled with their
+# line counts, and which of the definitions in `UNUSED` they held.
+COMPILED = """
+import json, os, sys
+compiled = {}
+
+def hook(event, args):
+    if event == "compile" and isinstance(args[1], str):
+        if os.path.basename(os.path.dirname(args[1])) == "setflex":
+            source = args[0]
+            compiled[os.path.basename(args[1])] = (
+                source if isinstance(source, bytes) else source.encode())
+
+sys.addaudithook(hook)
+import setflex.cli
+code = setflex.cli.main(sys.argv[1:])
+print(json.dumps({name: len(source.splitlines()) for name, source in compiled.items()}))
+print(json.dumps([d for d in %r if any(d.encode() in s for s in compiled.values())]))
+sys.exit(code)
+"""
+# Definitions that the flexibility scan and BUILD never run.
+UNUSED = ("class UnrootedPhyloTree", "def _scan_excess")
+# Lines of setflex source a request compiles, as measured when the
+# unrooted trees and the exhaustive scans left `phylo` and `setsys`
+# (2,199 and 1,503), plus 5%: every request compiles what it loads again.
+MAX_COMPILED_LINES = [
+    (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 2308),
+    (("supertree", "chain.triples"), 1578),
+]
+
+
+def run_python(code, *argv, cwd=None, env=None):
     """Exit code and stdout lines of `python -c code argv...` on these sources."""
-    env = {**os.environ, "PYTHONPATH": SRC}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr, proc.stderr
@@ -132,6 +165,24 @@ def test_request_executes_only_its_layers(tmp_path, argv, layers):
     assert code == 0 and "error" not in json.loads(output)
     assert set(json.loads(executed)) == ALWAYS | {f"setflex.{layer}" for layer in layers}
     assert json.loads(parsers) == []
+
+
+@pytest.mark.parametrize("argv, ceiling", MAX_COMPILED_LINES,
+                         ids=[" ".join(a) for a, _ in MAX_COMPILED_LINES])
+def test_request_compiles_few_lines(tmp_path, argv, ceiling):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    # An empty bytecode cache directory, so every module is compiled.
+    env = {"PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache")}
+    code, (output, compiled, unused) = run_python(
+        COMPILED % (UNUSED,), *argv, "--json", "--no-stats", cwd=tmp_path, env=env
+    )
+    assert code == 0 and "error" not in json.loads(output)
+    compiled = json.loads(compiled)
+    assert {"__init__.py", "errors.py", "cli.py"} <= set(compiled)
+    assert sum(compiled.values()) <= ceiling, compiled
+    assert json.loads(unused) == []
 
 
 def test_package_import_executes_no_layer():
