@@ -29,9 +29,13 @@ form a forest.  `surplus_forest` builds the first one by a greedy
 union-find pass, or, if that pass fails, by fixing one member's pair at
 a time for which the minimizer still reads sigma* >= 1.
 
+`sdr` is Hall's theorem on the same network with unit weights: one
+max flow gives the representatives, or its residual source side gives
+the violator.
+
 Everything is deterministic: flows and searches take arcs in insertion
-order, the forced-member minimum breaks ties by canonical member index,
-and matchings are grown in canonical vertex order.
+order, and the forced-member minimum breaks ties by canonical member
+index.
 """
 
 from __future__ import annotations
@@ -62,10 +66,6 @@ class BipartiteIncidenceGraph(NamedTuple):
     taxon_labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency)
 
 
 def incidence_graph(system: SetSystem, weighting: str = "unit") -> BipartiteIncidenceGraph:
@@ -334,13 +334,44 @@ class MinimizerReport(NamedTuple):
     forced_solves: int
 
 
+def _member_network(graph: BipartiteIncidenceGraph) -> tuple[FlowNetwork, list[int], int]:
+    """The network source -> member -> taxon -> sink of `graph`.
+
+    Source -> member arcs carry the member weight, member -> taxon
+    containment arcs a sentinel capacity, taxon -> sink arcs 1.  Nodes
+    are numbered source 0, sink 1, member i as 2 + i, then taxon
+    `graph.taxa[p]` as 2 + k + p, named `taxon:<label>`.  The sentinel
+    is above the total finite capacity, so containment arcs, and source
+    arcs raised to it, are never cut.  Returns the network, each
+    member's source arc index and the sentinel.
+    """
+    k = graph.member_count
+    taxon_node = {x: 2 + k + p for p, x in enumerate(graph.taxa)}
+    cinf = sum(graph.weights) + len(graph.taxa) + 1
+    net = FlowNetwork()
+    net.source = net.add_node("source")
+    net.sink = net.add_node("sink")
+    for i in range(k):
+        net.add_node(f"member:{i}")
+    for lab in graph.taxon_labels:
+        net.add_node(f"taxon:{lab}")
+    source_arcs = []
+    for i in range(k):
+        source_arcs.append(len(net.arc_to))
+        net.add_arc(net.source, 2 + i, graph.weights[i])
+        for x in graph.adjacency[i]:
+            net.add_arc(2 + i, taxon_node[x], cinf)
+    for p in range(len(graph.taxa)):
+        net.add_arc(2 + k + p, net.sink, 1)
+    return net, source_arcs, cinf
+
+
 def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
     """Minimum of the weighted surplus over non-empty member selections.
 
-    The network has source -> member arcs of the member weight,
-    member -> taxon containment arcs and taxon -> sink arcs of capacity
-    1.  A source side holding the members W (and necessarily their
-    taxa) cuts total_weight - w(W) + |L(W)|, so forcing member v onto
+    On the network of `_member_network`, a source side holding the
+    members W (and necessarily their taxa) cuts
+    total_weight - w(W) + |L(W)|, so forcing member v onto
     the source side (its source arc at a sentinel) gives total_weight
     plus the minimum over selections containing v.
 
@@ -367,28 +398,11 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
     k = graph.member_count
     if k == 0:
         raise InputError("cannot minimize over an empty system")
-    taxon_pos = {x: p for p, x in enumerate(graph.taxa)}
     total_weight = sum(graph.weights)
-    # Above the total finite capacity, so forced and containment arcs are
-    # never cut.
-    cinf = total_weight + len(graph.taxa) + 1
-
-    net = FlowNetwork()
-    net.source = net.add_node("source")
-    net.sink = net.add_node("sink")
-    member_nodes = [net.add_node(f"member:{i}") for i in range(k)]
-    taxon_nodes = [net.add_node(f"taxon:{lab}") for lab in graph.taxon_labels]
-    source_arcs = []
-    for i in range(k):
-        source_arcs.append(len(net.arc_to))
-        net.add_arc(net.source, member_nodes[i], graph.weights[i])
-        for x in graph.adjacency[i]:
-            net.add_arc(member_nodes[i], taxon_nodes[taxon_pos[x]], cinf)
-    for tn in taxon_nodes:
-        net.add_arc(tn, net.sink, 1)
+    net, source_arcs, cinf = _member_network(graph)
+    member_nodes = range(2, 2 + k)
 
     base = max_flow(net)
-    # Nodes are numbered source, sink, members, then taxa.
     gains = _sink_gains(net, base.residual, 2 + k)
     paths = base.augmenting_paths
     solves = 0
@@ -511,8 +525,9 @@ class SdrReport(NamedTuple):
     """Result of representative selection on the derived sets s - B.
 
     On success `assignment` maps member index -> taxon id; on failure
-    `violator` lists member indices whose derived sets jointly cover
-    fewer taxa than their count (a Hall violator).
+    `violator` lists the members of the unique inclusion-minimal
+    selection of maximum Hall deficiency (members minus the taxa their
+    derived sets cover), which is at least 1.
     """
 
     assignment: dict[int, int] | None
@@ -527,8 +542,13 @@ class SdrReport(NamedTuple):
 def sdr(system: SetSystem, B) -> SdrReport:
     """Distinct representatives for {s - B : s in tau}, |B| = r-1.
 
-    Uses augmenting-path matching in canonical order.  For thin systems
-    success is guaranteed; otherwise the report carries a Hall violator.
+    One max flow on the minimizer's network over the derived sets, with
+    unit weights (on unit networks Dinic's phases are Hopcroft and
+    Karp's).  Each member's representative is the taxon its containment
+    arc carries flow to.  If the flow is below the member count, the
+    violator is the members on the residual source side: the unique
+    inclusion-minimal selection of maximum deficiency, k minus the flow.
+    For thin systems success is guaranteed.
     """
     r = require_members(system).uniform_size()
     if r is None:
@@ -545,60 +565,34 @@ def sdr(system: SetSystem, B) -> SdrReport:
     derived = tuple(
         tuple(x for x in member if x not in b_ids) for member in system.members
     )
-    match_of_taxon: dict[int, int] = {}
-    match_of_member: dict[int, int] = {}
-
-    def try_assign(start: int) -> bool:
-        # Kuhn's depth-first search for an augmenting path, on an explicit
-        # stack: frames[d] is a member with its taxon iterator, path[d]
-        # the taxon through which frames[d + 1] was entered.
-        visited: set[int] = set()
-        frames = [(start, iter(derived[start]))]
-        path: list[int] = []
-        while frames:
-            _, choices = frames[-1]
-            for x in choices:
-                if x in visited:
-                    continue
-                visited.add(x)
-                path.append(x)
-                holder = match_of_taxon.get(x)
-                if holder is None:
-                    for (j, _), y in zip(frames, path):
-                        match_of_taxon[y] = j
-                        match_of_member[j] = y
-                    return True
-                frames.append((holder, iter(derived[holder])))
-                break
-            else:
-                frames.pop()
-                if path:
-                    path.pop()
-        return False
-
-    for i in range(system.member_count):
-        if not try_assign(i):
-            # Hall violator: members reachable from i by alternating paths.
-            members = {i}
-            taxa: set[int] = set()
-            frontier = [i]
-            while frontier:
-                nxt = []
-                for j in frontier:
-                    for x in derived[j]:
-                        if x not in taxa:
-                            taxa.add(x)
-                            holder = match_of_taxon.get(x)
-                            if holder is not None and holder not in members:
-                                members.add(holder)
-                                nxt.append(holder)
-                frontier = nxt
-            if len(taxa) >= len(members):
-                raise InternalVerificationError("matching failure without Hall violator")
-            return SdrReport(assignment=None, violator=tuple(sorted(members)),
-                             derived=derived)
-    return SdrReport(assignment=dict(sorted(match_of_member.items())),
-                     violator=None, derived=derived)
+    k = len(derived)
+    present = sorted({x for d in derived for x in d})
+    net, _, _ = _member_network(BipartiteIncidenceGraph(
+        member_count=k, taxa=tuple(present),
+        taxon_labels=tuple(system.label_of(x) for x in present),
+        adjacency=derived, weights=(1,) * k,
+    ))
+    flow = max_flow(net)
+    if flow.value < k:
+        violator = tuple(i for i in range(k) if 2 + i in flow.source_side)
+        covered = {x for i in violator for x in derived[i]}
+        if len(covered) >= len(violator):
+            raise InternalVerificationError("matching failure without Hall violator")
+        if len(violator) - len(covered) != k - flow.value:
+            raise InternalVerificationError("violator deficiency differs from k - flow")
+        return SdrReport(assignment=None, violator=violator, derived=derived)
+    # A member node's even arcs are its containment arcs (its odd one is
+    # the source arc's reverse); one carries flow iff its reverse arc has
+    # residual capacity.
+    assignment = {
+        i: present[net.arc_to[a] - 2 - k]
+        for i in range(k) for a in net.adj[2 + i] if a % 2 == 0 and flow.residual[a ^ 1]
+    }
+    if len(set(assignment.values())) != k or any(
+        x not in derived[i] for i, x in assignment.items()
+    ):
+        raise InternalVerificationError("representatives are not distinct or not derived")
+    return SdrReport(assignment=assignment, violator=None, derived=derived)
 
 
 # -- forest structure ---------------------------------------------------------

@@ -31,7 +31,7 @@ RECORDS = [
     (BipartiteIncidenceGraph,
      dict(member_count=2, taxa=(0, 1, 2), taxon_labels=("a", "b", "c"),
           adjacency=((0, 1), (0, 1, 2)), weights=(1, 1)),
-     {"edge_count": 5}, True),
+     {}, True),
     (FlowResult,
      dict(value=2, source_side=frozenset({0, 2}), cut_arcs=(("s", "m0", 1),),
           residual=(0, 1, 1, 0), augmenting_paths=2),
