@@ -72,7 +72,7 @@ _EXPORTS = {
         "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
     "setsys": (
-        "CheckReport", "SetSystem", "Taxon", "excess_general", "excess_uniform",
+        "CheckReport", "SetSystem", "excess_general", "excess_uniform",
         "gamma", "occurrence_count", "parse_sets", "parse_sets_json",
         "parse_sets_text", "sigma",
     ),

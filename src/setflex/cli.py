@@ -145,7 +145,6 @@ def _cmd_check(ns) -> tuple[int, dict, list[str]]:
             certificate=scan.counterexample,
             stats={"assignments_checked": scan.assignments_checked,
                    "core_members": scan.core_members},
-            recheck="setflex.phylo.build_supertree",
         )
         certificate_json = scan.counterexample
         if certificate_json is not None:
@@ -168,8 +167,6 @@ def _cmd_check(ns) -> tuple[int, dict, list[str]]:
             payload[key] = report.stats[key]
     if certificate_json is not None:
         payload["certificate"] = certificate_json
-    if report.recheck:
-        payload["recheck"] = report.recheck
     payload["stats"] = dict(report.stats)
 
     lines = [f"{kind}: {'yes' if report.verdict else 'no'} (method={report.method})"]
@@ -252,7 +249,7 @@ def _cmd_represent(ns) -> tuple[int, dict, list[str]]:
     if ns.extra:
         extras = [lab.strip() for lab in ns.extra.split(",") if lab.strip()]
         sets = [system.member_labels(i) for i in range(system.member_count)]
-        system = setsys.SetSystem(sets, extra_taxa=extras)
+        system = setsys.SetSystem(sets, extra_taxa=[*system.universe, *extras])
     if ns.kind == "median-caterpillar":
         report = represent.caterpillar_median_representation(system)
     else:

@@ -10,9 +10,10 @@ their oracle.  `check_submodular_pair` evaluates the submodular
 inequality of sigma and gamma on two selections, a property-test hook.
 
 Of the CLI requests only `check thin|slim --method exhaustive` loads
-this module; the measures it scans (`excess_uniform`, `excess_general`,
-`sigma`, `gamma`) stay in `setsys`, where a certificate's `recheck`
-names them.
+this module, so the min-cut requests do not compile these scans.  The
+measures they evaluate (`excess_uniform`, `excess_general`, `sigma`,
+`gamma`) stay in `setsys`, next to the `SetSystem` they read, because
+`graphopt` re-checks its minimizers with `sigma` and `gamma`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _check_cap(system: SetSystem, cap: int, hint: str) -> None:
 
 
 def _scan_excess(
-    system: SetSystem, weights: list[int], offset: int, smallest: int, recheck: str
+    system: SetSystem, weights: list[int], offset: int, smallest: int
 ) -> tuple[CheckReport, list[int]]:
     """Scan |L(sel)| - sum(w(s)) - offset over all selections of >= smallest members.
 
@@ -90,7 +91,7 @@ def _scan_excess(
     )
     stats = {"subsets_checked": checked,
              "min_excess_scanned": best_value if checked else None}
-    return CheckReport(verdict, "exhaustive", certificate, stats, recheck), zeros
+    return CheckReport(verdict, "exhaustive", certificate, stats), zeros
 
 
 def is_thin_exhaustive(
@@ -110,15 +111,14 @@ def is_thin_exhaustive(
         raise InputError(f"r must be >= 2, got {r}")
     _check_cap(system, cap, "graphopt.is_thin")
     return _scan_excess(
-        system, [1] * system.member_count, r - 1, 3 if r == 3 else 1,
-        "setflex.setsys.excess_uniform",
+        system, [1] * system.member_count, r - 1, 3 if r == 3 else 1
     )[0]
 
 
 def _slim_scan(system: SetSystem, cap: int) -> tuple[CheckReport, list[int]]:
     weights = size_minus_two(require_members(system))
     _check_cap(system, cap, "graphopt.is_slim")
-    return _scan_excess(system, weights, 2, 1, "setflex.setsys.excess_general")
+    return _scan_excess(system, weights, 2, 1)
 
 
 def is_slim_exhaustive(
@@ -184,7 +184,6 @@ def patchwork_check(
         method="exhaustive",
         certificate=counterexample,
         stats={"family_size": len(family)},
-        recheck="setflex.setsys.excess_general",
     )
 
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, CapExceededError, InputError, check_label, check_limit
@@ -170,9 +172,7 @@ def is_flexible_bruteforce(
     # The budget is checked on the tree counts, before any tree is built.
     member_labels = [_capped_labels(labels, enum_cap) for labels in member_labels]
     counts = [tree_count(len(labels)) for labels in member_labels]
-    total = 1
-    for c in counts:
-        total *= c
+    total = prod(counts)
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the budget {budget}"
@@ -187,34 +187,22 @@ def is_flexible_bruteforce(
     build = phylo.build_supertree
     core = _core([frozenset(labels) for labels in member_labels])
 
-    k = system.member_count
-    digits = [0] * k
     taxa = system.leaf_labels()
-    checked = 0
-    while True:
+    # Assignments in mixed-radix order: the last member cycles fastest.
+    for checked, digits in enumerate(product(*map(range, counts)), start=1):
         pooled: list[phylo.RootedTriple] = []
         for i in core:
             pooled += triple_lists[i][digits[i]]
-        checked += 1
-        result = build(pooled, taxa=taxa)
-        if not result.compatible:
-            assignment = tuple(tree_lists[i][digits[i]] for i in range(k))
+        if not build(pooled, taxa=taxa).compatible:
             return FlexReport(
-                verdict=False, counterexample=assignment,
+                verdict=False,
+                counterexample=tuple(lst[d] for lst, d in zip(tree_lists, digits)),
                 assignments_checked=checked, core_members=len(core),
             )
-        pos = k - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < counts[pos]:
-                break
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return FlexReport(
-                verdict=True, counterexample=None,
-                assignments_checked=checked, core_members=len(core),
-            )
+    return FlexReport(
+        verdict=True, counterexample=None,
+        assignments_checked=total, core_members=len(core),
+    )
 
 
 def _count_by_splits(labels: tuple[str, ...], triples) -> int:

@@ -475,6 +475,20 @@ def gamma_star(system: SetSystem) -> MinimizerReport:
     return report
 
 
+def _threshold_report(report: MinimizerReport, key: str, threshold: int) -> CheckReport:
+    """The min-cut verdict `report.value >= threshold`; the minimizer is the certificate on "no"."""
+    verdict = report.value >= threshold
+    return CheckReport(
+        verdict=verdict,
+        method="mincut",
+        certificate=None if verdict else report,
+        stats={key: report.value, "threshold": threshold,
+               "augmenting_paths": report.augmenting_paths,
+               "forced_members": report.forced_members,
+               "forced_solves": report.forced_solves},
+    )
+
+
 def is_thin(system: SetSystem, r: int) -> CheckReport:
     """Thin test via sigma* >= r-1 for a uniformly size-r system.
 
@@ -485,37 +499,15 @@ def is_thin(system: SetSystem, r: int) -> CheckReport:
         raise InputError(f"r must be >= 2, got {r}")
     if system.uniform_size() != r:
         raise MemberSizeError(f"system is not uniformly of size {r}")
-    report = sigma_star(system)
-    verdict = report.value >= r - 1
-    stats = {"sigma_star": report.value, "threshold": r - 1,
-             "augmenting_paths": report.augmenting_paths,
-             "forced_members": report.forced_members,
-             "forced_solves": report.forced_solves}
+    report = _threshold_report(sigma_star(system), "sigma_star", r - 1)
     if r == 2:
-        stats["note"] = "r=2 threshold sigma* >= 1 follows from the excess definition"
-    return CheckReport(
-        verdict=verdict,
-        method="mincut",
-        certificate=None if verdict else report,
-        stats=stats,
-        recheck="setflex.setsys.sigma",
-    )
+        report.stats["note"] = "r=2 threshold sigma* >= 1 follows from the excess definition"
+    return report
 
 
 def is_slim(system: SetSystem) -> CheckReport:
     """Slim test via gamma* >= 2 for a system with members of size >= 3."""
-    report = gamma_star(system)
-    verdict = report.value >= 2
-    return CheckReport(
-        verdict=verdict,
-        method="mincut",
-        certificate=None if verdict else report,
-        stats={"gamma_star": report.value, "threshold": 2,
-               "augmenting_paths": report.augmenting_paths,
-               "forced_members": report.forced_members,
-               "forced_solves": report.forced_solves},
-        recheck="setflex.setsys.gamma",
-    )
+    return _threshold_report(gamma_star(system), "gamma_star", 2)
 
 
 # -- systems of distinct representatives -------------------------------------

@@ -109,9 +109,6 @@ class UnrootedPhyloTree:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     @property
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(self._labels.values()))
@@ -682,7 +679,6 @@ def is_total_order_flexible(
             method="forest",
             certificate=cycle,
             stats={},
-            recheck="setflex.graphopt.is_forest",
         )
     if mode != "bruteforce":
         raise InputError(f"mode must be 'forest' or 'bruteforce', got {mode!r}")
@@ -705,12 +701,10 @@ def is_total_order_flexible(
                 method="bruteforce",
                 certificate=(tuple(orientation), report.cycle),
                 stats={"orientations_checked": checked},
-                recheck="setflex.represent.extend_to_total_order",
             )
     return setsys.CheckReport(
         verdict=True,
         method="bruteforce",
         certificate=None,
         stats={"orientations_checked": checked},
-        recheck="setflex.represent.extend_to_total_order",
     )

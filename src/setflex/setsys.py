@@ -5,9 +5,11 @@ taxon universe.  This module parses the text and JSON set-system
 formats and evaluates the surplus-style measures on member selections:
 uniform and general excess, sigma and gamma.  Thin and slim are one
 Hall-type inequality on these measures; `graphopt` decides them in
-polynomial time and `exhaustive` by scanning every selection, whose
-certificates name `excess_uniform` or `excess_general` here as their
-`recheck`.  Everything here is exact integer combinatorics.
+polynomial time and re-checks each minimizer's witness with `sigma` or
+`gamma`, and `exhaustive` decides them by scanning every selection.
+The measures live here, with the `CheckReport` both return, because
+either decision procedure may run without the other being loaded.
+Everything here is exact integer combinatorics.
 
 Taxa are interned: the universe is the lexicographically sorted tuple of
 labels and a taxon id is its position in that tuple.  Members are stored
@@ -21,11 +23,6 @@ import json
 from typing import Iterable, NamedTuple
 
 from .errors import InputError, MemberSizeError, ParseError, check_label
-
-
-class Taxon(NamedTuple):
-    id: int
-    label: str
 
 
 class SetSystem:
@@ -85,10 +82,6 @@ class SetSystem:
     @property
     def member_count(self) -> int:
         return len(self._members)
-
-    @property
-    def taxa(self) -> tuple[Taxon, ...]:
-        return tuple(Taxon(i, lab) for i, lab in enumerate(self._universe))
 
     def label_of(self, taxon_id: int) -> str:
         try:
@@ -167,18 +160,33 @@ def normalize_selection(
 class CheckReport(NamedTuple):
     """Verdict plus certificate for a decision procedure.
 
-    `method` is one of exhaustive/mincut/bruteforce/forest; the
-    certificate (when present) can be re-verified by the library call
-    named in `recheck`.  A report is immutable: assigning a field raises
-    AttributeError.  `stats` has no default (a NamedTuple default would be
-    one dict shared by every report), so neither has `certificate`.
+    The certificate depends on `method`:
+
+    - `mincut` (`graphopt.is_thin`, `is_slim`): on "no", the
+      `MinimizerReport` whose witness selection has sigma (thin) or
+      gamma (slim) below the threshold and whose cut has capacity value
+      + offset; the minimizer re-checks both before it returns.
+    - `exhaustive` (`exhaustive.is_thin_exhaustive`,
+      `is_slim_exhaustive`): on "no", the `ExcessReport` of the
+      selection of least excess.  For `patchwork_check`, a pair of
+      intersecting zero-excess selections whose union or intersection
+      has non-zero excess.
+    - `bruteforce`: for flexibility, the first assignment of one tree per
+      member whose triples BUILD rejects; for total-order flexibility,
+      the first failing orientation of the pairs and its directed cycle.
+    - `forest` (`represent.is_total_order_flexible`): a cycle of the
+      pairs' incidence graph, on "no".
+
+    On "yes" the certificate is None.  A report is immutable: assigning a
+    field raises AttributeError.  `stats` has no default (a NamedTuple
+    default would be one dict shared by every report), so neither has
+    `certificate`.
     """
 
     verdict: bool
     method: str
     certificate: object | None
     stats: dict
-    recheck: str | None = None
 
 
 # -- measures -------------------------------------------------------------

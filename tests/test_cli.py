@@ -20,7 +20,7 @@ from setflex import (
     phylo,
 )
 from setflex.cli import main
-from conftest import restrict, shuffled_labels, yule_shape
+from conftest import FIG1, restrict, shuffled_labels, yule_shape
 
 
 @pytest.fixture
@@ -429,6 +429,17 @@ class TestRepresent:
         assert code == 0
         assert payload["appended_taxa"] == ["d"]
         assert len(payload["vertex_map"]) == 1
+
+    @pytest.mark.parametrize("kind, sets", [
+        ("median-caterpillar", [list(m) for m in FIG1]),
+        ("lca-caterpillar", [["a", "b"], ["b", "c"], ["c", "d"]]),
+    ])
+    def test_extra_keeps_the_inputs_extra_taxa(self, capsys, tmp_path, kind, sets):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"sets": sets, "extra_taxa": ["y"]}))
+        code, payload = run_json(capsys, "represent", kind, str(path), "--extra", "x")
+        assert code == 0
+        assert payload["appended_taxa"] == ["x", "y"]
 
     def test_not_thin_exit_2(self, capsys, fig1p):
         code, out = run(

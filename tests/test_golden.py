@@ -33,3 +33,11 @@ def test_golden_output(case):
     assert proc.stderr == ""
     assert proc.returncode == case["exit"]
     assert proc.stdout == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+def test_golden_outputs_are_canonical_json():
+    # `--json` prints one object with sorted keys, so a hand edit of a
+    # recorded output must leave it in exactly that form.
+    for case in CASES:
+        text = (GOLDEN / f"{case['name']}.out").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", case["name"]

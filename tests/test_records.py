@@ -54,8 +54,7 @@ RECORDS = [
     (OrderReport, dict(order=None, cycle=("a", "b")), {"extendable": False}, True),
     (ExcessReport, dict(value=-1, witness=(0, 1), leaf_count=4), {}, True),
     (CheckReport,
-     dict(verdict=True, method="mincut", certificate=None, stats={"sigma_star": 2},
-          recheck="setflex.setsys.sigma"),
+     dict(verdict=True, method="mincut", certificate=None, stats={"sigma_star": 2}),
      {}, False),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(RECORDS)]
@@ -89,8 +88,6 @@ class TestRecordContract:
 
 
 def test_field_order_and_defaults():
-    assert CheckReport._fields == ("verdict", "method", "certificate", "stats", "recheck")
-    assert CheckReport(verdict=True, method="forest", certificate=None,
-                       stats={}).recheck is None
+    assert CheckReport._fields == ("verdict", "method", "certificate", "stats")
     with pytest.raises(TypeError):
         CheckReport(verdict=True, method="forest")
