@@ -23,12 +23,15 @@ only `flex`; `supertree` loads `phylo`; `represent` loads `setsys`,
 layers stay off `setsys`: `phylo` takes `check_label` from `errors`,
 and `flex` names `setsys.SetSystem` only in annotations.  `flex` and
 `represent` reach the other layers as module attributes, so a layer
-runs only when a function that needs it does.  Imports inside each
-command function would save the same time, but the modules would then
-be missing from `sys.modules` after `import setflex.cli`, where a
-tracer that wraps their functions looks them up.  The names re-exported
-here (`setflex.is_thin`, ...) are served by a module `__getattr__`, so
-they too load their module on first use.
+runs only when a function that needs it does.  Each subcommand's
+handler is its own module (`setflex.cli_check`, ...), which `cli.main`
+imports after parsing and which reaches the layers as module attributes
+too, so a request also compiles one handler, not all seven.  Importing
+the layers inside each handler would save the same time, but the
+layers would then be missing from `sys.modules` after `import
+setflex.cli`, where a tracer that wraps their functions looks them up.
+The names re-exported here (`setflex.is_thin`, ...) are served by a
+module `__getattr__`, so they too load their module on first use.
 """
 
 import importlib.util

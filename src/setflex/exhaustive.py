@@ -3,11 +3,14 @@
 Thin and slim are one Hall-type inequality |L(sel)| - sum(w(s)) >= c
 (thin: w = 1, c = r-1; slim: w = |s|-2, c = 2), so the exhaustive thin,
 slim and patchwork checks share one scan (`_scan_excess`), which yields
-the minimizing witness and the zero-excess family together.  A scan
-visits all 2^k selections of k members, so a cap bounds k; the
-polynomial checks in `graphopt` are what scales, and these scans are
-their oracle.  `check_submodular_pair` evaluates the submodular
-inequality of sigma and gamma on two selections, a property-test hook.
+the minimizing witness and the zero-excess family together.  The scan
+sums subset tables; a reported witness is evaluated again by the
+measure itself (`excess_uniform` or `excess_general`), and a mismatch
+raises `InternalVerificationError`.  A scan visits all 2^k selections
+of k members, so a cap bounds k; the polynomial checks in `graphopt`
+are what scales, and these scans are their oracle.
+`check_submodular_pair` evaluates the submodular inequality of sigma
+and gamma on two selections, a property-test hook.
 
 Of the CLI requests only `check thin|slim --method exhaustive` loads
 this module, so the min-cut requests do not compile these scans.  The
@@ -20,10 +23,19 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceededError, InputError, MemberSizeError, PreconditionError, check_limit
+from .errors import (
+    CapExceededError,
+    InputError,
+    InternalVerificationError,
+    MemberSizeError,
+    PreconditionError,
+    check_limit,
+)
 from .setsys import (
     CheckReport,
     SetSystem,
+    excess_general,
+    excess_uniform,
     gamma,
     normalize_selection,
     require_members,
@@ -94,6 +106,14 @@ def _scan_excess(
     return CheckReport(verdict, "exhaustive", certificate, stats), zeros
 
 
+def _rechecked(report: CheckReport, excess) -> CheckReport:
+    """The report, once `excess(witness)` reproduces its certificate's value."""
+    certificate = report.certificate
+    if certificate is not None and excess(certificate.witness) != certificate.value:
+        raise InternalVerificationError("exhaustive witness does not reproduce its excess")
+    return report
+
+
 def is_thin_exhaustive(
     system: SetSystem, r: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
 ) -> CheckReport:
@@ -110,15 +130,17 @@ def is_thin_exhaustive(
     if r < 2:
         raise InputError(f"r must be >= 2, got {r}")
     _check_cap(system, cap, "graphopt.is_thin")
-    return _scan_excess(
+    report, _ = _scan_excess(
         system, [1] * system.member_count, r - 1, 3 if r == 3 else 1
-    )[0]
+    )
+    return _rechecked(report, lambda witness: excess_uniform(system, witness, r))
 
 
 def _slim_scan(system: SetSystem, cap: int) -> tuple[CheckReport, list[int]]:
     weights = size_minus_two(require_members(system))
     _check_cap(system, cap, "graphopt.is_slim")
-    return _scan_excess(system, weights, 2, 1)
+    report, zeros = _scan_excess(system, weights, 2, 1)
+    return _rechecked(report, lambda witness: excess_general(system, witness)), zeros
 
 
 def is_slim_exhaustive(

@@ -31,7 +31,6 @@ attribute, like `setsys`, so loading this module does not load it.
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -316,6 +315,9 @@ def defining_triples(tree: phylo.RootedPhyloTree) -> tuple[phylo.RootedTriple, .
     label).  That is O(n log n) steps plus n mask ANDs of n/64 words,
     with no recursion.
     """
+    # Imported here, its only user: a flexibility scan never loads heapq.
+    from heapq import heapify, heappop, heappush
+
     if not tree.is_binary():
         raise InputError("defining_triples needs a binary tree")
     if tree.leaf_count < 3:

@@ -492,8 +492,9 @@ def _threshold_report(report: MinimizerReport, key: str, threshold: int) -> Chec
 def is_thin(system: SetSystem, r: int) -> CheckReport:
     """Thin test via sigma* >= r-1 for a uniformly size-r system.
 
-    For r >= 3 this is the sigma* >= 2 threshold; for r = 2 the same
-    excess arithmetic gives sigma* >= 1, and the report flags that case.
+    The threshold grows with r (sigma* >= 2 for triples, >= 3 for
+    quadruples); for r = 2 the same excess arithmetic gives sigma* >= 1,
+    and the report flags that case.
     """
     if r < 2:
         raise InputError(f"r must be >= 2, got {r}")

@@ -215,10 +215,6 @@ class RootedPhyloTree:
             self._index = (shapes, parents, child_ids, masks, bit_of)
         return self._index
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self._ensure_index()[0])
-
     def parent(self, v: int) -> int:
         return self._ensure_index()[1][v]
 

@@ -106,9 +106,6 @@ class UnrootedPhyloTree:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self._adj))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
     @property
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(self._labels.values()))

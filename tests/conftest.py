@@ -140,6 +140,16 @@ def restrict(tree: RootedPhyloTree, taxa) -> RootedPhyloTree:
     )
 
 
+def vertex_count(tree: RootedPhyloTree) -> int:
+    """Vertices of a rooted tree, numbered 0 .. count-1 by its index."""
+    return tree.leaf_count + len(tree.interior_ids())
+
+
+def unrooted_neighbors(tree, v: int) -> tuple[int, ...]:
+    """The neighbours of vertex v of an `UnrootedPhyloTree`, sorted."""
+    return tree._adj[v]
+
+
 def count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
     """How many of `hosts` (trees on one leaf set) display every triple."""
     bits = hosts[0].leaf_bits()

@@ -15,6 +15,7 @@ from setflex import (
     InternalVerificationError,
     RootedPhyloTree,
     displays_clusters,
+    exhaustive,
     graphopt,
     parse_newick,
     phylo,
@@ -343,6 +344,15 @@ class TestErrorSurface:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: witness does not reproduce\n"
+
+    def test_exhaustive_witness_is_rechecked_exit_4(self, capsys, fig1p, monkeypatch):
+        monkeypatch.setattr(exhaustive, "excess_uniform", lambda *args: 0)
+        code, payload = run_json(capsys, "check", "thin", fig1p, "--method", "exhaustive")
+        assert code == 4
+        assert payload == {
+            "error": "exhaustive witness does not reproduce its excess",
+            "kind": "internal-verification",
+        }
 
 
 class TestSupertree:

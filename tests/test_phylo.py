@@ -38,6 +38,8 @@ from conftest import (
     component_count,
     restrict,
     shuffled_labels,
+    unrooted_neighbors,
+    vertex_count,
     yule_shape,
 )
 
@@ -983,7 +985,7 @@ class TestTreeLarge:
 
     def test_index_of_a_deep_tree(self, caterpillar):
         start = time.perf_counter()
-        assert caterpillar.vertex_count == 9999
+        assert vertex_count(caterpillar) == 9999
         deepest = max(caterpillar.interior_ids(), key=caterpillar.depth)
         assert time.perf_counter() - start < 5.0
         assert caterpillar.depth(deepest) == 4998
@@ -998,7 +1000,7 @@ class TestTreeLarge:
         assert sub.leaves == keep and sub.is_binary()
         # A restricted caterpillar is a caterpillar: every interior vertex
         # has a leaf child.
-        assert sub.vertex_count == 2 * len(keep) - 1
+        assert vertex_count(sub) == 2 * len(keep) - 1
         assert all(
             any(not sub.children_ids(c) for c in sub.children_ids(v))
             for v in sub.interior_ids()
@@ -1138,7 +1140,7 @@ def reference_path(tree: UnrootedPhyloTree, u: int, v: int) -> list[int]:
     prev = {u: None}
     queue = [u]
     for w in queue:
-        for x in tree.neighbors(w):
+        for x in unrooted_neighbors(tree, w):
             if x not in prev:
                 prev[x] = w
                 queue.append(x)
@@ -1180,17 +1182,17 @@ def reference_unrooted_newick(tree: UnrootedPhyloTree) -> str:
     labels = {tree.leaf_vertex(lab): lab for lab in tree.leaves}
     if len(tree.vertices) == 2:
         return "({},{});".format(*tree.leaves)
-    root = tree.neighbors(tree.leaf_vertex(tree.leaves[0]))[0]
+    root = unrooted_neighbors(tree, tree.leaf_vertex(tree.leaves[0]))[0]
     order, came = [root], {root: None}
     for v in order:
-        for w in tree.neighbors(v):
+        for w in unrooted_neighbors(tree, v):
             if w not in came:
                 came[w] = v
                 order.append(w)
     shapes = {}
     for v in reversed(order):
         shapes[v] = labels.get(v) or tuple(
-            shapes.pop(w) for w in tree.neighbors(v) if w != came[v])
+            shapes.pop(w) for w in unrooted_neighbors(tree, v) if w != came[v])
     return RootedPhyloTree(shapes[root]).newick()
 
 
@@ -1239,7 +1241,7 @@ class TestLcaIndexAgainstReference:
                 tree = RootedPhyloTree(caterpillar_shape(rng, labels))
             else:
                 tree = _random_tree(rng, labels, rng.choice((0.0, 0.4)))
-            for v in range(tree.vertex_count):
+            for v in range(vertex_count(tree)):
                 assert tree.depth(v) == reference_depth(tree, v)
             for _ in range(40):
                 taxa = rng.sample(tree.leaves, rng.randint(1, min(5, tree.leaf_count)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from setflex import (
     InputError,
+    InternalVerificationError,
     MemberSizeError,
     CapExceededError,
     PreconditionError,
@@ -25,6 +26,7 @@ from setflex import (
     patchwork_check,
     sigma,
 )
+from setflex import exhaustive
 from conftest import (
     ALPHA,
     FIG1,
@@ -347,6 +349,37 @@ class TestExhaustiveScanOracles:
             assert report.certificate.witness == witness
             assert report.certificate.value == value - 2
         assert seen > 30
+
+    def test_reported_value_is_the_measure(self):
+        rng = random.Random(59)
+        seen = 0
+        for _ in range(100):
+            r = rng.choice([2, 3, 4])
+            thin = random_system(rng, rng.randint(r + 1, 8), rng.randint(2, 9), (r,))
+            slim = random_system(rng, rng.randint(5, 9), rng.randint(2, 9), (3, 4, 5))
+            for report, measure in (
+                (is_thin_exhaustive(thin, r), lambda w: excess_uniform(thin, w, r)),
+                (is_slim_exhaustive(slim), lambda w: excess_general(slim, w)),
+            ):
+                if report.certificate is not None:
+                    seen += 1
+                    assert report.certificate.value == measure(report.certificate.witness)
+        assert seen > 60
+
+    @pytest.mark.parametrize("measure, check", [
+        ("excess_uniform", lambda s: is_thin_exhaustive(s, 3)),
+        ("excess_general", is_slim_exhaustive),
+        ("excess_general", patchwork_check),
+    ], ids=["thin", "slim", "patchwork"])
+    def test_witness_that_misses_the_measure_is_an_internal_error(
+        self, monkeypatch, measure, check
+    ):
+        real = getattr(exhaustive, measure)
+        monkeypatch.setattr(exhaustive, measure, lambda *args: real(*args) + 1)
+        with pytest.raises(InternalVerificationError, match="exhaustive witness"):
+            check(tsys(*FIG1P))
+        # A "yes" has no witness to re-check.
+        assert check(tsys(*FIG1)).verdict
 
     @pytest.mark.parametrize("words, witness", [
         # Two disjoint triangles, excess -1 each: the lexicographically

@@ -2,10 +2,13 @@
 
 Every CLI request is a fresh interpreter, and with bytecode writing off
 each module it loads is compiled again, so a request should run only the
-layer modules it needs.  The layers are `LazyLoader` modules; these tests
-pin, per subcommand, the modules whose code is actually executed.
+layer modules it needs and its own subcommand's handler module.  The
+layers are `LazyLoader` modules and `cli.main` imports the handler after
+parsing; these tests pin, per subcommand, the modules whose code is
+actually executed.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import setflex
+from setflex.cli import COMMANDS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -42,8 +46,15 @@ print(json.dumps(sorted({"argparse", "gettext"} & set(sys.modules))))
 sys.exit(code)
 """
 
-# Every request runs the package, its errors and the CLI.
+# Every request runs the package, its errors and the CLI core, and then
+# one handler module, `setflex.cli_<subcommand>`.
 ALWAYS = {"setflex", "setflex.errors", "setflex.cli"}
+
+
+def handler(argv) -> str:
+    """The handler module of the request's subcommand."""
+    return "cli_" + argv[0].replace("-", "_")
+
 
 INPUTS = {
     "fig1.sets": "a,b,c\na,b,d\nb,c,e\nd,e,f\n",
@@ -66,6 +77,7 @@ CASES = [
     (("count", "--formula-n", "6"), {"flex"}),
     (("gen-defining", "tree.nwk"), {"phylo", "flex"}),
     (("supertree", "chain.triples"), {"phylo"}),
+    (("supertree", "tree.nwk", "--binary"), {"phylo"}),
     (("represent", "median-caterpillar", "fig1.sets"),
      {"setsys", "graphopt", "phylo", "represent"}),
     (("represent", "lca-caterpillar", "pairs.sets"),
@@ -115,8 +127,7 @@ EXPORTS = {
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
-# One CLI request, then the setflex source files it compiled with their
-# line counts, and which of the definitions in `UNUSED` they held.
+# One CLI request, then the setflex source files it compiled, by name.
 COMPILED = """
 import json, os, sys
 compiled = {}
@@ -126,24 +137,43 @@ def hook(event, args):
         if os.path.basename(os.path.dirname(args[1])) == "setflex":
             source = args[0]
             compiled[os.path.basename(args[1])] = (
-                source if isinstance(source, bytes) else source.encode())
+                source.decode() if isinstance(source, bytes) else source)
 
 sys.addaudithook(hook)
 import setflex.cli
 code = setflex.cli.main(sys.argv[1:])
-print(json.dumps({name: len(source.splitlines()) for name, source in compiled.items()}))
-print(json.dumps([d for d in %r if any(d.encode() in s for s in compiled.values())]))
+print(json.dumps(compiled))
 sys.exit(code)
 """
 # Definitions that the flexibility scan and BUILD never run.
 UNUSED = ("class UnrootedPhyloTree", "def _scan_excess")
-# Lines of setflex source a request compiles, as measured when the
-# unrooted trees and the exhaustive scans left `phylo` and `setsys`
-# (2,199 and 1,503), plus 5%: every request compiles what it loads again.
-MAX_COMPILED_LINES = [
-    (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 2308),
-    (("supertree", "chain.triples"), 1578),
+# Each handler module's own helpers, which no other subcommand compiles.
+HANDLER_DEFS = {
+    "cli_check.py": ("def _render_certificate", "def _render_order_certificate",
+                     "def _flex_certificate"),
+    "cli_supertree.py": ("def _parse_trees_and_triples",),
+    "cli_order.py": ("def _parse_orientation",),
+}
+# Lines and code statements (AST statements other than docstrings) of
+# setflex source a request compiles, as measured when each subcommand's
+# handler left `cli.py` for its own module (2,009 lines and 1,041
+# statements; 1,258 and 666), plus 5%: every request compiles what it
+# loads again.  Docstrings cost almost no compile time, so the statement
+# count is the one that tracks it.
+MAX_COMPILED = [
+    (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 2109, 1093),
+    (("supertree", "chain.triples"), 1320, 699),
 ]
+
+
+def code_statements(source: str) -> int:
+    """AST statements of `source`, not counting docstrings (bare strings)."""
+    return sum(
+        isinstance(node, ast.stmt) and not (
+            isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+        for node in ast.walk(ast.parse(source))
+    )
 
 
 def run_python(code, *argv, cwd=None, env=None):
@@ -163,26 +193,39 @@ def test_request_executes_only_its_layers(tmp_path, argv, layers):
         CLI, *argv, "--json", "--no-stats", cwd=tmp_path
     )
     assert code == 0 and "error" not in json.loads(output)
-    assert set(json.loads(executed)) == ALWAYS | {f"setflex.{layer}" for layer in layers}
+    assert set(json.loads(executed)) == (
+        ALWAYS | {f"setflex.{handler(argv)}"} | {f"setflex.{layer}" for layer in layers}
+    )
     assert json.loads(parsers) == []
 
 
-@pytest.mark.parametrize("argv, ceiling", MAX_COMPILED_LINES,
-                         ids=[" ".join(a) for a, _ in MAX_COMPILED_LINES])
-def test_request_compiles_few_lines(tmp_path, argv, ceiling):
+def test_cases_cover_every_subcommand():
+    assert {argv[0] for argv, _ in CASES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, max_lines, max_statements", MAX_COMPILED,
+                         ids=[" ".join(a) for a, _, _ in MAX_COMPILED])
+def test_request_compiles_few_lines(tmp_path, argv, max_lines, max_statements):
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     # An empty bytecode cache directory, so every module is compiled.
     env = {"PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache")}
-    code, (output, compiled, unused) = run_python(
-        COMPILED % (UNUSED,), *argv, "--json", "--no-stats", cwd=tmp_path, env=env
+    code, (output, compiled) = run_python(
+        COMPILED, *argv, "--json", "--no-stats", cwd=tmp_path, env=env
     )
     assert code == 0 and "error" not in json.loads(output)
     compiled = json.loads(compiled)
-    assert {"__init__.py", "errors.py", "cli.py"} <= set(compiled)
-    assert sum(compiled.values()) <= ceiling, compiled
-    assert json.loads(unused) == []
+    own = f"{handler(argv)}.py"
+    assert {"__init__.py", "errors.py", "cli.py", own} <= set(compiled)
+    assert [name for name in compiled if name.startswith("cli_")] == [own]
+    lines = {name: len(source.splitlines()) for name, source in compiled.items()}
+    assert sum(lines.values()) <= max_lines, lines
+    statements = {name: code_statements(source) for name, source in compiled.items()}
+    assert sum(statements.values()) <= max_statements, statements
+    unused = UNUSED + tuple(d for name, defs in HANDLER_DEFS.items() if name != own
+                            for d in defs)
+    assert [d for d in unused if any(d in source for source in compiled.values())] == []
 
 
 def test_package_import_executes_no_layer():
