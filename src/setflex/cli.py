@@ -70,7 +70,7 @@ def _emit(ns, payload: dict, human_lines: list[str], elapsed: float) -> None:
         for line in human_lines:
             print(line)
         if not ns.no_stats:
-            print(f"time: {elapsed * 1000:.1f} ms")
+            print(f"time: {elapsed * 1000:.1f} ms", file=sys.stderr)
 
 
 # -- parser -------------------------------------------------------------------------

@@ -10,10 +10,10 @@ labels, no internal labels.
 
 Leaf sets inside a tree and inside BUILD are integer bitmasks over the
 sorted leaf labels (bit i is the i-th smallest label), so "smallest
-contained label" is "lowest set bit".  `resolve` and `displays_triple`
-share one descent over cluster masks, and `lca` and `depth` read one
-preorder sparse table (`_lca_table`), which `represent`'s unrooted
-caterpillars use for medians too.  Whole trees are compared on their
+contained label" is "lowest set bit".  Every three-leaf question
+(`resolve`, `displays_triple`, `triples_of`, and the unrooted medians of
+`represent`) goes through `_three`, and it, `lca` and `depth` read one
+preorder sparse table (`_lca_table`).  Whole trees are compared on their
 cluster masks (`displays_clusters`) and enter BUILD as their
 `spanning_triples`, n-2 for a binary tree, not as all C(n,3) of
 `triples_of`.  BUILD (Aho et al., 1981) runs on `(cherry_mask,
@@ -100,6 +100,21 @@ def _lca(table: list[list[int]], u: int, v: int) -> int:
         return u
     j = (v - u).bit_length() - 1
     return min(table[j][u + 1], table[j][v + 1 - 2 ** j]) % len(table[0])
+
+
+def _three(depths: list[int], table: list[list[int]], u: int, v: int, w: int):
+    """`(out, median)` for three leaves at preorder positions u < v < w.
+
+    Their lca is lca(u, w), and one of lca(u, v), lca(v, w) is it: a
+    subtree is an interval of the preorder, so no cherry is {u, w}.  The
+    pair whose lca is strictly deeper is the cherry and `out` is the
+    other leaf's position, or None when the depths tie (unresolved).
+    The deeper lca is on all three leaf paths, the unrooted median.
+    """
+    x, y = _lca(table, u, v), _lca(table, v, w)
+    if depths[x] == depths[y]:
+        return None, x
+    return (w, x) if depths[x] > depths[y] else (u, y)
 
 
 class RootedPhyloTree:
@@ -241,65 +256,35 @@ class RootedPhyloTree:
         shapes = self._ensure_index()[0]
         return tuple(v for v, s in enumerate(shapes) if not isinstance(s, str))
 
-    def _want_mask(self, taxa: Iterable[str]) -> int:
-        bit_of = self._ensure_index()[4]
-        want = 0
+    def _positions(self, taxa: Iterable[str]) -> list[int]:
+        vertex_of = self._lca_index()[2]
+        ids = []
         for lab in taxa:
-            bit = bit_of.get(lab)
-            if bit is None:
+            if lab not in vertex_of:
                 raise InputError(f"taxon {lab!r} not in tree")
-            want |= bit
-        if not want:
-            raise InputError("need at least one taxon")
-        return want
-
-    def _descend(self, want: int) -> int:
-        _, _, child_ids, masks, _ = self._ensure_index()
-        v = 0
-        while True:
-            for c in child_ids[v]:
-                if masks[c] & want == want:
-                    v = c
-                    break
-            else:
-                return v
+            ids.append(vertex_of[lab])
+        return ids
 
     def lca(self, taxa: Iterable[str]) -> int:
         """Deepest vertex whose cluster contains all the given leaves."""
-        taxa = list(taxa)
-        self._want_mask(taxa)
-        _, table, vertex_of = self._lca_index()
-        ids = [vertex_of[lab] for lab in taxa]
-        return _lca(table, min(ids), max(ids))
-
-    def leaf_bits(self) -> dict[str, int]:
-        """The leaf-to-bit mapping of this tree's cluster masks.
-
-        Trees over the same leaf set share the mapping, so triple masks
-        can be prepared once and checked against many trees.
-        """
-        return self._ensure_index()[4]
-
-    def resolve_mask(self, want: int) -> int:
-        """Mask variant of `resolve`: the cherry-pair bits at the join, or 0."""
-        _, _, child_ids, masks, _ = self._ensure_index()
-        for child in child_ids[self._descend(want)]:
-            overlap = want & masks[child]
-            if overlap.bit_count() == 2:
-                return overlap
-        return 0
+        ids = self._positions(taxa)
+        if not ids:
+            raise InputError("need at least one taxon")
+        return _lca(self._lca_index()[1], min(ids), max(ids))
 
     def resolve(self, a: str, b: str, c: str) -> frozenset[str] | None:
         """The cherry pair among {a,b,c} in this tree, or None if unresolved.
 
         Returns frozenset({x,y}) when the tree displays xy|z for the
-        remaining leaf z.
+        remaining leaf z; a repeated taxon is unresolved.
         """
-        overlap = self.resolve_mask(self._want_mask((a, b, c)))
-        if not overlap:
+        ids = self._positions((a, b, c))
+        if len(set(ids)) != 3:
             return None
-        bit_of = self.leaf_bits()
-        return frozenset(x for x in (a, b, c) if bit_of[x] & overlap)
+        out = _three(*self._lca_index()[:2], *sorted(ids))[0]
+        if out is None:
+            return None
+        return frozenset(x for x, v in zip((a, b, c), ids) if v != out)
 
 
 class RootedTriple(NamedTuple):
@@ -435,28 +420,26 @@ def parse_newick(text: str) -> RootedPhyloTree:
 
 def displays_triple(tree: RootedPhyloTree, t: RootedTriple) -> bool:
     """True iff the cherry pair of t joins strictly below the triple's lca."""
-    bit_of = tree.leaf_bits()
-    missing = {x for x in t if x not in bit_of}
+    depths, table, vertex_of = tree._lca_index()
+    missing = {x for x in t if x not in vertex_of}
     if missing:
         raise InputError(f"taxa not in tree: {sorted(missing)}")
-    cherry = bit_of[t.first] | bit_of[t.second]
-    return tree.resolve_mask(cherry | bit_of[t.out]) == cherry
+    ids = sorted({vertex_of[x] for x in t})
+    return len(ids) == 3 and _three(depths, table, *ids)[0] == vertex_of[t.out]
 
 
 def triples_of(tree: RootedPhyloTree) -> frozenset[RootedTriple]:
     """All rooted triples displayed by the tree, over all leaf 3-subsets."""
-    bit_of = tree.leaf_bits()
+    depths, table, vertex_of = tree._lca_index()
     out = []
-    # Leaves are sorted, so a < b < c and each cherry comes out sorted.
-    for a, b, c in combinations(tree.leaves, 3):
-        ab = bit_of[a] | bit_of[b]
-        pair = tree.resolve_mask(ab | bit_of[c])
-        if pair == ab:
-            out.append(RootedTriple(a, b, c))
-        elif pair == bit_of[a] | bit_of[c]:
-            out.append(RootedTriple(a, c, b))
-        elif pair:
-            out.append(RootedTriple(b, c, a))
+    # Leaves taken in preorder come out as u < v < w.
+    leaves = sorted((v, lab) for lab, v in vertex_of.items())
+    for (u, a), (v, b), (w, c) in combinations(leaves, 3):
+        z = _three(depths, table, u, v, w)[0]
+        if z == w:
+            out.append(RootedTriple(min(a, b), max(a, b), c))
+        elif z == u:
+            out.append(RootedTriple(min(b, c), max(b, c), a))
     return frozenset(out)
 
 
@@ -526,7 +509,7 @@ def displays_clusters(host: RootedPhyloTree, guest: RootedPhyloTree) -> bool:
     L(guest) below it outside C and leaves a, b of C below two different
     children, so the host does not display the guest's ab|c.
     """
-    bits = host.leaf_bits()
+    bits = host._ensure_index()[4]
     missing = set(guest.leaves) - bits.keys()
     if missing:
         raise InputError(f"guest leaves not in host: {sorted(missing)}")

@@ -2,7 +2,7 @@
 
 Median representations live on unrooted trees, so `UnrootedPhyloTree`
 is defined here, where its only user is: an edge list with labeled
-leaves, its medians read off `phylo`'s preorder sparse table
+leaves, its medians read by `phylo._three` off the preorder sparse table
 (`phylo._lca_table`) of the tree hung from the interior vertex next to
 the smallest leaf, and its Newick text printed through
 `phylo.RootedPhyloTree` from the same hanging.  Requests that never
@@ -141,11 +141,8 @@ class UnrootedPhyloTree:
         order, pos, parents = self._hang
         if self._lca is None:
             self._lca = phylo._lca_table(parents)
-        depths, table = self._lca
-        a, b, c = sorted(pos[self.leaf_vertex(x)] for x in labs)
-        lca = phylo._lca
-        return order[max(lca(table, a, b), lca(table, a, c), lca(table, b, c),
-                         key=depths.__getitem__)]
+        u, v, w = sorted(pos[self.leaf_vertex(x)] for x in labs)
+        return order[phylo._three(*self._lca, u, v, w)[1]]
 
     def newick(self) -> str:
         """Serialize by rooting at the interior vertex next to the smallest leaf."""

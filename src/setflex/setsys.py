@@ -293,6 +293,10 @@ def parse_sets_json(text: str) -> SetSystem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal past int's digit limit
+        raise ParseError("invalid JSON: integer literal too long") from None
     if not isinstance(data, dict) or "sets" not in data:
         raise ParseError('JSON set system must be an object with a "sets" key')
     sets, extra = data["sets"], data.get("extra_taxa", [])

@@ -151,15 +151,13 @@ def unrooted_neighbors(tree, v: int) -> tuple[int, ...]:
 
 
 def count_displaying_hosts(hosts, triples, stop_at: int | None = None) -> int:
-    """How many of `hosts` (trees on one leaf set) display every triple."""
-    bits = hosts[0].leaf_bits()
-    pairs = [
-        (bits[t.first] | bits[t.second] | bits[t.out], bits[t.first] | bits[t.second])
-        for t in triples
-    ]
+    """How many of `hosts` display every triple, read off label sets: a
+    host displays ab|c iff one of its clusters holds a and b but not c."""
     count = 0
     for host in hosts:
-        if all(host.resolve_mask(want) == cherry for want, cherry in pairs):
+        clusters = [host.cluster(v) for v in host.interior_ids()]
+        if all(any({t.first, t.second} <= c and t.out not in c for c in clusters)
+               for t in triples):
             count += 1
             if stop_at is not None and count >= stop_at:
                 break

@@ -57,6 +57,15 @@ class TestCheck:
         assert payload["sigma_star"] == 2
         assert payload["method"] == "mincut"
 
+    def test_human_timing_line_goes_to_stderr(self, capsys, fig1):
+        assert main(["check", "thin", fig1]) == 0
+        captured = capsys.readouterr()
+        assert "time:" not in captured.out and "sigma" in captured.out
+        assert re.fullmatch(r"time: \d+\.\d ms\n", captured.err)
+        assert main(["check", "thin", fig1, "--no-stats"]) == 0
+        captured = capsys.readouterr()
+        assert "time:" not in captured.out and captured.err == ""
+
     def test_thin_infers_r(self, capsys, fig1):
         code, payload = run_json(capsys, "check", "thin", fig1)
         assert code == 0 and payload["r"] == 3
@@ -264,6 +273,20 @@ class TestErrorSurface:
         path.write_text(text)
         code, error = self.run_error(capsys, "check", "slim", str(path))
         assert code == 2 and "must be an array" in error
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"sets": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "invalid JSON: nested too deeply"),
+        ('{"sets": [["a", "b", "c"]], "n": ' + "7" * 5000 + "}",
+         "invalid JSON: integer literal too long"),
+    ], ids=["nested", "long-integer"])
+    def test_json_past_the_decoder_limits_exit_2(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert self.run_error(capsys, "check", "slim", str(path)) == (2, error)
+        assert main(["check", "slim", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
 
     @pytest.mark.parametrize("argv", [
         ("check", "slim"), ("supertree",), ("order",),

@@ -16,6 +16,7 @@ from setflex import (
     RootedTriple,
     UnrootedPhyloTree,
     build_supertree,
+    defining_triples,
     displays_clusters,
     displays_triple,
     enumerate_binary_trees,
@@ -991,6 +992,15 @@ class TestTreeLarge:
         assert caterpillar.depth(deepest) == 4998
         assert len(caterpillar.cluster(deepest)) == 2
 
+    def test_displays_defining_triples(self, caterpillar):
+        # The lca table answers each triple with two lookups; a query that
+        # walks the 4,999-level depth per triple does not meet the bound.
+        triples = defining_triples(caterpillar)
+        assert len(triples) == 4998
+        start = time.perf_counter()
+        assert all(displays_triple(caterpillar, t) for t in triples)
+        assert time.perf_counter() - start < 0.5
+
     def test_make_binary_and_restrict(self, caterpillar):
         start = time.perf_counter()
         assert make_binary(caterpillar).newick() == caterpillar.newick()
@@ -1169,6 +1179,26 @@ def reference_lca(tree: RootedPhyloTree, taxa) -> int:
         v = below[0]
 
 
+def reference_resolve(tree: RootedPhyloTree, a, b, c):
+    """The cluster descent the lca index replaced: below the lca of the
+    three taxa, the child whose cluster holds two of them, else None."""
+    want = {a, b, c}
+    for child in tree.children_ids(reference_lca(tree, want)):
+        pair = want & tree.cluster(child)
+        if len(pair) == 2:
+            return frozenset(pair)
+    return None
+
+
+def reference_triples_of(tree: RootedPhyloTree) -> set:
+    out = set()
+    for abc in combinations(tree.leaves, 3):
+        pair = reference_resolve(tree, *abc)
+        if pair is not None:
+            out.add(RootedTriple.of(*sorted(pair), *(set(abc) - pair)))
+    return out
+
+
 def reference_depth(tree: RootedPhyloTree, v: int) -> int:
     d = 0
     while tree.parent(v) != -1:
@@ -1247,6 +1277,39 @@ class TestLcaIndexAgainstReference:
                 taxa = rng.sample(tree.leaves, rng.randint(1, min(5, tree.leaf_count)))
                 assert tree.lca(taxa) == reference_lca(tree, taxa)
                 assert tree.lca(iter(taxa)) == tree.lca(taxa)
+
+    def test_three_leaf_queries_random_trees_and_caterpillars(self):
+        rng = random.Random(71)
+        for trial in range(60):
+            labels = shuffled_labels(rng, rng.randint(3, 18))
+            if trial % 3 == 0:
+                tree = RootedPhyloTree(caterpillar_shape(rng, labels))
+            else:  # binary, then non-binary
+                tree = _random_tree(rng, labels, 0.4 * (trial % 3 - 1))
+            assert triples_of(tree) == reference_triples_of(tree)
+            for _ in range(40):
+                a, b, c = rng.sample(tree.leaves, 3)
+                pair = reference_resolve(tree, a, b, c)
+                assert tree.resolve(a, b, c) == pair
+                for order in ((a, b, c), (a, c, b), (b, c, a)):
+                    shown = displays_triple(tree, RootedTriple.of(*order))
+                    assert shown == (pair == {order[0], order[1]})
+
+    def test_repeated_taxa_are_unresolved(self):
+        for tree in (T("((a,b),c);"), T("(((a,b),c),(d,e));"), T("(a,b,c);")):
+            assert tree.resolve("a", "a", "b") is None
+            assert tree.resolve("b", "a", "b") is None
+            assert tree.resolve("a", "a", "a") is None
+            for t in (RootedTriple("a", "a", "b"), RootedTriple("a", "b", "a"),
+                      RootedTriple("b", "a", "a"), RootedTriple("a", "a", "a")):
+                assert not displays_triple(tree, t)
+
+    def test_three_leaf_errors_unchanged(self):
+        tree = T("((a,b),c);")
+        with pytest.raises(InputError, match="^taxon 'z' not in tree$"):
+            tree.resolve("a", "z", "y")
+        with pytest.raises(InputError, match=r"^taxa not in tree: \['y', 'z'\]$"):
+            displays_triple(tree, RootedTriple("z", "a", "y"))
 
     def test_lca_errors_unchanged(self):
         tree = T("((a,b),c);")

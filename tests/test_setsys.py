@@ -10,6 +10,7 @@ from setflex import (
     InputError,
     InternalVerificationError,
     MemberSizeError,
+    ParseError,
     CapExceededError,
     PreconditionError,
     SetSystem,
@@ -540,3 +541,14 @@ class TestFormats:
     def test_bad_json(self):
         with pytest.raises(InputError):
             parse_sets_json("[1,2]")
+
+    def test_json_past_the_decoder_limits_is_a_parse_error(self):
+        # Legal set systems nest three levels deep and hold no numbers.
+        deep = '{"sets": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+            parse_sets_json(deep)
+        long = '{"sets": [["a", "b", "c"]], "n": ' + "7" * 5000 + "}"
+        with pytest.raises(ParseError, match="^invalid JSON: integer literal too long$"):
+            parse_sets_json(long)
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse_sets_json('{"sets": [["a"]')
