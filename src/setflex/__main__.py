@@ -1,5 +1,28 @@
+"""Entry point: `python -m setflex` and the installed `setflex` script
+both end through `run`.
+
+Every request is a fresh interpreter, and on exit CPython runs full
+garbage collections over every tracked object, the modules `site`
+imported included; they took longer than most requests' own work.
+`run` freezes the heap once `cli.main` is done, so those collections
+skip it.  The rest of shutdown is the normal one: `atexit` callbacks
+run, stdio is flushed, and a stdout that fails at the final flush still
+exits 120.  `cli.main` returns the exit code and never freezes, so
+callers in the same process keep a normal collector.
+"""
+
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+
+def run() -> None:
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
+if __name__ == "__main__":
+    run()

@@ -401,7 +401,12 @@ def parse_newick(text: str) -> RootedPhyloTree:
             raise ParseError("branch lengths are not supported", pos)
         return s[start:pos]
 
-    shape = parse_clade()
+    try:
+        shape = parse_clade()
+    except RecursionError:
+        # One frame per nesting level; an explicit stack of open clades
+        # would lift this limit.
+        raise ParseError("Newick nested too deeply") from None
     skip_ws()
     if pos >= len(s) or s[pos] != ";":
         raise ParseError("missing terminating ';'", pos)

@@ -262,10 +262,78 @@ def _middle(positions: dict[str, int], member: frozenset[str]) -> str:
     return labs[len(labs) // 2]
 
 
-def _insert_checked(seq: list[str], to_place: list[str], checked, taken) -> list[str] | None:
-    """Insert `to_place` (in order) into seq at the first slots, in nested
-    canonical order, where the `checked` members get pairwise distinct
-    middles outside `taken`; return those middles, or None if no slots do.
+class _LeafOrder:
+    """A leaf sequence that grows at its ends and next to placed leaves.
+
+    A doubly linked list whose leaves carry integer keys that increase
+    along it, so the order of two leaves is one comparison and no
+    insertion needs a position.  Keys lie strictly between 0 and
+    2^`bits`.  A new leaf takes the midpoint of its neighbours' keys;
+    when they are adjacent, the smallest aligned range of 2^i keys around
+    it that holds at most (4/3)^i leaves is spread out evenly, and `bits`
+    grows when no range does: O(log n) amortized key changes per
+    insertion (Bender et al., "Two simplified algorithms for maintaining
+    order in a list", ESA 2002).
+    """
+
+    def __init__(self, seq: list[str]):
+        self.first, self.last = seq[0], seq[-1]
+        self.next = dict(zip(seq, seq[1:]))
+        self.prev = dict(zip(seq[1:], seq))
+        self.bits = 2 * len(seq).bit_length() + 4
+        gap = (1 << self.bits) // (len(seq) + 1)
+        self.key = {lab: (i + 1) * gap for i, lab in enumerate(seq)}
+
+    def __iter__(self):
+        lab = self.first
+        while lab is not None:
+            yield lab
+            lab = self.next.get(lab)
+
+    def insert_after(self, left: str | None, lab: str) -> None:
+        """Put `lab` right after `left`, or first when `left` is None."""
+        right = self.first if left is None else self.next.get(left)
+        if left is None:
+            self.first = lab
+        else:
+            self.next[left], self.prev[lab] = lab, left
+        if right is None:
+            self.last = lab
+        else:
+            self.next[lab], self.prev[right] = right, lab
+        low = 0 if left is None else self.key[left]
+        high = 1 << self.bits if right is None else self.key[right]
+        self.key[lab] = (low + high) // 2
+        if self.key[lab] == low:
+            self._spread(lab)
+
+    def _spread(self, lab: str) -> None:
+        key, prev, nxt = self.key, self.prev, self.next
+        lo = hi = lab
+        count, i = 1, 0
+        while True:
+            i += 1
+            base = key[lab] >> i << i
+            while lo in prev and key[prev[lo]] >= base:
+                lo = prev[lo]
+                count += 1
+            while hi in nxt and key[nxt[hi]] < base + (1 << i):
+                hi = nxt[hi]
+                count += 1
+            if count * 3 ** i <= 4 ** i:
+                break
+        self.bits = max(self.bits, i)
+        gap = (1 << i) // (count + 1)
+        for j in range(1, count + 1):
+            key[lo] = base + j * gap
+            lo = nxt.get(lo)
+
+
+def _insert_checked(order: _LeafOrder, to_place: list[str], checked, taken) -> list[str] | None:
+    """Insert `to_place` (in order) into `order` at the first slots, in
+    nested canonical order, where the `checked` members get pairwise
+    distinct middles outside `taken`; return those middles, or None if no
+    slots do.
 
     Canonical order tries slots 0..n, or n..0 when the sequence ends in a
     smaller label than it starts with.  An insertion keeps the relative
@@ -276,36 +344,39 @@ def _insert_checked(seq: list[str], to_place: list[str], checked, taken) -> list
     the new x t's middle, so no later slot for them is ever needed.
 
     For x the middles depend only on how many of the other checked taxa
-    (at positions p_0 < ... < p_{m-1}) precede it: forward order meets
-    class j first at slot p_{j-1} + 1 (0 for j = 0), reverse order at
-    p_j (n for j = m).
+    (r_0 < ... < r_{m-1} in sequence order) precede it: forward order
+    meets class j first right after r_{j-1} (first for j = 0), reverse
+    order right before r_j (last for j = m).
     """
     *outer, x = to_place
-    n, first, last = len(seq), seq[0], seq[-1]
+    first, last = order.first, order.last
+    key = order.key
     rel = {lab for member in checked for lab in member} - set(to_place)
-    pos = {lab: seq.index(lab) for lab in rel}
-    slots = []
+    keys = {lab: key[lab] for lab in rel}
+    lo, hi = key[first], key[last]
+    at_back = []
     for lab in outer:
+        at_back.append(last < first)
         if last < first:
-            slot, last = n, lab
+            hi += 1
+            keys[lab], last = hi, lab
         else:
-            slot, first = 0, lab
-            pos = {u: p + 1 for u, p in pos.items()}
-        pos[lab] = slot
-        slots.append(slot)
-        n += 1
-    order = sorted(pos, key=pos.__getitem__)
-    m = len(order)
-    if last < first:
-        classes = [(j, pos[order[j]] if j < m else n) for j in range(m, -1, -1)]
-    else:
-        classes = [(j, pos[order[j - 1]] + 1 if j else 0) for j in range(m + 1)]
-    for j, slot in classes:
-        rank = {u: i for i, u in enumerate(order[:j] + [x] + order[j:])}
+            lo -= 1
+            keys[lab], first = lo, lab
+    ranked = sorted(keys, key=keys.__getitem__)
+    m = len(ranked)
+    reverse = last < first
+    for j in range(m, -1, -1) if reverse else range(m + 1):
+        rank = {u: i for i, u in enumerate(ranked[:j] + [x] + ranked[j:])}
         middles = [_middle(rank, member) for member in checked]
         if len(set(middles)) == len(middles) and not any(mid in taken for mid in middles):
-            for lab, at in zip(to_place, slots + [slot]):
-                seq.insert(at, lab)
+            for lab, back in zip(outer, at_back):
+                order.insert_after(order.last if back else None, lab)
+            if reverse:
+                left = order.prev.get(ranked[j]) if j < m else order.last
+            else:
+                left = ranked[j - 1] if j else None
+            order.insert_after(left, x)
             return middles
     return None
 
@@ -390,6 +461,7 @@ def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
     skip = 0
     while True:
         seq = _peel_median(live, levels, skip)
+        order = _LeafOrder(seq)
         positions = {lab: i for i, lab in enumerate(seq)}
         middle_of = {m: _middle(positions, m) for m in live}
         owner = {mid: m for m, mid in middle_of.items()}
@@ -397,7 +469,7 @@ def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
             to_place, checked, y, index = levels.pop()
             if y is not None:
                 del owner[middle_of.pop(y)]
-            middles = _insert_checked(seq, to_place, checked, owner)
+            middles = _insert_checked(order, to_place, checked, owner)
             if middles is None:
                 if y is None:
                     raise InternalVerificationError("no insertion slot in the n=1 case")
@@ -408,7 +480,7 @@ def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
                 middle_of[member] = mid
                 owner[mid] = member
         else:
-            return seq
+            return list(order)
 
 
 def _canonical_sequence(seq: list[str]) -> list[str]:

@@ -1,3 +1,6 @@
+import ast
+import gc
+import importlib
 import io
 import json
 import os
@@ -20,6 +23,7 @@ from setflex import (
     parse_newick,
     phylo,
 )
+import setflex.__main__
 from setflex.cli import main
 from conftest import FIG1, restrict, shuffled_labels, yule_shape
 
@@ -838,3 +842,74 @@ class TestStartup:
         added = loaded("import setflex.cli\nfrom setflex import *") - loaded("pass")
         assert "setflex.cli" in added
         assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
+
+
+class TestExitPath:
+    """`python -m setflex` and the installed script end through
+    `setflex.__main__.run`, which freezes the heap on the way out so the
+    interpreter's exit-time collections skip it; the rest of shutdown
+    (atexit callbacks, stdio flushing, the exit code) is the normal one."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def env(self):
+        # Block-buffered stdout, as a request usually runs, so the answer
+        # is written by the final flush at shutdown.
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.ROOT / "src"), env.get("PYTHONPATH")) if p)
+        return env
+
+    def python(self, *args, **kwargs):
+        return subprocess.run([sys.executable, *args], env=self.env(),
+                              capture_output=True, timeout=60, **kwargs)
+
+    def test_atexit_runs_on_a_frozen_heap_with_the_verdicts_code(self, fig1p):
+        code = (
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('setflex', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = self.python("-c", code, "check", "thin", fig1p, "--json", "--no-stats",
+                           text=True)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        verdict, frozen = proc.stdout.splitlines()
+        assert json.loads(verdict)["verdict"] is False
+        assert frozen == "frozen True"
+
+    def test_large_output_arrives_whole_through_a_pipe(self, capsys, tmp_path):
+        # About 125 KB of JSON, well past a 64 KiB pipe buffer.
+        names = shuffled_labels(random.Random(29), 3002)
+        path = tmp_path / "chain3000.sets"
+        path.write_text("".join(",".join(names[i:i + 3]) + "\n" for i in range(3000)))
+        argv = ["represent", "median-caterpillar", str(path), "--json", "--no-stats"]
+        proc = self.python("-m", "setflex", *argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) > 64 * 1024
+        assert main(argv) == 0
+        assert proc.stdout.decode() == capsys.readouterr().out
+
+    def test_a_closed_stdout_still_exits_120(self, fig1):
+        # The reader is gone before the request starts, so the final flush
+        # of the answer fails as it would behind `| head -c 0`.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "setflex", "check", "thin", fig1, "--json"],
+            env=self.env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 120
+        assert b"BrokenPipeError" in err and b"Traceback" not in err
+
+    def test_main_in_process_never_freezes(self, capsys, fig1):
+        before = gc.get_freeze_count()
+        assert main(["check", "thin", fig1, "--json"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_script_and_module_run_the_same_function(self):
+        text = (self.ROOT / "pyproject.toml").read_text()
+        (target,) = re.findall(r'^\[project\.scripts\]\nsetflex = "([^"]+)"$', text, re.M)
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is setflex.__main__.run
+        guard = ast.parse(Path(setflex.__main__.__file__).read_text()).body[-1]
+        assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"

@@ -114,6 +114,11 @@ class TestNewick:
             with pytest.raises(ParseError):
                 parse_newick(text)
 
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        text = "(" * 5000 + "a" + "".join(f",b{i})" for i in range(5000)) + ";"
+        with pytest.raises(ParseError, match="Newick nested too deeply"):
+            parse_newick(text)
+
     def test_whitespace_tolerated(self):
         assert T(" ( (a, b) , c ) ; ").newick() == "((a,b),c);"
 
