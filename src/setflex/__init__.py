@@ -7,21 +7,24 @@ constructs the accompanying certificates: minimizing subsets, systems of
 distinct representatives, supertrees, caterpillar representations, and
 total-order extensions.
 
-The layer modules `setsys`, `exhaustive`, `phylo`, `graphopt`, `flex`
-and `represent` are registered with `importlib.util.LazyLoader`:
+The layer modules `setsys`, `exhaustive`, `rooted`, `phylo`, `graphopt`,
+`flex` and `represent` are registered with `importlib.util.LazyLoader`:
 `setflex.graphopt` and `sys.modules["setflex.graphopt"]` exist from the
 start, but the module's source is compiled and run on its first
 attribute access.  Every CLI request is a fresh interpreter, so it pays
 only for the layers it runs: `check thin|slim|flexible` (mincut) and
 `sdr` load `setsys` and `graphopt`; `check thin|slim --method
 exhaustive` loads `setsys` and `exhaustive`; `check flexible --method
-bruteforce` loads `setsys`, `phylo` and `flex`; `count` and
-`gen-defining` load `phylo` and `flex`, and `count --formula-n` alone
-only `flex`; `supertree` loads `phylo`; `represent` loads `setsys`,
-`graphopt`, `phylo` and `represent`, `check order-flexible` `setsys`,
-`graphopt` and `represent`, and `order` only `represent`.  The tree
-layers stay off `setsys`: `phylo` takes `check_label` from `errors`,
-and `flex` names `setsys.SetSystem` only in annotations.  `flex` and
+bruteforce` loads `setsys`, `rooted`, `phylo` and `flex`; `count` and
+`gen-defining` load `rooted`, `phylo` and `flex`, and `count
+--formula-n` alone only `flex`; `supertree` loads `rooted` and `phylo`;
+`represent` loads `setsys`, `graphopt`, `rooted` and `represent` (the
+tree class and its lca table, not `phylo`'s parsers and BUILD), `check
+order-flexible` `setsys`, `graphopt` and `represent`, and `order` only
+`represent`.  `phylo` imports its tree class from `rooted`, so every
+request that loads `phylo` loads `rooted` too.  The tree layers stay off
+`setsys`: `rooted` and `phylo` take `check_label` from `errors`, and
+`flex` names `setsys.SetSystem` only in annotations.  `flex` and
 `represent` reach the other layers as module attributes, so a layer
 runs only when a function that needs it does.  Each subcommand's
 handler is its own module (`setflex.cli_check`, ...), which `cli.main`
@@ -64,9 +67,9 @@ _EXPORTS = {
         "sdr", "sigma_star", "surplus_forest",
     ),
     "phylo": (
-        "BuildResult", "RootedPhyloTree", "RootedTriple", "build_supertree",
-        "displays_clusters", "displays_triple", "make_binary", "parse_newick",
-        "parse_triple", "parse_triples_text", "spanning_triples", "triples_of",
+        "BuildResult", "RootedTriple", "build_supertree", "displays_clusters",
+        "displays_triple", "make_binary", "parse_newick", "parse_triple",
+        "parse_triples_text", "spanning_triples", "triples_of",
     ),
     "represent": (
         "OrderReport", "RepresentationReport", "UnrootedPhyloTree",
@@ -74,6 +77,7 @@ _EXPORTS = {
         "is_total_order_flexible", "lca_caterpillar_representation",
         "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
+    "rooted": ("RootedPhyloTree",),
     "setsys": (
         "CheckReport", "SetSystem", "excess_general", "excess_uniform",
         "gamma", "occurrence_count", "parse_sets", "parse_sets_json",

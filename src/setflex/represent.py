@@ -2,11 +2,13 @@
 
 Median representations live on unrooted trees, so `UnrootedPhyloTree`
 is defined here, where its only user is: an edge list with labeled
-leaves, its medians read by `phylo._three` off the preorder sparse table
-(`phylo._lca_table`) of the tree hung from the interior vertex next to
-the smallest leaf, and its Newick text printed through
-`phylo.RootedPhyloTree` from the same hanging.  Requests that never
-build one (supertree, count, the flexibility scan) do not compile it.
+leaves, its medians read by `rooted._three` off the preorder sparse
+table (`rooted._lca_table`) of the tree hung from the interior vertex
+next to the smallest leaf, and its Newick text printed through
+`rooted.RootedPhyloTree` from the same hanging.  Requests that never
+build one (supertree, count, the flexibility scan) do not compile it,
+and the representations compile none of `phylo`'s parsers, display
+checks and BUILD.
 
 A caterpillar is handled as a leaf sequence: sequence position p (with
 0 <= p <= n-1) attaches to spine vertex w_{max(0, min(p-1, n-3))}, and
@@ -31,7 +33,7 @@ import heapq
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, NamedTuple
 
-from . import graphopt, phylo, setsys
+from . import graphopt, rooted, setsys
 from .errors import (
     CapExceededError,
     InputError,
@@ -140,9 +142,9 @@ class UnrootedPhyloTree:
             raise InputError(f"median needs exactly three taxa, got {labs}")
         order, pos, parents = self._hang
         if self._lca is None:
-            self._lca = phylo._lca_table(parents)
+            self._lca = rooted._lca_table(parents)
         u, v, w = sorted(pos[self.leaf_vertex(x)] for x in labs)
-        return order[phylo._three(*self._lca, u, v, w)[1]]
+        return order[rooted._three(*self._lca, u, v, w)[1]]
 
     def newick(self) -> str:
         """Serialize by rooting at the interior vertex next to the smallest leaf."""
@@ -157,7 +159,7 @@ class UnrootedPhyloTree:
         for p in range(len(order) - 1, 0, -1):
             v = order[p]
             kids[parents[p]].append(self._labels[v] if v in self._labels else tuple(kids[p]))
-        return phylo.RootedPhyloTree(tuple(kids[0])).newick()
+        return rooted.RootedPhyloTree(tuple(kids[0])).newick()
 
 
 # -- caterpillar builders -----------------------------------------------------
@@ -184,7 +186,7 @@ def unrooted_caterpillar(sequence: Iterable[str]) -> UnrootedPhyloTree:
     return UnrootedPhyloTree(edges, {leaf_ids[i]: seq[i] for i in range(n)})
 
 
-def rooted_caterpillar(sequence: Iterable[str]) -> phylo.RootedPhyloTree:
+def rooted_caterpillar(sequence: Iterable[str]) -> rooted.RootedPhyloTree:
     """The rooted caterpillar whose deepest cherry is the first two leaves."""
     seq = list(sequence)
     if len(seq) < 2:
@@ -192,7 +194,7 @@ def rooted_caterpillar(sequence: Iterable[str]) -> phylo.RootedPhyloTree:
     shape = (seq[0], seq[1])
     for leaf in seq[2:]:
         shape = (shape, leaf)
-    return phylo.RootedPhyloTree(shape)
+    return rooted.RootedPhyloTree(shape)
 
 
 # -- reports -------------------------------------------------------------------
@@ -209,7 +211,7 @@ class RepresentationReport(NamedTuple):
     """
 
     kind: str
-    tree: UnrootedPhyloTree | phylo.RootedPhyloTree
+    tree: UnrootedPhyloTree | rooted.RootedPhyloTree
     sequence: tuple[str, ...]
     vertex_map: dict[int, int]
     verified: bool

@@ -890,12 +890,15 @@ class TestExitPath:
         assert main(argv) == 0
         assert proc.stdout.decode() == capsys.readouterr().out
 
-    def test_a_closed_stdout_still_exits_120(self, fig1):
-        # The reader is gone before the request starts, so the final flush
-        # of the answer fails as it would behind `| head -c 0`.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_still_exits_120(self, fig1, unbuffered):
+        # The reader is gone before the request starts, as behind
+        # `| head -c 0`.  A buffered answer fails at the final flush, an
+        # unbuffered one at the write inside `cli.main`.
+        env = {**self.env(), "PYTHONUNBUFFERED": "1"} if unbuffered else self.env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "setflex", "check", "thin", fig1, "--json"],
-            env=self.env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 120
