@@ -259,7 +259,3 @@ def main(argv=None) -> int:
         return 4
     _emit(ns, payload, lines, time.perf_counter() - t0)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,17 +21,18 @@ def run(ns) -> tuple[int, dict, list[str]]:
     vertex_map = {
         _member_str(system, i): v for i, v in sorted(report.vertex_map.items())
     }
+    newick = report.tree.newick()
     payload = {
         "command": "represent",
         "kind": report.kind,
-        "newick": report.tree.newick(),
+        "newick": newick,
         "sequence": list(report.sequence),
         "vertex_map": vertex_map,
         "verified": report.verified,
         "appended_taxa": list(report.appended),
     }
     lines = [
-        report.tree.newick(),
+        newick,
         f"verified: {'yes' if report.verified else 'no'}",
         f"vertex_map: {json.dumps(vertex_map, sort_keys=True)}",
     ]

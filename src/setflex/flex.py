@@ -300,64 +300,25 @@ def disjoint_count_formula(n: int) -> int:
 def defining_triples(tree: phylo.RootedPhyloTree) -> tuple[phylo.RootedTriple, ...]:
     """n-2 rooted triples whose only displaying tree is the given binary tree.
 
-    Peeling: take the cherry {a, b} (a < b) whose smaller label is least,
-    use the smallest leaf of its sibling subtree as the outgroup c, emit
-    ab|c, delete a (b takes the cherry's place) and repeat until n-2
-    triples are out.  They are returned last peel first.
+    They are the tree's spanning triples (`phylo.spanning_triples`), in
+    preorder of their vertex w: one triple least(d1),least(d2)|least(s)
+    per non-root interior w with children d1, d2 and sibling s.  That
+    function's docstring shows that BUILD on them returns the tree and
+    that no other tree displays them.
 
-    One pass over the tree's index does all the peels.  The cherries sit
-    in a min-heap keyed by their smaller leaf; cherries are disjoint, so
-    the least key is the least cherry, and a peel changes only the
-    grandparent's children, so at most one new cherry ({b, sibling}) is
-    pushed and no entry goes stale.  An int mask of the leaves not yet
-    deleted keeps each original cluster current: the outgroup is the
-    lowest set bit of sibling cluster & alive (bit i is the i-th smallest
-    label).  That is O(n log n) steps plus n mask ANDs of n/64 words,
-    with no recursion.
+    Their leaf sets are thin, with |L(R')| >= |R'| + 2 for every
+    non-empty selection R'.  Take a w of R' with no other vertex of R'
+    below it.  The leaf x = least(d2(w)) lies in no other triple of R':
+    each leaf of the triple of a w' is least(v) for a child or sibling v
+    of w', so if v holds x and w' is not below w, v holds w too, and
+    least(v) <= least(w) < x.  Dropping w's triple loses the leaf x, so
+    the bound follows by induction from a single triple's three leaves.
     """
-    # Imported here, its only user: a flexibility scan never loads heapq.
-    from heapq import heapify, heappop, heappush
-
     if not tree.is_binary():
         raise InputError("defining_triples needs a binary tree")
     if tree.leaf_count < 3:
         raise InputError("defining_triples needs at least three leaves")
-    _, parents, child_ids, masks, _ = tree._ensure_index()
-    labels = tree.leaves
-    kids = [list(k) for k in child_ids]
-
-    def leaf_index(v: int) -> int:
-        return masks[v].bit_length() - 1
-
-    def cherry(v: int) -> tuple[int, int]:
-        return min(map(leaf_index, kids[v])), v
-
-    heap = [
-        cherry(v)
-        for v, k in enumerate(child_ids)
-        if k and not child_ids[k[0]] and not child_ids[k[1]]
-    ]
-    heapify(heap)
-    alive = masks[0]
-    out: list[phylo.RootedTriple] = []
-    while len(out) < len(labels) - 2:
-        _, v = heappop(heap)
-        a, b = sorted(kids[v], key=leaf_index)
-        # Cherries are interior vertices, which are never moved.
-        u = parents[v]
-        slot = kids[u].index(v)
-        sibling = kids[u][1 - slot]
-        rest = masks[sibling] & alive
-        outgroup = (rest & -rest).bit_length() - 1
-        out.append(phylo.RootedTriple(
-            labels[leaf_index(a)], labels[leaf_index(b)], labels[outgroup]
-        ))
-        alive ^= masks[a]
-        kids[u][slot] = b
-        if not kids[sibling]:
-            heappush(heap, cherry(u))
-    out.reverse()
-    return tuple(out)
+    return tuple(phylo.spanning_triples(tree))
 
 
 def is_unique_display(triples, taxa=None) -> bool:

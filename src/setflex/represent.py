@@ -8,7 +8,9 @@ next to the smallest leaf, and its Newick text printed through
 `rooted.RootedPhyloTree` from the same hanging.  Requests that never
 build one (supertree, count, the flexibility scan) do not compile it,
 and the representations compile none of `phylo`'s parsers, display
-checks and BUILD.
+checks and BUILD.  The lca construction decides its own precondition
+with the peel that places the pairs, so `graphopt` loads for it only
+to certify a system that is not thin.
 
 A caterpillar is handled as a leaf sequence: sequence position p (with
 0 <= p <= n-1) attaches to spine vertex w_{max(0, min(p-1, n-3))}, and
@@ -572,21 +574,21 @@ def verify_median_injective(
 # -- the lca-caterpillar peel ----------------------------------------------------
 
 
-def _place_pairs(tau: frozenset[frozenset[str]]) -> list[str]:
+def _place_pairs(tau: frozenset[frozenset[str]]) -> list[str] | None:
     """A leaf order of L(tau) for a forest of pairs, by one leaf peel.
 
     Each step drops the pair t of the least-labelled taxon x of count 1;
     unwinding appends x (after its partner, if the reduced system lacks
-    it) above the spine built so far.
+    it) above the spine built so far.  None when no taxon of count 1 is
+    left before one pair remains: the pairs left all have both taxa of
+    count >= 2, so they hold a cycle, and a forest never gets there.
     """
     members_of, heap = _incidence(tau)
     peeled = []
     for _ in range(len(tau) - 1):
         count, x = _lightest(members_of, heap)
         if count != 1:
-            raise InternalVerificationError(
-                "thin pair system with no taxon of occurrence count 1"
-            )
+            return None
         (t,) = members_of[x]
         _drop(t, members_of, heap)
         (a,) = t - {x}
@@ -602,22 +604,27 @@ def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationRe
 
     The system must be uniformly of size 2 and thin (sigma* >= 1), which
     for pairs is the incidence graph being a forest (the paper's pair
-    theorem), tested in linear time; the minimizer runs only to certify
-    a "no".  Universe taxa outside L(tau) are appended above the
+    theorem).  The leaf peel that places the pairs decides it: it runs
+    out of taxa of count 1 exactly on a cycle.  Only then does
+    `graphopt` load, and the minimizer certifies the "no"; a minimizer
+    that finds the system thin contradicts the peel and is an internal
+    error.  Universe taxa outside L(tau) are appended above the
     existing spine and flagged in the report.  The lca map is recomputed
     from the finished tree and its depths give the spine numbering.
     """
     if setsys.require_members(system).uniform_size() != 2:
         raise MemberSizeError("lca representation needs a system of pairs")
-    if not graphopt.is_forest(graphopt.incidence_graph(system, "unit"))[0]:
+    seq = _place_pairs(frozenset(system.member_label_sets()))
+    if seq is None:
         minimizer = graphopt.sigma_star(system)
+        if minimizer.value >= 1:
+            raise InternalVerificationError(
+                "pair peel found a cycle in a thin system (sigma* = %d)" % minimizer.value
+            )
         raise PreconditionError(
             "system is not thin (sigma* = %d)" % minimizer.value,
             certificate=minimizer,
         )
-
-    tau = frozenset(system.member_label_sets())
-    seq = _place_pairs(tau)
     appended = tuple(sorted(set(system.universe) - set(seq)))
     seq = seq + list(appended)
 

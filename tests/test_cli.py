@@ -564,7 +564,7 @@ class TestGenDefining:
         path.write_text("(((a,b),c),d);\n")
         code, out = run(capsys, "gen-defining", str(path), "--no-stats")
         assert code == 0
-        assert out.splitlines() == ["b,c|d", "a,b|c"]
+        assert out.splitlines() == ["a,c|d", "a,b|c"]
 
     def test_triple(self, capsys, tmp_path):
         path = tmp_path / "tree.nwk"
@@ -916,3 +916,17 @@ class TestExitPath:
         assert getattr(importlib.import_module(module), name) is setflex.__main__.run
         guard = ast.parse(Path(setflex.__main__.__file__).read_text()).body[-1]
         assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+
+    def test_no_other_module_is_an_entry_point(self, fig1):
+        # `python -m setflex.cli` would skip `run`'s freeze and its broken
+        # pipe handling, so no module but `__main__` answers as a script.
+        package = Path(setflex.__main__.__file__).parent
+        guarded = [
+            path.name for path in package.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert guarded == ["__main__.py"]
+        proc = self.python("-m", "setflex.cli", "check", "thin", fig1, "--json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")

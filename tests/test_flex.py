@@ -39,33 +39,12 @@ from conftest import (
     caterpillar_shape,
     count_displaying_hosts,
     random_system,
-    restrict,
     shuffled_labels,
     tsys,
     yule_shape,
 )
 
 SHAPES = {"yule": yule_shape, "caterpillar": caterpillar_shape, "balanced": balanced_shape}
-
-
-def peel(t: RootedPhyloTree) -> list[RootedTriple]:
-    # The recursive peel that defined `defining_triples` before the
-    # single-pass version: one `restrict` and a fresh index per leaf.
-    if t.leaf_count == 3:
-        (only,) = triples_of(t)
-        return [only]
-    cherries = []
-    for v in t.interior_ids():
-        kids = t.children_ids(v)
-        if all(not t.children_ids(k) for k in kids):
-            pair = sorted(t.cluster(v))
-            cherries.append((pair, v))
-    pair, v = min(cherries)
-    u = t.parent(v)
-    sibling = next(k for k in t.children_ids(u) if k != v)
-    out = min(t.cluster(sibling))
-    trimmed = restrict(t, set(t.leaves) - {pair[0]})
-    return peel(trimmed) + [RootedTriple.of(pair[0], pair[1], out)]
 
 
 class TestEnumeration:
@@ -419,7 +398,15 @@ class TestDefiningTriples:
 
     def test_four_leaf_caterpillar(self):
         got = [t.compact() for t in defining_triples(parse_newick("(((a,b),c),d);"))]
-        assert got == ["b,c|d", "a,b|c"]
+        assert got == ["a,c|d", "a,b|c"]
+
+    def test_preorder_on_a_small_tree(self):
+        # As strings t1 < t10 < t2 < t3 < t9, so the canonical preorder
+        # visits (t1,t9), then ((t10,t3),t2), then (t10,t3).
+        tree = parse_newick("(((t3,t10),t2),(t1,t9));")
+        assert [t.compact() for t in defining_triples(tree)] == [
+            "t1,t9|t10", "t10,t2|t1", "t10,t3|t2",
+        ]
 
     def test_size_and_uniqueness(self):
         rng = random.Random(59)
@@ -441,39 +428,21 @@ class TestDefiningTriples:
 
 
 class TestDefiningOracle:
-    def test_matches_recursive_peel(self):
-        # Every size from 3 to 120 once, the shapes taking turns, then 400
-        # trees of up to 40 leaves (the reference peel is about cubic).
-        rng = random.Random(404)
-        kinds = sorted(SHAPES)
-        cases = [(kinds[n % 3], n) for n in range(3, 121)]
-        cases += [(kinds[i % 3], rng.randint(3, 40)) for i in range(400)]
-        for kind, n in cases:
-            tree = RootedPhyloTree(SHAPES[kind](rng, shuffled_labels(rng, n)))
-            assert defining_triples(tree) == tuple(peel(tree))
-        assert len(cases) >= 500
-
-    def test_peel_order_on_a_small_tree(self):
-        # As strings t1 < t10 < t2 < t3 < t9.  Peels: t1,t9|t10 (least
-        # cherry, outgroup the smallest leaf across the root), then
-        # t10,t3|t2, then t2,t3|t9; returned last peel first.
-        tree = parse_newick("(((t3,t10),t2),(t1,t9));")
-        assert [t.compact() for t in defining_triples(tree)] == [
-            "t2,t3|t9", "t10,t3|t2", "t1,t9|t10",
-        ]
-        assert defining_triples(tree) == tuple(peel(tree))
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
-    def test_property_matches_peel_and_rebuilds(self, data):
+    def test_property_spanning_triples_define_the_tree(self, data):
         n = data.draw(st.integers(3, 40), label="leaves")
         kind = data.draw(st.sampled_from(sorted(SHAPES)), label="shape")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = random.Random(seed)
         tree = RootedPhyloTree(SHAPES[kind](rng, shuffled_labels(rng, n)))
         triples = defining_triples(tree)
-        assert triples == tuple(peel(tree))
+        assert triples == tuple(phylo.spanning_triples(tree))
         assert build_supertree(triples).tree == tree
+        leafsets = SetSystem([sorted(t.taxa) for t in triples])
+        assert sigma_star(leafsets).value >= 2
+        if n <= 8:
+            assert count_displaying([t.as_tree() for t in triples], tree.leaves) == 1
 
 
 class TestDefiningLarge:
@@ -487,7 +456,8 @@ class TestDefiningLarge:
         assert all(displays_triple(tree, t) for t in triples[::97])
 
     def test_caterpillar_5000(self):
-        # ((((x0,x1),x2),...),x4999): peel i emits x_i,x_{i+1}|x_{i+2}.
+        # ((((x0,x1),x2),...),x4999): the vertex whose second child is
+        # x_j, from the root down, gives x0,x_j|x_{j+1}.
         names = [f"x{i:04d}" for i in range(5000)]
         shape = names[0]
         for name in names[1:]:
@@ -497,7 +467,7 @@ class TestDefiningLarge:
         triples = defining_triples(tree)
         assert time.perf_counter() - start < 2.0
         assert triples == tuple(
-            RootedTriple(names[i], names[i + 1], names[i + 2]) for i in reversed(range(4998))
+            RootedTriple(names[0], names[j], names[j + 1]) for j in range(4998, 0, -1)
         )
 
 

@@ -720,6 +720,36 @@ class TestLcaPrecondition:
         assert err.value.certificate == sigma_star(s)
         assert str(err.value) == "system is not thin (sigma* = 0)"
 
+    def test_cycle_behind_a_forest_is_certified(self):
+        # The peel drains the pendant path and the separate tree first,
+        # then finds only the square's taxa, each of count 2.
+        s = pair_system("ab", "bc", "cd", "da", "dx", "xy", "yz", "pq", "qr")
+        assert represent._place_pairs(frozenset(s.member_label_sets())) is None
+        with pytest.raises(PreconditionError) as err:
+            lca_caterpillar_representation(s)
+        assert err.value.certificate == sigma_star(s)
+        assert str(err.value) == "system is not thin (sigma* = 0)"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                   .filter(lambda p: p[0] < p[1]), min_size=1, max_size=9))
+    def test_property_peel_fails_exactly_on_cycles(self, pairs):
+        s = SetSystem([[ALPHA[i], ALPHA[j]] for i, j in sorted(pairs)])
+        forest, _ = is_forest(incidence_graph(s, "unit"))
+        assert (represent._place_pairs(frozenset(s.member_label_sets())) is not None) == forest
+        if forest:
+            assert lca_caterpillar_representation(s).verified
+        else:
+            with pytest.raises(PreconditionError) as err:
+                lca_caterpillar_representation(s)
+            assert err.value.certificate == sigma_star(s)
+
+    def test_minimizer_contradicting_the_peel_is_internal(self, monkeypatch):
+        thin = sigma_star(pair_system("ab", "bc"))
+        monkeypatch.setattr(graphopt, "sigma_star", lambda system: thin)
+        with pytest.raises(InternalVerificationError, match="sigma\\* = 1"):
+            lca_caterpillar_representation(pair_system("ab", "bc", "ca"))
+
 
 class TestLargeRepresentations:
     """Sizes that ran out of recursion depth, or time, in the recursive
