@@ -36,7 +36,9 @@ the layers inside each handler would save the same time, but the
 layers would then be missing from `sys.modules` after `import
 setflex.cli`, where a tracer that wraps their functions looks them up.
 The names re-exported here (`setflex.is_thin`, ...) are served by a
-module `__getattr__`, so they too load their module on first use.
+module `__getattr__`, so they too load their module on first use.  The
+error classes and `CheckReport`, the record of every yes/no answer, are
+imported eagerly from `errors`, which every request loads anyway.
 """
 
 import importlib.util
@@ -45,6 +47,7 @@ import sys
 from .errors import (
     BudgetExceededError,
     CapExceededError,
+    CheckReport,
     InputError,
     InternalVerificationError,
     MemberSizeError,
@@ -64,7 +67,7 @@ _EXPORTS = {
         "enumerate_binary_trees", "is_flexible_bruteforce", "is_unique_display",
     ),
     "graphopt": (
-        "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport", "SdrReport",
+        "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport",
         "gamma_star", "incidence_graph", "is_forest", "is_slim", "is_thin", "max_flow",
         "sdr", "sigma_star", "surplus_forest",
     ),
@@ -74,14 +77,14 @@ _EXPORTS = {
         "parse_triples_text", "spanning_triples", "triples_of",
     ),
     "represent": (
-        "OrderReport", "RepresentationReport", "UnrootedPhyloTree",
+        "RepresentationReport", "UnrootedPhyloTree",
         "caterpillar_median_representation", "extend_to_total_order",
         "is_total_order_flexible", "lca_caterpillar_representation",
         "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
     "rooted": ("RootedPhyloTree",),
     "setsys": (
-        "CheckReport", "SetSystem", "excess_general", "excess_uniform",
+        "SetSystem", "excess_general", "excess_uniform",
         "gamma", "occurrence_count", "parse_sets", "parse_sets_json",
         "parse_sets_text", "sigma",
     ),
@@ -96,7 +99,8 @@ for _name in _EXPORTS:
     sys.modules[_spec.name] = globals()[_name] = _module
 del _name, _spec, _module
 
-# The error classes imported above, then every re-exported name.
+# The error classes and `CheckReport` imported above, then every
+# re-exported name.
 __all__ = [name for name in dir() if name[0].isupper()] + sorted(_SOURCE)
 __version__ = "0.1.0"
 

@@ -65,24 +65,17 @@ def run(ns) -> tuple[int, dict, list[str]]:
     if kind == "thin":
         r = payload["r"] = ns.r if ns.r is not None else system.uniform_size()
         if r is None:
-            raise InputError("members have mixed sizes; pass --r or check 'slim'")
+            raise InputError("members have mixed sizes; check 'slim' instead")
     if kind == "order-flexible":
         if method not in ("forest", "bruteforce"):
             raise InputError(f"unsupported method {method!r} for {kind}")
         report = represent.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
     elif kind == "flexible" and method == "bruteforce":
-        scan = flex.is_flexible_bruteforce(
+        report = flex.is_flexible_bruteforce(
             system, **_given(budget=ns.budget, enum_cap=ns.cap)
         )
-        report = setsys.CheckReport(
-            verdict=scan.verdict,
-            method="bruteforce",
-            certificate=scan.counterexample,
-            stats={"assignments_checked": scan.assignments_checked,
-                   "core_members": scan.core_members},
-        )
-        certificate_json = scan.counterexample
+        certificate_json = report.certificate
         if certificate_json is not None:
             certificate_json = _flex_certificate(certificate_json)
     else:

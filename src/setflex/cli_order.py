@@ -26,9 +26,10 @@ def run(ns) -> tuple[int, dict, list[str]]:
     pairs = _parse_orientation(_read_input(ns.input))
     universe = sorted({x for pair in pairs for x in pair})
     report = represent.extend_to_total_order(universe, pairs)
-    if report.extendable:
-        payload = {"command": "order", "extendable": True, "order": list(report.order)}
-        return 0, payload, [" < ".join(report.order)]
-    payload = {"command": "order", "extendable": False, "cycle": list(report.cycle)}
-    lines = ["not extendable", "cycle: " + " < ".join(report.cycle) + f" < {report.cycle[0]}"]
+    if report.verdict:
+        payload = {"command": "order", "extendable": True, "order": list(report.certificate)}
+        return 0, payload, [" < ".join(report.certificate)]
+    cycle = report.certificate
+    payload = {"command": "order", "extendable": False, "cycle": list(cycle)}
+    lines = ["not extendable", "cycle: " + " < ".join(cycle) + f" < {cycle[0]}"]
     return 1, payload, lines

@@ -28,12 +28,13 @@ def run(ns) -> tuple[int, dict, list[str]]:
         "newick": newick,
         "sequence": list(report.sequence),
         "vertex_map": vertex_map,
-        "verified": report.verified,
+        # A representation that fails its self-check raises instead.
+        "verified": True,
         "appended_taxa": list(report.appended),
     }
     lines = [
         newick,
-        f"verified: {'yes' if report.verified else 'no'}",
+        "verified: yes",
         f"vertex_map: {json.dumps(vertex_map, sort_keys=True)}",
     ]
     if report.appended:

@@ -10,21 +10,23 @@ def run(ns) -> tuple[int, dict, list[str]]:
     system = setsys.parse_sets(_read_input(ns.input))
     b_labels = [lab.strip() for lab in ns.B.split(",") if lab.strip()]
     report = graphopt.sdr(system, b_labels)
-    if report.found:
+    if report.verdict:
         assignment = {
             _member_str(system, i): system.label_of(x)
-            for i, x in report.assignment.items()
+            for i, x in report.certificate.items()
         }
         payload = {"command": "sdr", "found": True, "assignment": assignment}
         lines = [f"{k} -> {v}" for k, v in sorted(assignment.items())]
         return 0, payload, lines
+    # A violator's derived set is its member minus B.
     violator_sets = [
-        [system.label_of(x) for x in report.derived[i]] for i in report.violator
+        [lab for lab in system.member_labels(i) if lab not in b_labels]
+        for i in report.certificate
     ]
     payload = {
         "command": "sdr",
         "found": False,
-        "violator_members": [_member_str(system, i) for i in report.violator],
+        "violator_members": [_member_str(system, i) for i in report.certificate],
         "violator_derived": violator_sets,
     }
     lines = [

@@ -8,9 +8,12 @@ reported as an error message (with `--json`, a `{"error", "kind"}`
 object on stdout) rather than a traceback.
 
 The two input checks every layer shares live here too, in the one
-module every request loads: `check_limit` for caps and budgets, and
-`check_label` for taxon labels.
+module every request loads (`check_limit` for caps and budgets,
+`check_label` for taxon labels), and so does `CheckReport`, the record
+of every yes/no answer, so a layer returns one without loading `setsys`.
 """
+
+from typing import NamedTuple
 
 
 class SetflexError(Exception):
@@ -53,6 +56,30 @@ class BudgetExceededError(CapExceededError):
 
 class InternalVerificationError(SetflexError):
     """A construction failed its mandatory self-check; indicates a bug."""
+
+
+class CheckReport(NamedTuple):
+    """A yes/no answer: its verdict, method, certificate and work counters.
+
+    On "yes" the certificate is the answer where there is one, else
+    None: the representatives (`maxflow`, member index -> taxon id), the
+    total order (`topological`) or the medians (`median`, member index
+    -> vertex).  On "no" it is the refutation: a `MinimizerReport`
+    (`mincut`), an `ExcessReport` (`exhaustive`; for `patchwork_check`
+    a pair of selections), the first failing assignment, or orientation
+    and its cycle (`bruteforce`), an incidence-graph cycle of ("member",
+    i) and ("taxon", id) nodes (`forest`), the violator's member indices
+    (`maxflow`), a directed cycle (`topological`) or the first colliding
+    member pair (`median`).
+    `stats` holds integers only: work counters and measured values.  A
+    report is immutable, and neither `stats` nor `certificate` has a
+    default (a NamedTuple default would be one dict shared by all).
+    """
+
+    verdict: bool
+    method: str
+    certificate: object | None
+    stats: dict
 
 
 def check_limit(name: str, value: int) -> int:

@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     CapExceededError,
+    CheckReport,
     InputError,
     InternalVerificationError,
     MemberSizeError,
@@ -32,7 +33,6 @@ from .errors import (
     check_limit,
 )
 from .setsys import (
-    CheckReport,
     SetSystem,
     excess_general,
     excess_uniform,

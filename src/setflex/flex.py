@@ -33,9 +33,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import NamedTuple
 
-from .errors import BudgetExceededError, CapExceededError, InputError, check_label, check_limit
+from .errors import (
+    BudgetExceededError,
+    CapExceededError,
+    CheckReport,
+    InputError,
+    check_label,
+    check_limit,
+)
 from . import phylo, setsys
 
 DEFAULT_ENUM_CAP = 8
@@ -104,19 +110,21 @@ def enumerate_binary_trees(
     return _enumerate_trees(_capped_labels(leaves, cap))
 
 
-class FlexReport(NamedTuple):
-    """Verdict of the assignment scan.
+class FlexReport(CheckReport):
+    """The `CheckReport` of the assignment scan, method `bruteforce`.
 
-    `counterexample`, present when the verdict is false, assigns one
+    The certificate, present when the verdict is false, assigns one
     tree per member in canonical member order; pooling its triples and
     running the supertree construction reproduces the incompatibility.
-    `core_members` is the size of the core whose triples BUILD was given.
+    `stats` counts `assignments_checked` and `core_members`, the size of
+    the core whose triples BUILD was given.
     """
 
-    verdict: bool
-    counterexample: tuple[phylo.RootedPhyloTree, ...] | None
-    assignments_checked: int
-    core_members: int
+    __slots__ = ()
+
+    @property
+    def assignments_checked(self) -> int:
+        return self.stats["assignments_checked"]
 
 
 def _core(members: list[frozenset]) -> list[int]:
@@ -194,13 +202,11 @@ def is_flexible_bruteforce(
             pooled += triple_lists[i][digits[i]]
         if not build(pooled, taxa=taxa).compatible:
             return FlexReport(
-                verdict=False,
-                counterexample=tuple(lst[d] for lst, d in zip(tree_lists, digits)),
-                assignments_checked=checked, core_members=len(core),
+                False, "bruteforce", tuple(lst[d] for lst, d in zip(tree_lists, digits)),
+                {"assignments_checked": checked, "core_members": len(core)},
             )
     return FlexReport(
-        verdict=True, counterexample=None,
-        assignments_checked=total, core_members=len(core),
+        True, "bruteforce", None, {"assignments_checked": total, "core_members": len(core)},
     )
 
 

@@ -45,11 +45,12 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
+    CheckReport,
     InputError,
     InternalVerificationError,
     MemberSizeError,
 )
-from .setsys import CheckReport, SetSystem, gamma, require_members, sigma, size_minus_two
+from .setsys import SetSystem, gamma, require_members, sigma, size_minus_two
 
 
 class BipartiteIncidenceGraph(NamedTuple):
@@ -493,17 +494,13 @@ def is_thin(system: SetSystem, r: int) -> CheckReport:
     """Thin test via sigma* >= r-1 for a uniformly size-r system.
 
     The threshold grows with r (sigma* >= 2 for triples, >= 3 for
-    quadruples); for r = 2 the same excess arithmetic gives sigma* >= 1,
-    and the report flags that case.
+    quadruples); for r = 2 the same excess arithmetic gives sigma* >= 1.
     """
     if r < 2:
         raise InputError(f"r must be >= 2, got {r}")
     if system.uniform_size() != r:
         raise MemberSizeError(f"system is not uniformly of size {r}")
-    report = _threshold_report(sigma_star(system), "sigma_star", r - 1)
-    if r == 2:
-        report.stats["note"] = "r=2 threshold sigma* >= 1 follows from the excess definition"
-    return report
+    return _threshold_report(sigma_star(system), "sigma_star", r - 1)
 
 
 def is_slim(system: SetSystem) -> CheckReport:
@@ -514,25 +511,7 @@ def is_slim(system: SetSystem) -> CheckReport:
 # -- systems of distinct representatives -------------------------------------
 
 
-class SdrReport(NamedTuple):
-    """Result of representative selection on the derived sets s - B.
-
-    On success `assignment` maps member index -> taxon id; on failure
-    `violator` lists the members of the unique inclusion-minimal
-    selection of maximum Hall deficiency (members minus the taxa their
-    derived sets cover), which is at least 1.
-    """
-
-    assignment: dict[int, int] | None
-    violator: tuple[int, ...] | None
-    derived: tuple[tuple[int, ...], ...]
-
-    @property
-    def found(self) -> bool:
-        return self.assignment is not None
-
-
-def sdr(system: SetSystem, B) -> SdrReport:
+def sdr(system: SetSystem, B) -> CheckReport:
     """Distinct representatives for {s - B : s in tau}, |B| = r-1.
 
     One max flow on the minimizer's network over the derived sets, with
@@ -540,18 +519,25 @@ def sdr(system: SetSystem, B) -> SdrReport:
     Karp's).  Each member's representative is the taxon its containment
     arc carries flow to.  If the flow is below the member count, the
     violator is the members on the residual source side: the unique
-    inclusion-minimal selection of maximum deficiency, k minus the flow.
-    For thin systems success is guaranteed.
+    inclusion-minimal selection of maximum Hall deficiency (members
+    minus the taxa their derived sets cover), k minus the flow.  For
+    thin systems success is guaranteed.
+
+    Method `maxflow`; the certificate is member index -> taxon id on
+    "yes" and the violator's member indices on "no".  B holds labels or
+    taxon ids; one that repeats a taxon is an `InputError`.
     """
     r = require_members(system).uniform_size()
     if r is None:
         raise MemberSizeError("sdr requires a uniformly sized system")
     b_ids = set()
     for x in B:
-        b_ids.add(system.id_of(x) if isinstance(x, str) else x)
-    for tid in b_ids:
+        tid = system.id_of(x) if isinstance(x, str) else x
         if not 0 <= tid < len(system.universe):
             raise InputError(f"taxon id {tid} out of range")
+        if tid in b_ids:
+            raise InputError(f"B repeats taxon {system.label_of(tid)!r}")
+        b_ids.add(tid)
     if len(b_ids) != r - 1:
         raise InputError(f"B must have size r-1 = {r - 1}, got {len(b_ids)}")
 
@@ -573,7 +559,8 @@ def sdr(system: SetSystem, B) -> SdrReport:
             raise InternalVerificationError("matching failure without Hall violator")
         if len(violator) - len(covered) != k - flow.value:
             raise InternalVerificationError("violator deficiency differs from k - flow")
-        return SdrReport(assignment=None, violator=violator, derived=derived)
+        return CheckReport(False, "maxflow", violator,
+                           {"augmenting_paths": flow.augmenting_paths})
     # A member node's even arcs are its containment arcs (its odd one is
     # the source arc's reverse); one carries flow iff its reverse arc has
     # residual capacity.
@@ -585,17 +572,18 @@ def sdr(system: SetSystem, B) -> SdrReport:
         x not in derived[i] for i, x in assignment.items()
     ):
         raise InternalVerificationError("representatives are not distinct or not derived")
-    return SdrReport(assignment=assignment, violator=None, derived=derived)
+    return CheckReport(True, "maxflow", assignment,
+                       {"augmenting_paths": flow.augmenting_paths})
 
 
 # -- forest structure ---------------------------------------------------------
 
 
-def is_forest(graph: BipartiteIncidenceGraph) -> tuple[bool, tuple | None]:
-    """Acyclicity of the incidence graph.
+def is_forest(graph: BipartiteIncidenceGraph) -> CheckReport:
+    """Acyclicity of the incidence graph, method `forest`.
 
-    A cycle is returned as an alternating tuple of ("member", i) and
-    ("taxon", id) nodes in cycle order.
+    On "no" the certificate is a cycle: an alternating tuple of
+    ("member", i) and ("taxon", id) nodes in cycle order.
     """
     adj: dict[tuple, list[tuple]] = {}
     for i in range(graph.member_count):
@@ -642,8 +630,8 @@ def is_forest(graph: BipartiteIncidenceGraph) -> tuple[bool, tuple | None]:
         if start not in color:
             cycle = dfs(start)
             if cycle is not None:
-                return False, cycle
-    return True, None
+                return CheckReport(False, "forest", cycle, {})
+    return CheckReport(True, "forest", None, {})
 
 
 def surplus_forest(graph: BipartiteIncidenceGraph):
@@ -717,5 +705,5 @@ def _verify_degree_two_forest(graph: BipartiteIncidenceGraph, edges) -> None:
     # a cycle of length two, is caught here.
     if any(x == y for x, y in chosen) or not is_forest(
         graph._replace(adjacency=tuple(map(tuple, chosen)))
-    )[0]:
+    ).verdict:
         raise InternalVerificationError("forest verification found a cycle")

@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, NamedTuple
 from . import graphopt, rooted, setsys
 from .errors import (
     CapExceededError,
+    CheckReport,
     InputError,
     InternalVerificationError,
     MemberSizeError,
@@ -119,9 +120,6 @@ class UnrootedPhyloTree:
             return self._label_to_v[label]
         except KeyError:
             raise InputError(f"unknown leaf {label!r}") from None
-
-    def label(self, v: int) -> str | None:
-        return self._labels.get(v)
 
     def interior_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if v not in self._labels)
@@ -205,18 +203,19 @@ def rooted_caterpillar(sequence: Iterable[str]) -> rooted.RootedPhyloTree:
 class RepresentationReport(NamedTuple):
     """A verified caterpillar representation.
 
-    `vertex_map` sends each member index to its interior vertex in
-    spine order (0-based); for the unrooted case these are the spine ids
-    of the tree as built by `unrooted_caterpillar`, for the rooted case
-    the depth of the lca vertex.  `appended` lists universe taxa outside
-    the covered leaves, attached past the far end of the spine.
+    Only a construction that passes its self-check returns one; a failed
+    check raises `InternalVerificationError`.  `vertex_map` sends each
+    member index to its interior vertex in spine order (0-based); for
+    the unrooted case these are the spine ids of the tree as built by
+    `unrooted_caterpillar`, for the rooted case the depth of the lca
+    vertex.  `appended` lists universe taxa outside the covered leaves,
+    attached past the far end of the spine.
     """
 
     kind: str
     tree: UnrootedPhyloTree | rooted.RootedPhyloTree
     sequence: tuple[str, ...]
     vertex_map: dict[int, int]
-    verified: bool
     appended: tuple[str, ...]
 
 
@@ -526,12 +525,12 @@ def caterpillar_median_representation(system: setsys.SetSystem) -> Representatio
     seq = seq + list(appended)
 
     tree = unrooted_caterpillar(seq)
-    vertex_map: dict[int, int] = {}
-    ok, collision = verify_median_injective(tree, system, vertex_map)
-    if not ok:
+    check = verify_median_injective(tree, system)
+    if not check.verdict:
         raise InternalVerificationError(
-            f"median collision between members {collision}"
+            f"median collision between members {check.certificate}"
         )
+    vertex_map = check.certificate
     if not all(0 <= med <= len(seq) - 3 for med in vertex_map.values()):
         raise InternalVerificationError("median landed on a leaf")
     if not tree.is_binary() or tree.cherry_count() > 2:
@@ -541,34 +540,28 @@ def caterpillar_median_representation(system: setsys.SetSystem) -> Representatio
         tree=tree,
         sequence=tuple(seq),
         vertex_map=vertex_map,
-        verified=True,
         appended=appended,
     )
 
 
-def verify_median_injective(
-    tree: UnrootedPhyloTree,
-    system: setsys.SetSystem,
-    medians: dict[int, int] | None = None,
-) -> tuple[bool, tuple[int, int] | None]:
-    """Recompute every member's median; report the first colliding pair.
+def verify_median_injective(tree: UnrootedPhyloTree, system: setsys.SetSystem) -> CheckReport:
+    """Recompute every member's median, each once, method `median`.
 
-    Each median is computed once; `medians`, if given, receives member
-    index -> median for every member checked.
+    The certificate is member index -> median vertex on "yes" and the
+    first colliding pair of member indices on "no".
     """
     leaves = set(tree.leaves)
     seen: dict[int, int] = {}
+    medians: dict[int, int] = {}
     for i in range(system.member_count):
         labels = system.member_labels(i)
         if not set(labels) <= leaves:
             raise InputError(f"member {','.join(labels)} has taxa outside the tree")
-        med = tree.median(labels)
-        if medians is not None:
-            medians[i] = med
+        med = medians[i] = tree.median(labels)
         if med in seen:
-            return False, (seen[med], i)
+            return CheckReport(False, "median", (seen[med], i), {})
         seen[med] = i
-    return True, None
+    return CheckReport(True, "median", medians, {})
 
 
 # -- the lca-caterpillar peel ----------------------------------------------------
@@ -652,7 +645,6 @@ def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationRe
         tree=tree,
         sequence=tuple(seq),
         vertex_map=vertex_map,
-        verified=True,
         appended=appended,
     )
 
@@ -660,26 +652,16 @@ def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationRe
 # -- total orders ----------------------------------------------------------------
 
 
-class OrderReport(NamedTuple):
-    """A total order extending the orientation, or a directed cycle."""
-
-    order: tuple[str, ...] | None
-    cycle: tuple[str, ...] | None
-
-    @property
-    def extendable(self) -> bool:
-        return self.order is not None
-
-
 def extend_to_total_order(
     universe: Iterable[str], orientation: Iterable[tuple[str, str]]
-) -> OrderReport:
+) -> CheckReport:
     """Extend ordered pairs to a total order, smallest label first.
 
-    Each pair (x, y) declares x before y.  If the precedence digraph is
-    acyclic the lexicographically preferred topological order is
-    returned; otherwise a directed cycle is reported.  Every label must
-    pass `check_label`, so that the text formats can read it back.
+    Each pair (x, y) declares x before y.  Method `topological`: if the
+    precedence digraph is acyclic the certificate is the
+    lexicographically preferred topological order; otherwise it is a
+    directed cycle, smallest label first.  Every label must pass
+    `check_label`, so that the text formats can read it back.
     """
     nodes = sorted(set(universe))
     for label in nodes:
@@ -689,7 +671,7 @@ def extend_to_total_order(
 
 def _extend_sorted(
     nodes: list[str] | tuple[str, ...], orientation: Iterable[tuple[str, str]]
-) -> OrderReport:
+) -> CheckReport:
     """`extend_to_total_order` on sorted, distinct labels already checked."""
     node_set = set(nodes)
     succ: dict[str, set[str]] = {v: set() for v in nodes}
@@ -714,7 +696,7 @@ def _extend_sorted(
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
     if len(order) == len(nodes):
-        return OrderReport(order=tuple(order), cycle=None)
+        return CheckReport(True, "topological", tuple(order), {})
 
     # Every stalled vertex keeps an unprocessed predecessor, so walking
     # backward must revisit a vertex; that closes a directed cycle.
@@ -733,28 +715,22 @@ def _extend_sorted(
         v = min(pred[v])
     cycle = path[index[v]:][::-1]
     start = cycle.index(min(cycle))
-    return OrderReport(order=None, cycle=tuple(cycle[start:] + cycle[:start]))
+    return CheckReport(False, "topological", tuple(cycle[start:] + cycle[:start]), {})
 
 
 def is_total_order_flexible(
     system: setsys.SetSystem, mode: str = "forest", cap: int = DEFAULT_ORIENTATION_CAP
-) -> setsys.CheckReport:
+) -> CheckReport:
     """Whether every orientation of the pair system extends to a total order.
 
-    `forest` mode delegates to the incidence-graph acyclicity test;
+    `forest` mode returns the incidence-graph acyclicity test's report;
     `bruteforce` enumerates all 2^k orientations (bit 1 reverses the
     sorted pair) and reports the first that fails, with its cycle.
     """
     if system.uniform_size() != 2:
         raise MemberSizeError("total-order flexibility needs a system of pairs")
     if mode == "forest":
-        ok, cycle = graphopt.is_forest(graphopt.incidence_graph(system, "unit"))
-        return setsys.CheckReport(
-            verdict=ok,
-            method="forest",
-            certificate=cycle,
-            stats={},
-        )
+        return graphopt.is_forest(graphopt.incidence_graph(system, "unit"))
     if mode != "bruteforce":
         raise InputError(f"mode must be 'forest' or 'bruteforce', got {mode!r}")
     k = system.member_count
@@ -770,14 +746,14 @@ def is_total_order_flexible(
         ]
         checked += 1
         report = _extend_sorted(universe, orientation)
-        if not report.extendable:
-            return setsys.CheckReport(
+        if not report.verdict:
+            return CheckReport(
                 verdict=False,
                 method="bruteforce",
-                certificate=(tuple(orientation), report.cycle),
+                certificate=(tuple(orientation), report.certificate),
                 stats={"orientations_checked": checked},
             )
-    return setsys.CheckReport(
+    return CheckReport(
         verdict=True,
         method="bruteforce",
         certificate=None,

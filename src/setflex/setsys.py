@@ -7,8 +7,9 @@ uniform and general excess, sigma and gamma.  Thin and slim are one
 Hall-type inequality on these measures; `graphopt` decides them in
 polynomial time and re-checks each minimizer's witness with `sigma` or
 `gamma`, and `exhaustive` decides them by scanning every selection.
-The measures live here, with the `CheckReport` both return, because
-either decision procedure may run without the other being loaded.
+The measures live here because either decision procedure may run
+without the other being loaded; the `CheckReport` both return lives in
+`errors` and is re-exported here.
 Everything here is exact integer combinatorics.
 
 Taxa are interned: the universe is the lexicographically sorted tuple of
@@ -20,9 +21,10 @@ downstream report deterministic.
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InputError, MemberSizeError, ParseError, check_label
+from .errors import CheckReport  # noqa: F401  (re-exported: setsys.CheckReport)
 
 
 class SetSystem:
@@ -152,41 +154,6 @@ def normalize_selection(
     if not sel and not allow_empty:
         raise InputError("selection must be non-empty")
     return tuple(sel)
-
-
-# -- reports -------------------------------------------------------------
-
-
-class CheckReport(NamedTuple):
-    """Verdict plus certificate for a decision procedure.
-
-    The certificate depends on `method`:
-
-    - `mincut` (`graphopt.is_thin`, `is_slim`): on "no", the
-      `MinimizerReport` whose witness selection has sigma (thin) or
-      gamma (slim) below the threshold and whose cut has capacity value
-      + offset; the minimizer re-checks both before it returns.
-    - `exhaustive` (`exhaustive.is_thin_exhaustive`,
-      `is_slim_exhaustive`): on "no", the `ExcessReport` of the
-      selection of least excess.  For `patchwork_check`, a pair of
-      intersecting zero-excess selections whose union or intersection
-      has non-zero excess.
-    - `bruteforce`: for flexibility, the first assignment of one tree per
-      member whose triples BUILD rejects; for total-order flexibility,
-      the first failing orientation of the pairs and its directed cycle.
-    - `forest` (`represent.is_total_order_flexible`): a cycle of the
-      pairs' incidence graph, on "no".
-
-    On "yes" the certificate is None.  A report is immutable: assigning a
-    field raises AttributeError.  `stats` has no default (a NamedTuple
-    default would be one dict shared by every report), so neither has
-    `certificate`.
-    """
-
-    verdict: bool
-    method: str
-    certificate: object | None
-    stats: dict
 
 
 # -- measures -------------------------------------------------------------

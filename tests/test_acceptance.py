@@ -230,7 +230,7 @@ def test_criterion_7_defining_triples():
 def test_criterion_8_median_caterpillars():
     with criterion(8, 120.0, "verified median caterpillars for thin triple systems"):
         report = caterpillar_median_representation(tsys(*FIG3))
-        assert report.verified
+        assert report.vertex_map
 
         pool = [tuple(sorted(c)) for c in combinations("abcde", 3)]
         for mask in range(1, 1 << 10):
@@ -238,13 +238,13 @@ def test_criterion_8_median_caterpillars():
             s = SetSystem([list(m) for m in members], extra_taxa="abcde")
             if sigma_star(s).value < 2:
                 continue
-            assert caterpillar_median_representation(s).verified
+            assert caterpillar_median_representation(s).vertex_map
 
         rng = random.Random(61)
         for _ in range(200):
             s = random_thin_triples(rng, rng.randint(5, 9), 7)
             assert sigma_star(s).value >= 2
-            assert caterpillar_median_representation(s).verified
+            assert caterpillar_median_representation(s).vertex_map
 
 
 def test_criterion_9_pair_systems_three_way():
@@ -254,11 +254,11 @@ def test_criterion_9_pair_systems_three_way():
             members = [pool[i] for i in range(10) if mask >> i & 1]
             s = SetSystem([list(m) for m in members])
             brute = is_total_order_flexible(s, "bruteforce").verdict
-            forest_ok, _ = is_forest(incidence_graph(s, "unit"))
+            forest_ok = is_forest(incidence_graph(s, "unit")).verdict
             thin = sigma_star(s).value >= 1
             assert brute == forest_ok == thin
             if thin:
-                assert lca_caterpillar_representation(s).verified
+                assert lca_caterpillar_representation(s).vertex_map
 
         rng = random.Random(67)
         for _ in range(500):
@@ -269,11 +269,11 @@ def test_criterion_9_pair_systems_three_way():
             }
             s = SetSystem([list(m) for m in members])
             brute = is_total_order_flexible(s, "bruteforce").verdict
-            forest_ok, _ = is_forest(incidence_graph(s, "unit"))
+            forest_ok = is_forest(incidence_graph(s, "unit")).verdict
             thin = sigma_star(s).value >= 1
             assert brute == forest_ok == thin
             if thin:
-                assert lca_caterpillar_representation(s).verified
+                assert lca_caterpillar_representation(s).vertex_map
 
 
 def test_criterion_10_thin_structure():
@@ -296,7 +296,7 @@ def test_criterion_10_thin_structure():
             assert min(occurrence_count(s, x) for x in leaves) <= 2
             for _ in range(20):
                 B = rng.sample(leaves, 2)
-                assert sdr(s, B).found
+                assert sdr(s, B).verdict
 
 
 def test_criterion_11_patchwork():

@@ -226,6 +226,17 @@ class TestErrorSurface:
         assert code == 2
         assert payload == {"error": f"unsupported method {method!r} for {kind}"}
 
+    @pytest.mark.parametrize("method", ["mincut", "exhaustive"])
+    def test_thin_on_mixed_sizes_points_to_slim(self, capsys, method):
+        path = Path(__file__).parent / "golden" / "mixed4.sets"
+        code, payload = run_json(capsys, "check", "thin", str(path), "--method", method)
+        assert code == 2
+        assert "'slim'" in payload["error"] and "--r" not in payload["error"]
+        # No --r helps: a thin check needs members of one size.
+        code, payload = run_json(capsys, "check", "thin", str(path), "--method", method,
+                                 "--r", "3")
+        assert code == 2 and payload == {"error": "system is not uniformly of size 3"}
+
     @pytest.mark.parametrize("value", ["-1", "lots"])
     @pytest.mark.parametrize("kind", ["thin", "slim", "flexible", "order-flexible"])
     def test_budget_env_validated_on_every_check(
@@ -542,6 +553,10 @@ class TestSdr:
     def test_bad_b_size(self, capsys, fig1):
         code, _ = run(capsys, "sdr", fig1, "--B", "a")
         assert code == 2
+
+    def test_b_repeating_a_taxon_exit_2(self, capsys, fig1):
+        code, payload = run_json(capsys, "sdr", fig1, "--B", "a,a")
+        assert code == 2 and payload == {"error": "B repeats taxon 'a'"}
 
 
 class TestOrder:

@@ -87,13 +87,13 @@ class TestFlexibleBruteforce:
         report = is_flexible_bruteforce(tsys(*FIG1))
         assert report.verdict
         assert report.assignments_checked == 81
-        assert report.counterexample is None
+        assert report.certificate is None
 
     def test_fig1_prime_not_flexible(self):
         report = is_flexible_bruteforce(tsys(*FIG1P))
         assert not report.verdict
         pooled = set()
-        for tree in report.counterexample:
+        for tree in report.certificate:
             pooled |= triples_of(tree)
         assert not build_supertree(pooled).compatible
 
@@ -137,7 +137,7 @@ class TestFlexibleBruteforce:
             if not build_supertree(pooled, taxa=s.leaf_labels()).compatible:
                 assert seen == report.assignments_checked
                 assert tuple(tree_lists[i][d] for i, d in enumerate(digits)) == (
-                    report.counterexample
+                    report.certificate
                 )
                 break
 
@@ -211,7 +211,7 @@ class TestScanCore:
         report = is_flexible_bruteforce(system)
         verdict, counterexample, checked = full_pool_scan(system)
         assert report.verdict == verdict
-        assert report.counterexample == counterexample
+        assert report.certificate == counterexample
         assert report.assignments_checked == checked
         return report
 
@@ -225,7 +225,7 @@ class TestScanCore:
     ])
     def test_core_members(self, words, core):
         report = is_flexible_bruteforce(tsys(*words))
-        assert report.core_members == core
+        assert report.stats["core_members"] == core
 
     def test_seeded_random_systems_match_the_full_pool(self):
         rng = random.Random(16)
@@ -234,7 +234,7 @@ class TestScanCore:
         for _ in range(400):
             s = random_system(rng, rng.randint(4, 7), rng.randint(2, 5), (3, 4))
             report = self.check(s)
-            cores.add(report.core_members)
+            cores.add(report.stats["core_members"])
             verdicts.add(report.verdict)
         assert verdicts == {True, False}
         assert {0, 3, 4} <= cores
@@ -259,7 +259,7 @@ class TestScanCore:
         monkeypatch.setattr(phylo, "build_supertree", counting)
         # Six triples on consecutive taxa: each shares the two latest taxa.
         report = is_flexible_bruteforce(tsys(*(ALPHA[i:i + 3] for i in range(6))))
-        assert report.verdict and report.core_members == 0
+        assert report.verdict and report.stats["core_members"] == 0
         assert report.assignments_checked == 729
         assert sizes == [0] * 729
 

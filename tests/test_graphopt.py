@@ -360,7 +360,7 @@ class TestLarge:
         start = time.perf_counter()
         report = caterpillar_median_representation(s)
         assert time.perf_counter() - start < 8.0
-        assert report.verified and len(set(report.vertex_map.values())) == 10_000
+        assert len(set(report.vertex_map.values())) == 10_000
 
     def test_lca_caterpillar_10000_pair_path(self):
         # Measured: about 0.5 s.
@@ -369,7 +369,7 @@ class TestLarge:
         start = time.perf_counter()
         report = lca_caterpillar_representation(s)
         assert time.perf_counter() - start < 4.0
-        assert report.verified and len(set(report.vertex_map.values())) == 10_000
+        assert len(set(report.vertex_map.values())) == 10_000
 
     def test_cli_check_thin_10000_triple_chain(self, tmp_path):
         # Measured: about 0.7 s for the whole process.
@@ -404,7 +404,7 @@ class TestLarge:
         assert time.perf_counter() - start < 3.0
         representatives = {
             frozenset(map(s.label_of, s.members[i])): s.label_of(x)
-            for i, x in report.assignment.items()
+            for i, x in report.certificate.items()
         }
         assert representatives == {frozenset(names[i:i + 3]): names[i + 2]
                                    for i in range(10_000)}
@@ -419,8 +419,8 @@ class TestLarge:
         start = time.perf_counter()
         report = sdr(s, names[:2])
         assert time.perf_counter() - start < 3.0
-        assert not report.found
-        assert deficiency(report.derived, report.violator) == 3
+        assert not report.verdict
+        assert deficiency(derived_sets(s, names[:2]), report.certificate) == 3
 
 
 class TestThinSlim:
@@ -432,7 +432,7 @@ class TestThinSlim:
         report = is_thin(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), 2)
         assert not report.verdict
         assert report.stats["sigma_star"] == 0
-        assert "note" in report.stats
+        assert all(type(value) is int for value in report.stats.values())
 
     def test_agreement_with_exhaustive(self):
         rng = random.Random(31)
@@ -463,37 +463,41 @@ class TestSdr:
     def test_fig1(self):
         s = tsys(*FIG1)
         report = sdr(s, ["a", "b"])
-        assert report.found
-        derived = [tuple(s.label_of(x) for x in d) for d in report.derived]
+        assert report.verdict and report.method == "maxflow"
+        derived = [tuple(s.label_of(x) for x in d) for d in derived_sets(s, ["a", "b"])]
         assert derived == [("c",), ("d",), ("c", "e"), ("d", "e", "f")]
-        values = [s.label_of(x) for _, x in sorted(report.assignment.items())]
+        values = [s.label_of(x) for _, x in sorted(report.certificate.items())]
         assert values == ["c", "d", "e", "f"]
 
     def test_assignment_is_injective_and_valid(self):
         s = tsys(*FIG1)
         report = sdr(s, ["a", "b"])
-        chosen = list(report.assignment.values())
-        assert len(set(chosen)) == len(chosen)
-        for i, x in report.assignment.items():
-            assert x in report.derived[i]
+        assert_distinct_representatives(report, derived_sets(s, ["a", "b"]))
 
     def test_single_member(self):
         s = tsys("abc")
         report = sdr(s, ["a", "b"])
-        assert report.assignment == {0: s.id_of("c")}
+        assert report.certificate == {0: s.id_of("c")}
 
     def test_fig1_prime_hall_violator(self):
         s = tsys(*FIG1P)
         report = sdr(s, ["a", "c"])
-        assert not report.found
-        derived = [set(s.label_of(x) for x in report.derived[i]) for i in report.violator]
+        assert not report.verdict and report.method == "maxflow"
+        derived = derived_sets(s, ["a", "c"])
+        derived = [set(s.label_of(x) for x in derived[i]) for i in report.certificate]
         assert derived == [{"b"}, {"b", "d"}, {"b", "e"}, {"b", "d", "e"}]
         union = set().union(*derived)
-        assert len(union) < len(report.violator)
+        assert len(union) < len(report.certificate)
 
     def test_b_size_checked(self):
         with pytest.raises(InputError):
             sdr(tsys(*FIG1), ["a"])
+
+    @pytest.mark.parametrize("B", [["a", "a"], ["a", 0], (x for x in ("b", "b"))])
+    def test_b_repeating_a_taxon_is_reported(self, B):
+        # B may be any iterable, a generator included, of labels or ids.
+        with pytest.raises(InputError, match="^B repeats taxon '[ab]'$"):
+            sdr(tsys(*FIG1), B)
 
     def test_thin_systems_always_succeed(self):
         rng = random.Random(37)
@@ -504,17 +508,16 @@ class TestSdr:
             labels = s.leaf_labels()
             for _ in range(5):
                 B = rng.sample(labels, 2)
-                assert sdr(s, B).found
+                assert sdr(s, B).verdict
 
 
 def recursive_sdr(system: SetSystem, B):
     """Kuhn's recursive augmenting-path matching, which `sdr` used before
     it became one max flow: (assignment, violator) for the same derived
     sets.  Its assignment and first-failure violator depend on search
-    order, so tests compare only `found` with it, and whole reports
+    order, so tests compare only the verdict with it, and whole answers
     where the representatives are unique."""
-    b_ids = {system.id_of(x) for x in B}
-    derived = [tuple(x for x in m if x not in b_ids) for m in system.members]
+    derived = derived_sets(system, B)
     match_of_taxon: dict[int, int] = {}
     match_of_member: dict[int, int] = {}
 
@@ -548,21 +551,28 @@ def recursive_sdr(system: SetSystem, B):
     return dict(sorted(match_of_member.items())), None
 
 
+def derived_sets(system: SetSystem, B) -> list[tuple[int, ...]]:
+    """The derived sets s - B as taxon-id tuples, in member order."""
+    b_ids = {system.id_of(x) for x in B}
+    return [tuple(x for x in m if x not in b_ids) for m in system.members]
+
+
 def deficiency(derived, members) -> int:
     """Members minus the taxa their derived sets cover (Hall deficiency)."""
     return len(members) - len({x for i in members for x in derived[i]})
 
 
-def assert_distinct_representatives(report):
-    chosen = list(report.assignment.values())
-    assert sorted(report.assignment) == list(range(len(report.derived)))
+def assert_distinct_representatives(report, derived):
+    assignment = report.certificate
+    chosen = list(assignment.values())
+    assert sorted(assignment) == list(range(len(derived)))
     assert len(set(chosen)) == len(chosen)
-    assert all(x in report.derived[i] for i, x in report.assignment.items())
+    assert all(x in derived[i] for i, x in assignment.items())
 
 
 class TestSdrAgainstRecursion:
     def test_random_systems(self):
-        # `recursive_sdr` decides `found`; the violator must be the
+        # `recursive_sdr` decides the verdict; the violator must be the
         # unique inclusion-minimal selection of maximum deficiency.
         rng = random.Random(47)
         outcomes = set()
@@ -571,18 +581,19 @@ class TestSdrAgainstRecursion:
             s = random_system(rng, rng.randint(r + 2, 10), rng.randint(1, 12), (r,))
             B = rng.sample(s.leaf_labels(), r - 1)
             report = sdr(s, B)
-            assert report.found == (recursive_sdr(s, B)[0] is not None)
-            outcomes.add(report.found)
-            if report.found:
-                assert_distinct_representatives(report)
+            derived = derived_sets(s, B)
+            assert report.verdict == (recursive_sdr(s, B)[0] is not None)
+            outcomes.add(report.verdict)
+            if report.verdict:
+                assert_distinct_representatives(report, derived)
                 continue
-            assert report.assignment is None
+            violator = report.certificate
             selections = [sel for n in range(1, s.member_count + 1)
                           for sel in combinations(range(s.member_count), n)]
-            best = max(deficiency(report.derived, sel) for sel in selections)
-            assert deficiency(report.derived, report.violator) == best >= 1
-            assert all(set(report.violator) <= set(sel) for sel in selections
-                       if deficiency(report.derived, sel) == best)
+            best = max(deficiency(derived, sel) for sel in selections)
+            assert deficiency(derived, violator) == best >= 1
+            assert all(set(violator) <= set(sel) for sel in selections
+                       if deficiency(derived, sel) == best)
         assert outcomes == {True, False}
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -597,17 +608,18 @@ class TestSdrAgainstRecursion:
         B = data.draw(st.lists(st.sampled_from(s.leaf_labels()), min_size=r - 1,
                                max_size=r - 1, unique=True))
         report = sdr(s, B)
+        derived = derived_sets(s, B)
         graph = nx.Graph()
         tops = [("member", i) for i in range(s.member_count)]
         graph.add_nodes_from(tops)
         graph.add_edges_from((("member", i), ("taxon", x))
-                             for i, d in enumerate(report.derived) for x in d)
+                             for i, d in enumerate(derived) for x in d)
         matched = len(nx.bipartite.hopcroft_karp_matching(graph, tops)) // 2
-        if report.found:
-            assert_distinct_representatives(report)
+        if report.verdict:
+            assert_distinct_representatives(report, derived)
             assert matched == s.member_count
         else:
-            assert deficiency(report.derived, report.violator) == s.member_count - matched
+            assert deficiency(derived, report.certificate) == s.member_count - matched
 
     def test_long_augmenting_paths(self):
         # Each member of a chain first asks for a taxon its predecessor
@@ -617,16 +629,17 @@ class TestSdrAgainstRecursion:
         for k in (50, 150, 300):
             s = SetSystem([names[i:i + 3] for i in range(k)])
             report = sdr(s, names[:2])
-            assert (report.assignment, report.violator) == recursive_sdr(s, names[:2])
+            assert report.verdict
+            assert (report.certificate, None) == recursive_sdr(s, names[:2])
 
 
 class TestForest:
     def test_path_is_forest(self):
-        ok, cycle = is_forest(incidence_graph(SetSystem([["a", "b"], ["b", "c"]]), "unit"))
-        assert ok and cycle is None
+        report = is_forest(incidence_graph(SetSystem([["a", "b"], ["b", "c"]]), "unit"))
+        assert report == (True, "forest", None, {})
 
     def test_triangle_cycle(self):
-        ok, cycle = is_forest(
+        ok, _, cycle, _ = is_forest(
             incidence_graph(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), "unit")
         )
         assert not ok
@@ -637,7 +650,7 @@ class TestForest:
     def test_cycle_is_closed_walk(self):
         system = SetSystem([["a", "b"], ["b", "c"], ["a", "c"], ["c", "d"]])
         graph = incidence_graph(system, "unit")
-        ok, cycle = is_forest(graph)
+        ok, _, cycle, _ = is_forest(graph)
         assert not ok
         for pos, (kind, value) in enumerate(cycle):
             nkind, nvalue = cycle[(pos + 1) % len(cycle)]
@@ -647,8 +660,7 @@ class TestForest:
                 assert value in graph.adjacency[nvalue]
 
     def test_single_member_star(self):
-        ok, _ = is_forest(incidence_graph(tsys("abc"), "unit"))
-        assert ok
+        assert is_forest(incidence_graph(tsys("abc"), "unit")).verdict
 
     def test_pairs_forest_iff_sigma_star_positive(self):
         # The pair theorem behind the lca precondition.
@@ -661,7 +673,7 @@ class TestForest:
             }
             extra = [x for x in ALPHA[9:12] if rng.random() < 0.5]
             s = SetSystem([list(m) for m in members], extra_taxa=extra)
-            ok, _ = is_forest(incidence_graph(s, "unit"))
+            ok = is_forest(incidence_graph(s, "unit")).verdict
             assert ok == (sigma_star(s).value >= 1)
             verdicts.add(ok)
         assert verdicts == {True, False}
@@ -772,7 +784,7 @@ class TestSurplusForest:
         rng = random.Random(43)
         for _ in range(60):
             s = random_system(rng, rng.randint(3, 7), rng.randint(1, 6), (2,))
-            ok, _ = is_forest(incidence_graph(s, "unit"))
+            ok = is_forest(incidence_graph(s, "unit")).verdict
             assert ok == is_thin(s, 2).verdict
 
     def test_self_reduction_when_the_greedy_pass_fails(self, monkeypatch):

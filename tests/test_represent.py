@@ -37,6 +37,11 @@ from conftest import ALPHA, FIG1, FIG3, random_thin_triples, tsys
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def injective(report) -> bool:
+    """The representation sends its members to distinct vertices."""
+    return len(set(report.vertex_map.values())) == len(report.vertex_map)
+
+
 def pair_system(*pairs: str) -> SetSystem:
     return SetSystem([list(p) for p in pairs])
 
@@ -61,23 +66,20 @@ class TestMedianCaterpillar:
     def test_fig3(self):
         system = tsys(*FIG3)
         report = caterpillar_median_representation(system)
-        assert report.verified
+        assert injective(report)
         assert len(set(report.vertex_map.values())) == system.member_count
-        ok, _ = verify_median_injective(report.tree, system)
-        assert ok
-        medians: dict[int, int] = {}
-        assert verify_median_injective(report.tree, system, medians) == (True, None)
-        assert medians == report.vertex_map
+        check = verify_median_injective(report.tree, system)
+        assert check == (True, "median", report.vertex_map, {})
 
     def test_fig1(self):
         report = caterpillar_median_representation(tsys(*FIG1))
-        assert report.verified
+        assert injective(report)
         assert report.tree.cherry_count() == 2
 
     def test_single_triple_with_extra_taxon(self):
         system = tsys("abc", extra=("d",))
         report = caterpillar_median_representation(system)
-        assert report.verified
+        assert injective(report)
         assert report.appended == ("d",)
         assert len(report.sequence) == 4
 
@@ -105,7 +107,7 @@ class TestMedianCaterpillar:
             if sigma_star(system).value < 2:
                 continue
             report = caterpillar_median_representation(system)
-            assert report.verified
+            assert injective(report)
             done += 1
         assert done > 100
 
@@ -114,7 +116,7 @@ class TestMedianCaterpillar:
         for _ in range(40):
             system = random_thin_triples(rng, rng.randint(5, 9), 7)
             report = caterpillar_median_representation(system)
-            assert report.verified
+            assert injective(report)
             assert report.tree.is_binary()
             assert report.tree.cherry_count() == 2
             interior = len(report.tree.interior_vertices())
@@ -159,7 +161,7 @@ class TestMedianCaterpillar:
                 shared_pair += 1
             else:
                 shared_taxon += 1
-            assert caterpillar_median_representation(s).verified
+            assert injective(caterpillar_median_representation(s))
         assert shared_pair >= 10 and shared_taxon >= 10
 
 
@@ -168,14 +170,12 @@ class TestVerifyMedianInjective:
         edges = [(4, 0), (4, 1), (5, 2), (5, 3), (4, 5)]
         quartet = UnrootedPhyloTree(edges, {0: "a", 1: "b", 2: "c", 3: "d"})
         system = tsys("abc", "abd")
-        ok, pair = verify_median_injective(quartet, system)
-        assert not ok and pair == (0, 1)
+        assert verify_median_injective(quartet, system) == (False, "median", (0, 1), {})
 
     def test_single_member(self):
         edges = [(4, 0), (4, 1), (5, 2), (5, 3), (4, 5)]
         quartet = UnrootedPhyloTree(edges, {0: "a", 1: "b", 2: "c", 3: "d"})
-        ok, _ = verify_median_injective(quartet, tsys("abc"))
-        assert ok
+        assert verify_median_injective(quartet, tsys("abc")).verdict
 
     def test_coverage_checked(self):
         tree = unrooted_caterpillar("abcd")
@@ -186,17 +186,17 @@ class TestVerifyMedianInjective:
 class TestLcaCaterpillar:
     def test_two_pairs(self):
         report = lca_caterpillar_representation(pair_system("ab", "bc"))
-        assert report.verified
+        assert injective(report)
         assert len(set(report.vertex_map.values())) == 2
 
     def test_single_pair(self):
         report = lca_caterpillar_representation(pair_system("ab"))
-        assert report.verified
+        assert injective(report)
         assert report.tree.newick() == "(a,b);"
 
     def test_chain(self):
         report = lca_caterpillar_representation(pair_system("ab", "bc", "cd"))
-        assert report.verified
+        assert injective(report)
         assert len(set(report.vertex_map.values())) == 3
 
     def test_not_thin_rejected(self):
@@ -207,7 +207,7 @@ class TestLcaCaterpillar:
         system = SetSystem([["a", "b"]], extra_taxa=("z",))
         report = lca_caterpillar_representation(system)
         assert report.appended == ("z",)
-        assert report.verified
+        assert injective(report)
 
 
 class TestTotalOrder:
@@ -217,20 +217,19 @@ class TestTotalOrder:
 
     def test_chain(self):
         report = extend_to_total_order("abc", [("a", "b"), ("b", "c")])
-        assert report.order == ("a", "b", "c")
+        assert report == (True, "topological", ("a", "b", "c"), {})
 
     def test_cycle(self):
         report = extend_to_total_order("abc", [("a", "b"), ("b", "c"), ("c", "a")])
-        assert report.order is None
-        assert report.cycle == ("a", "b", "c")
+        assert report == (False, "topological", ("a", "b", "c"), {})
 
     def test_empty_orientation(self):
         report = extend_to_total_order("cab", [])
-        assert report.order == ("a", "b", "c")
+        assert report.verdict and report.certificate == ("a", "b", "c")
 
     def test_deterministic_smallest_first(self):
         report = extend_to_total_order("abcd", [("c", "a")])
-        assert report.order == ("b", "c", "a", "d")
+        assert report.verdict and report.certificate == ("b", "c", "a", "d")
 
     def test_unknown_label(self):
         with pytest.raises(InputError):
@@ -248,7 +247,7 @@ class TestTotalOrder:
     def test_cycle_buried_behind_tail(self):
         pairs = [("w", "x"), ("x", "y"), ("y", "w"), ("y", "z")]
         report = extend_to_total_order("wxyz", pairs)
-        assert report.cycle == ("w", "x", "y")
+        assert not report.verdict and report.certificate == ("w", "x", "y")
 
 
 class TestOrderFlexible:
@@ -302,11 +301,11 @@ class TestOrderFlexible:
             }
             s = SetSystem([list(m) for m in members])
             flexible = is_total_order_flexible(s, "bruteforce").verdict
-            forest_ok, _ = is_forest(incidence_graph(s, "unit"))
+            forest_ok = is_forest(incidence_graph(s, "unit")).verdict
             assert flexible == forest_ok == (sigma_star(s).value >= 1)
             assert flexible == is_thin(s, 2).verdict
             if flexible:
-                assert lca_caterpillar_representation(s).verified
+                assert injective(lca_caterpillar_representation(s))
 
     def test_cap(self):
         members = [[ALPHA[i], ALPHA[i + 1]] for i in range(21)]
@@ -653,7 +652,7 @@ class TestPeelMatchesRecursion:
         tau = frozenset(members)
         assert outcome(represent._place_median, tau) == outcome(_place_median, tau)
         if len(s.universe) >= 4:
-            assert caterpillar_median_representation(s).verified
+            assert injective(caterpillar_median_representation(s))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_size=30))
@@ -711,7 +710,7 @@ class TestLcaPrecondition:
 
         monkeypatch.setattr(graphopt, "sigma_star", refuse)
         report = lca_caterpillar_representation(pair_system("ab", "bc", "bd"))
-        assert report.verified
+        assert injective(report)
 
     def test_not_thin_certificate_is_the_minimizer(self):
         s = pair_system("ab", "bc", "cd", "da", "de")
@@ -735,10 +734,10 @@ class TestLcaPrecondition:
                    .filter(lambda p: p[0] < p[1]), min_size=1, max_size=9))
     def test_property_peel_fails_exactly_on_cycles(self, pairs):
         s = SetSystem([[ALPHA[i], ALPHA[j]] for i, j in sorted(pairs)])
-        forest, _ = is_forest(incidence_graph(s, "unit"))
+        forest = is_forest(incidence_graph(s, "unit")).verdict
         assert (represent._place_pairs(frozenset(s.member_label_sets())) is not None) == forest
         if forest:
-            assert lca_caterpillar_representation(s).verified
+            assert injective(lca_caterpillar_representation(s))
         else:
             with pytest.raises(PreconditionError) as err:
                 lca_caterpillar_representation(s)
@@ -761,7 +760,7 @@ class TestLargeRepresentations:
         start = time.perf_counter()
         report = lca_caterpillar_representation(system)
         assert time.perf_counter() - start < 10.0
-        assert report.verified and len(set(report.vertex_map.values())) == 2000
+        assert len(set(report.vertex_map.values())) == 2000
 
     def test_median_caterpillar_1000_triple_chain(self):
         names = names_for(random.Random(7), 1002)
@@ -769,7 +768,7 @@ class TestLargeRepresentations:
         start = time.perf_counter()
         report = caterpillar_median_representation(system)
         assert time.perf_counter() - start < 15.0
-        assert report.verified and len(set(report.vertex_map.values())) == 1000
+        assert len(set(report.vertex_map.values())) == 1000
 
     def test_median_placement_20000_triple_chain(self):
         # Each re-insertion used to search the leaf list for the other taxa
@@ -788,7 +787,7 @@ class TestLargeRepresentations:
         start = time.perf_counter()
         report = caterpillar_median_representation(system)
         assert time.perf_counter() - start < 5.0
-        assert report.verified and len(set(report.vertex_map.values())) == 500
+        assert len(set(report.vertex_map.values())) == 500
 
     def test_cli_lca_caterpillar_2000_pairs(self, tmp_path):
         names = names_for(random.Random(13), 2001, "p")

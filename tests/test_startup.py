@@ -90,7 +90,7 @@ CASES = [
 # The names `setflex` re-exports, by the module that defines them.
 EXPORTS = {
     "errors": (
-        "BudgetExceededError", "CapExceededError", "InputError",
+        "BudgetExceededError", "CapExceededError", "CheckReport", "InputError",
         "InternalVerificationError", "MemberSizeError", "ParseError",
         "PreconditionError", "SetflexError",
     ),
@@ -104,7 +104,7 @@ EXPORTS = {
         "is_flexible_bruteforce", "is_unique_display",
     ),
     "graphopt": (
-        "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport", "SdrReport",
+        "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport",
         "gamma_star", "incidence_graph", "is_forest", "is_slim", "is_thin",
         "max_flow", "sdr", "sigma_star", "surplus_forest",
     ),
@@ -114,14 +114,14 @@ EXPORTS = {
         "parse_triples_text", "spanning_triples", "triples_of",
     ),
     "represent": (
-        "OrderReport", "RepresentationReport", "UnrootedPhyloTree",
+        "RepresentationReport", "UnrootedPhyloTree",
         "caterpillar_median_representation", "extend_to_total_order",
         "is_total_order_flexible", "lca_caterpillar_representation",
         "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
     "rooted": ("RootedPhyloTree",),
     "setsys": (
-        "CheckReport", "SetSystem", "excess_general", "excess_uniform",
+        "SetSystem", "excess_general", "excess_uniform",
         "gamma", "occurrence_count", "parse_sets", "parse_sets_json",
         "parse_sets_text", "sigma",
     ),
