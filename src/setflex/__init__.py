@@ -18,13 +18,14 @@ exhaustive` loads `setsys` and `exhaustive`; `check flexible --method
 bruteforce` loads `setsys`, `rooted`, `phylo` and `flex`; `count` and
 `gen-defining` load `rooted`, `phylo` and `flex`, and `count
 --formula-n` alone only `flex`; `supertree` loads `rooted` and `phylo`;
-`represent median-caterpillar` loads `setsys`, `graphopt`, `rooted` and
-`represent` (the tree class and its lca table, not `phylo`'s parsers
-and BUILD), `represent lca-caterpillar` the same without `graphopt`,
-which loads only to certify a "not thin"; `check order-flexible` loads
-`setsys`, `graphopt` and `represent`, and `order` only `represent`.
-`phylo` imports its tree class from `rooted`, so every request that
-loads `phylo` loads `rooted` too.  The tree layers stay off
+`represent median-caterpillar` and `lca-caterpillar` load `setsys`,
+`rooted` and `represent` (the tree class and its lca table, not
+`phylo`'s parsers and BUILD), and `graphopt` only to certify a "not
+thin" or, for the median one, at a taxon of count 2, whose candidate
+triples the peel checks with the minimizer; `check order-flexible`
+loads `setsys`, `graphopt` and `represent`, and `order` only
+`represent`.  `phylo` imports its tree class from `rooted`, so every
+request that loads `phylo` loads `rooted` too.  The tree layers stay off
 `setsys`: `rooted` and `phylo` take `check_label` from `errors`, and
 `flex` names `setsys.SetSystem` only in annotations.  `flex` and
 `represent` reach the other layers as module attributes, so a layer

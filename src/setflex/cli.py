@@ -19,7 +19,6 @@ and timings are printed only in human mode.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from importlib import import_module
@@ -74,18 +73,6 @@ def _emit(ns, payload: dict, human_lines: list[str], elapsed: float) -> None:
 
 
 # -- parser -------------------------------------------------------------------------
-
-
-def _default_budget() -> int | None:
-    """SETFLEX_BUDGET, validated; None (the library default) when unset."""
-    raw = os.environ.get("SETFLEX_BUDGET")
-    if raw is None:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise InputError(f"SETFLEX_BUDGET must be an integer, got {raw!r}") from None
-    return check_limit("SETFLEX_BUDGET", budget)
 
 
 def _check_limits(ns) -> None:
@@ -243,8 +230,6 @@ def main(argv=None) -> int:
     module, ns = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_limits(ns)
-        if getattr(ns, "budget", None) is None and hasattr(ns, "budget"):
-            ns.budget = _default_budget()
         run = import_module(f".{module}", __package__).run
         t0 = time.perf_counter()
         code, payload, lines = run(ns)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 from . import exhaustive, flex, graphopt, phylo, represent, setsys
 from .cli import _given, _member_str, _read_input
-from .errors import InputError
+from .errors import InputError, check_limit
 
 
 def _render_certificate(system: setsys.SetSystem, report) -> object:
@@ -57,9 +58,16 @@ def _flex_certificate(assignment) -> list[str]:
 
 
 def run(ns) -> tuple[int, dict, list[str]]:
-    system = setsys.require_members(setsys.parse_sets(_read_input(ns.input)))
     kind = ns.kind
     method = ns.method or ("forest" if kind == "order-flexible" else "mincut")
+    # An option the check would not read is an error, not a silent no-op.
+    reads = {"--r": kind == "thin",
+             "--budget": kind == "flexible" and method == "bruteforce",
+             "--cap": method in ("exhaustive", "bruteforce")}
+    for option, read in reads.items():
+        if getattr(ns, option[2:]) is not None and not read:
+            raise InputError(f"check {kind} --method {method} does not read {option}")
+    system = setsys.require_members(setsys.parse_sets(_read_input(ns.input)))
     payload: dict = {"command": "check", "kind": kind}
     cap_kwargs = _given(cap=ns.cap)
     if kind == "thin":
@@ -72,9 +80,14 @@ def run(ns) -> tuple[int, dict, list[str]]:
         report = represent.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
     elif kind == "flexible" and method == "bruteforce":
-        report = flex.is_flexible_bruteforce(
-            system, **_given(budget=ns.budget, enum_cap=ns.cap)
-        )
+        # The scan alone reads a budget, so it alone reads SETFLEX_BUDGET.
+        budget, raw = ns.budget, os.environ.get("SETFLEX_BUDGET")
+        if budget is None and raw is not None:
+            try:
+                budget = check_limit("SETFLEX_BUDGET", int(raw))
+            except ValueError:
+                raise InputError(f"SETFLEX_BUDGET must be an integer, got {raw!r}") from None
+        report = flex.is_flexible_bruteforce(system, **_given(budget=budget, enum_cap=ns.cap))
         certificate_json = report.certificate
         if certificate_json is not None:
             certificate_json = _flex_certificate(certificate_json)

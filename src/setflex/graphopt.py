@@ -640,26 +640,25 @@ def surplus_forest(graph: BipartiteIncidenceGraph):
     By Lovasz's theorem (1970, "A generalization of Konig's theorem"),
     each member can keep two of its taxa so that the kept pairs form a
     forest iff every non-empty selection W covers at least |W| + 1 taxa,
-    that is iff sigma* >= 1; the minimizer decides that first.  The
-    forest returned is the lexicographically first: members in canonical
-    order, each member's pairs in `combinations` order.
+    that is iff sigma* >= 1.  The forest returned is the
+    lexicographically first: members in canonical order, each member's
+    pairs in `combinations` order.
 
     A greedy union-find pass takes, per member, the first pair that
     joins two components.  Each pair it skips closes a cycle with the
     earlier choices, so no forest with that prefix uses it; if every
-    member gets a pair, the greedy choice is the first forest.
-    Otherwise a self-reduction starts again from member 0 and fixes,
-    per member, the first pair joining two components for which the
-    system with earlier members reduced to their pairs and later members
-    whole still has sigma* >= 1.  By the theorem that holds exactly when
-    the prefix extends to a forest, so this too gives the first forest,
-    at one minimizer call per pair tried.  The result is verified
+    member gets a pair, the greedy choice is the first forest, and no
+    minimizer runs.  Otherwise the minimizer decides whether a forest
+    exists, and if one does, a self-reduction starts again from member 0
+    and fixes, per member, the first pair joining two components for
+    which the system with earlier members reduced to their pairs and
+    later members whole still has sigma* >= 1.  By the theorem that
+    holds exactly when the prefix extends to a forest, so this too gives
+    the first forest, at one minimizer call per pair tried.  The result is verified
     acyclic with every member of degree exactly two.
     """
     if any(w != 1 for w in graph.weights):
         raise InputError("surplus_forest requires unit weights")
-    if _minimize_surplus(graph).value < 1:
-        return None
 
     def first_pairs(feasible) -> list[tuple[int, int]] | None:
         parent = {x: x for x in graph.taxa}
@@ -685,7 +684,11 @@ def surplus_forest(graph: BipartiteIncidenceGraph):
         reduced = (*chosen, pair, *graph.adjacency[i + 1:])
         return _minimize_surplus(graph._replace(adjacency=reduced)).value >= 1
 
-    pairs = first_pairs(lambda *_: True) or first_pairs(extends)
+    pairs = first_pairs(lambda *_: True)
+    if not pairs:  # no greedy forest, or no members, which the minimizer rejects
+        if _minimize_surplus(graph).value < 1:
+            return None
+        pairs = first_pairs(extends)
     if pairs is None:
         raise InternalVerificationError("positive surplus but no degree-two forest found")
     edges = tuple((i, x) for i, pair in enumerate(pairs) for x in pair)

@@ -8,9 +8,10 @@ next to the smallest leaf, and its Newick text printed through
 `rooted.RootedPhyloTree` from the same hanging.  Requests that never
 build one (supertree, count, the flexibility scan) do not compile it,
 and the representations compile none of `phylo`'s parsers, display
-checks and BUILD.  The lca construction decides its own precondition
-with the peel that places the pairs, so `graphopt` loads for it only
-to certify a system that is not thin.
+checks and BUILD.  Each construction decides thinness: a caterpillar
+whose medians (or lcas) the final check finds injective proves it, so
+`graphopt`'s minimizer runs only to certify a failed one's "no" (and
+at the median peel's count-2 levels).
 
 A caterpillar is handled as a leaf sequence: sequence position p (with
 0 <= p <= n-1) attaches to spine vertex w_{max(0, min(p-1, n-3))}, and
@@ -411,17 +412,11 @@ def _peel_median(live: set, levels: list, skip: int) -> list[str]:
             live.discard(member)
         y = index = None
         if count == 2:
-            t, t2 = checked
-            if len(t & t2) == 2:
-                # Two triples overlapping in x and one more taxon: replace
-                # the pair by the single triple over their other three
-                # taxa, which a thin system cannot already hold (with t and
-                # t2 it would put three members on four taxa).
-                candidates = [(t | t2) - {x}]
-            else:
-                quad = sorted((t | t2) - {x})
-                candidates = [frozenset(c) for c in combinations(quad, 3)
-                              if frozenset(c) not in live]
+            # The triples over t and t2's other taxa: four of them, or the
+            # one over all three when t and t2 share a pair besides x.
+            rest = sorted((checked[0] | checked[1]) - {x})
+            candidates = [frozenset(c) for c in combinations(rest, 3)
+                          if frozenset(c) not in live]
             for index in range(skip, len(candidates)):
                 y = candidates[index]
                 trial = setsys.SetSystem([sorted(m) for m in live | {y}])
@@ -501,10 +496,11 @@ def _canonical_sequence(seq: list[str]) -> list[str]:
 def caterpillar_median_representation(system: setsys.SetSystem) -> RepresentationReport:
     """An unrooted caterpillar on the universe with injective member medians.
 
-    The system must be uniformly of size 3, thin (checked via the
-    minimizer), and the universe must have at least 4 taxa.  Universe
-    taxa outside L(tau) are appended past the far end of the spine; the
-    injectivity of the median map is recomputed from the finished tree.
+    The system must be uniformly of size 3 and thin (sigma* >= 2), and
+    the universe must have at least 4 taxa.  The construction decides
+    thinness: medians recomputed from the finished tree and found
+    injective prove it, and a failure goes to `_not_thin`.  Universe
+    taxa outside L(tau) are appended past the far end of the spine.
     """
     if setsys.require_members(system).uniform_size() != 3:
         raise MemberSizeError("median representation needs a system of triples")
@@ -512,24 +508,18 @@ def caterpillar_median_representation(system: setsys.SetSystem) -> Representatio
         raise InputError(
             f"need at least 4 taxa in the universe, got {len(system.universe)}"
         )
-    minimizer = graphopt.sigma_star(system)
-    if minimizer.value < 2:
-        raise PreconditionError(
-            "system is not thin (sigma* = %d)" % minimizer.value,
-            certificate=minimizer,
-        )
-
-    tau = frozenset(system.member_label_sets())
-    seq = _canonical_sequence(_place_median(tau))
-    appended = tuple(sorted(set(system.universe) - set(seq)))
-    seq = seq + list(appended)
-
-    tree = unrooted_caterpillar(seq)
-    check = verify_median_injective(tree, system)
-    if not check.verdict:
-        raise InternalVerificationError(
-            f"median collision between members {check.certificate}"
-        )
+    try:
+        seq = _canonical_sequence(_place_median(frozenset(system.member_label_sets())))
+        appended = tuple(sorted(set(system.universe) - set(seq)))
+        seq = seq + list(appended)
+        tree = unrooted_caterpillar(seq)
+        check = verify_median_injective(tree, system)
+        if not check.verdict:
+            raise InternalVerificationError(
+                f"median collision between members {check.certificate}"
+            )
+    except InternalVerificationError as exc:
+        raise _not_thin(system, 2, str(exc)) from None
     vertex_map = check.certificate
     if not all(0 <= med <= len(seq) - 3 for med in vertex_map.values()):
         raise InternalVerificationError("median landed on a leaf")
@@ -542,6 +532,18 @@ def caterpillar_median_representation(system: setsys.SetSystem) -> Representatio
         vertex_map=vertex_map,
         appended=appended,
     )
+
+
+def _not_thin(system: setsys.SetSystem, threshold: int, failure: str) -> PreconditionError:
+    """The minimizer's "no" for a caterpillar construction that failed.
+
+    A system with sigma* >= `threshold` is thin and has the caterpillar,
+    so a minimizer that finds one contradicts the construction: a bug.
+    """
+    sigma = graphopt.sigma_star(system)
+    if sigma.value >= threshold:
+        raise InternalVerificationError(f"{failure} in a thin system (sigma* = {sigma.value})")
+    return PreconditionError(f"system is not thin (sigma* = {sigma.value})", certificate=sigma)
 
 
 def verify_median_injective(tree: UnrootedPhyloTree, system: setsys.SetSystem) -> CheckReport:
@@ -598,10 +600,8 @@ def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationRe
     The system must be uniformly of size 2 and thin (sigma* >= 1), which
     for pairs is the incidence graph being a forest (the paper's pair
     theorem).  The leaf peel that places the pairs decides it: it runs
-    out of taxa of count 1 exactly on a cycle.  Only then does
-    `graphopt` load, and the minimizer certifies the "no"; a minimizer
-    that finds the system thin contradicts the peel and is an internal
-    error.  Universe taxa outside L(tau) are appended above the
+    out of taxa of count 1 exactly on a cycle, and `_not_thin` certifies
+    the "no".  Universe taxa outside L(tau) are appended above the
     existing spine and flagged in the report.  The lca map is recomputed
     from the finished tree and its depths give the spine numbering.
     """
@@ -609,15 +609,7 @@ def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationRe
         raise MemberSizeError("lca representation needs a system of pairs")
     seq = _place_pairs(frozenset(system.member_label_sets()))
     if seq is None:
-        minimizer = graphopt.sigma_star(system)
-        if minimizer.value >= 1:
-            raise InternalVerificationError(
-                "pair peel found a cycle in a thin system (sigma* = %d)" % minimizer.value
-            )
-        raise PreconditionError(
-            "system is not thin (sigma* = %d)" % minimizer.value,
-            certificate=minimizer,
-        )
+        raise _not_thin(system, 1, "pair peel found a cycle")
     appended = tuple(sorted(set(system.universe) - set(seq)))
     seq = seq + list(appended)
 

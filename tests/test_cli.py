@@ -239,12 +239,50 @@ class TestErrorSurface:
 
     @pytest.mark.parametrize("value", ["-1", "lots"])
     @pytest.mark.parametrize("kind", ["thin", "slim", "flexible", "order-flexible"])
-    def test_budget_env_validated_on_every_check(
-        self, capsys, fig1, monkeypatch, kind, value
-    ):
+    def test_budget_env_read_only_by_the_scan(self, capsys, monkeypatch, kind, value):
+        # Only `flexible --method bruteforce` reads a budget, and it alone
+        # validates SETFLEX_BUDGET; every other check (`flexible` runs the
+        # min-cut method) answers as if the variable were unset.
+        golden = Path(__file__).parent / "golden"
+        path = str(golden / ("pair_square.sets" if kind == "order-flexible" else "fig1.sets"))
+        unset = run_json(capsys, "check", kind, path)
         monkeypatch.setenv("SETFLEX_BUDGET", value)
-        code, payload = run_json(capsys, "check", kind, fig1)
-        assert code == 2 and "SETFLEX_BUDGET" in payload["error"]
+        assert run_json(capsys, "check", kind, path) == unset
+        assert unset[0] == (1 if kind == "order-flexible" else 0)
+
+    STRAY = [
+        ("thin", "mincut", "--budget", "5"),
+        ("thin", "mincut", "--cap", "5"),
+        ("thin", "exhaustive", "--budget", "5"),
+        ("slim", "mincut", "--r", "3"),
+        ("slim", "mincut", "--budget", "5"),
+        ("slim", "mincut", "--cap", "5"),
+        ("slim", "exhaustive", "--r", "3"),
+        ("slim", "exhaustive", "--budget", "5"),
+        ("flexible", "mincut", "--r", "3"),
+        ("flexible", "mincut", "--budget", "5"),
+        ("flexible", "mincut", "--cap", "5"),
+        ("flexible", "bruteforce", "--r", "3"),
+        ("order-flexible", "forest", "--r", "3"),
+        ("order-flexible", "forest", "--budget", "5"),
+        ("order-flexible", "forest", "--cap", "5"),
+        ("order-flexible", "bruteforce", "--r", "3"),
+        ("order-flexible", "bruteforce", "--budget", "5"),
+    ]
+
+    @pytest.mark.parametrize("kind, method, option, value", STRAY,
+                             ids=["-".join(case[:3]) for case in STRAY])
+    def test_option_the_check_does_not_read_exit_2(self, capsys, kind, method, option, value):
+        # `--r` is read by `thin` only, `--budget` by the brute-force
+        # flexibility scan only, and `--cap` by the exhaustive and
+        # brute-force methods only.
+        path = str(Path(__file__).parent / "golden" / "fig1.sets")
+        code, payload = run_json(capsys, "check", kind, path, "--method", method, option, value)
+        assert code == 2
+        assert payload == {"error": f"check {kind} --method {method} does not read {option}"}
+        # Without --method, the kind's default method is named.
+        if method in ("mincut", "forest"):
+            assert run_json(capsys, "check", kind, path, option, value) == (code, payload)
 
     def test_count_default_cap_is_8(self, capsys, tmp_path):
         path = tmp_path / "nine.txt"

@@ -88,9 +88,12 @@ class TestMedianCaterpillar:
             caterpillar_median_representation(tsys("abc"))
 
     def test_not_thin_rejected(self):
+        s = tsys("abc", "abd", "bce", "def", "bde")
         with pytest.raises(PreconditionError) as err:
-            caterpillar_median_representation(tsys(*("abc", "abd", "bce", "def", "bde")))
+            caterpillar_median_representation(s)
         assert err.value.certificate.value == 1
+        assert err.value.certificate == sigma_star(s)
+        assert str(err.value) == "system is not thin (sigma* = 1)"
 
     def test_pairs_rejected(self):
         with pytest.raises(MemberSizeError):
@@ -750,6 +753,42 @@ class TestLcaPrecondition:
             lca_caterpillar_representation(pair_system("ab", "bc", "ca"))
 
 
+class TestMedianPrecondition:
+    """The construction decides thinness; the minimizer only certifies a "no"."""
+
+    def test_thin_chain_needs_no_minimizer(self, monkeypatch):
+        # A chain has no taxon of count 2 at any level, so no candidate
+        # triple is checked either.
+        def refuse(system):
+            raise AssertionError("sigma_star called on a thin chain")
+
+        names = names_for(random.Random(3), 42)
+        system = SetSystem([sorted(m) for m in chain_members(names, 40)])
+        monkeypatch.setattr(graphopt, "sigma_star", refuse)
+        report = caterpillar_median_representation(system)
+        assert len(set(report.vertex_map.values())) == 40
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.frozensets(st.sampled_from(ALPHA[:8]), min_size=3, max_size=3),
+                    min_size=1, max_size=10, unique=True))
+    def test_property_verified_or_certified(self, members):
+        s = SetSystem([sorted(m) for m in members], extra_taxa=ALPHA[:4])
+        minimizer = sigma_star(s)
+        try:
+            report = caterpillar_median_representation(s)
+        except PreconditionError as err:
+            assert err.certificate == minimizer and minimizer.value < 2
+        else:
+            assert minimizer.value >= 2
+            assert verify_median_injective(report.tree, s).verdict
+
+    def test_minimizer_contradicting_the_construction_is_internal(self, monkeypatch):
+        thin = sigma_star(tsys("abc", "bcd"))
+        monkeypatch.setattr(graphopt, "sigma_star", lambda system: thin)
+        with pytest.raises(InternalVerificationError, match="sigma\\* = 2"):
+            caterpillar_median_representation(tsys("abc", "abd", "bce", "def", "bde"))
+
+
 class TestLargeRepresentations:
     """Sizes that ran out of recursion depth, or time, in the recursive
     construction; each keeps the final self-checks."""
@@ -773,8 +812,7 @@ class TestLargeRepresentations:
     def test_median_placement_20000_triple_chain(self):
         # Each re-insertion used to search the leaf list for the other taxa
         # of its members: 2.4-4.1 s, 0.5-0.7 s with the keyed leaf order.
-        # The minimizer and the final self-check, about as long again, are
-        # left out of the bound.
+        # The final self-check is left out of the bound.
         tau = frozenset(chain_members(names_for(random.Random(23), 20002), 20000))
         start = time.perf_counter()
         seq = represent._place_median(tau)
