@@ -21,10 +21,10 @@ bruteforce` loads `setsys`, `rooted`, `phylo` and `flex`; `count` and
 `represent median-caterpillar` and `lca-caterpillar` load `setsys`,
 `rooted` and `represent` (the tree class and its lca table, not
 `phylo`'s parsers and BUILD), and `graphopt` only to certify a "not
-thin" or, for the median one, at a taxon of count 2, whose candidate
-triples the peel checks with the minimizer; `check order-flexible`
-loads `setsys`, `graphopt` and `represent`, and `order` only
-`represent`.  `phylo` imports its tree class from `rooted`, so every
+thin" or, for the median one, for the one minimizer call that picks
+the replacement triple at a count-2 level with no shared pair; `check
+order-flexible` loads `setsys`, `graphopt` and `represent`, and `order`
+only `represent`.  `phylo` imports its tree class from `rooted`, so every
 request that loads `phylo` loads `rooted` too.  The tree layers stay off
 `setsys`: `rooted` and `phylo` take `check_label` from `errors`, and
 `flex` names `setsys.SetSystem` only in annotations.  `flex` and

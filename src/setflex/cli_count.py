@@ -10,6 +10,8 @@ from .errors import InputError
 def run(ns) -> tuple[int, dict, list[str]]:
     enumerated = None
     formula = None
+    if ns.input is None and ns.cap is not None:
+        raise InputError("count without a triples file does not read --cap")
     if ns.input is not None:
         triples = phylo.parse_triples_text(_read_input(ns.input))
         if not triples:

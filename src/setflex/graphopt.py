@@ -498,14 +498,14 @@ def is_thin(system: SetSystem, r: int) -> CheckReport:
     """
     if r < 2:
         raise InputError(f"r must be >= 2, got {r}")
-    if system.uniform_size() != r:
+    if require_members(system).uniform_size() != r:
         raise MemberSizeError(f"system is not uniformly of size {r}")
     return _threshold_report(sigma_star(system), "sigma_star", r - 1)
 
 
 def is_slim(system: SetSystem) -> CheckReport:
     """Slim test via gamma* >= 2 for a system with members of size >= 3."""
-    return _threshold_report(gamma_star(system), "gamma_star", 2)
+    return _threshold_report(gamma_star(require_members(system)), "gamma_star", 2)
 
 
 # -- systems of distinct representatives -------------------------------------

@@ -10,8 +10,8 @@ build one (supertree, count, the flexibility scan) do not compile it,
 and the representations compile none of `phylo`'s parsers, display
 checks and BUILD.  Each construction decides thinness: a caterpillar
 whose medians (or lcas) the final check finds injective proves it, so
-`graphopt`'s minimizer runs only to certify a failed one's "no" (and
-at the median peel's count-2 levels).
+`graphopt`'s minimizer runs only to certify a failed one's "no", and
+at most once at a count-2 level of the median peel.
 
 A caterpillar is handled as a leaf sequence: sequence position p (with
 0 <= p <= n-1) attaches to spine vertex w_{max(0, min(p-1, n-3))}, and
@@ -22,12 +22,13 @@ elements in the sequence, which is what the construction below arranges
 and what the final verification (recomputed from the actual tree, never
 trusted from the construction) re-checks.
 
-The thin-system construction peels a taxon x of minimal occurrence
-count (at most 2 for thin systems covering their universe) and reduces
-the system as the occurrence pattern dictates, down to a base case that
-a direct search over leaf orderings solves.  The reductions go on one
-explicit stack; unwinding it re-inserts each x at the first insertion
-slot, in a canonical order, that keeps the member middles distinct.
+The thin-system construction is one descent and one unwind.  The
+descent peels a taxon x of minimal occurrence count (at most 2 for thin
+systems covering their universe) and reduces the system as the
+occurrence pattern dictates, down to a base case that a search over
+leaf orderings solves; the unwind re-inserts each x at the first slot,
+in a canonical order, that keeps the member middles distinct, and such
+a slot always exists.
 """
 
 from __future__ import annotations
@@ -388,18 +389,63 @@ def _insert_checked(order: _LeafOrder, to_place: list[str], checked, taken) -> l
 # -- the median-caterpillar peel ------------------------------------------------
 
 
-def _peel_median(live: set, levels: list, skip: int) -> list[str]:
-    """Reduce `live` in place to a base case, pushing one record per level.
+def _replacement(x: str, checked: tuple, live: set) -> frozenset[str]:
+    """The triple y that takes the place of x's members t, t2 at count 2.
 
-    Each level peels the taxon x of least (occurrence count, label).  At
-    count 1 its member t goes; at count 2 its members t, t2 give way to
-    the first thin candidate triple y after the first `skip` ones (`skip`
-    > 0 only when a level is retried).  A record holds the taxa to insert
-    on the way back (those of t, t2 the reduced system lacks, then x),
-    the members holding them, y and y's candidate index.  Returns the
-    base case's leaf order.
+    The candidates are the triples over (t | t2) - {x}: one when t and t2
+    share a pair besides x, else four, in sorted order.  A candidate
+    fails (it is live, or live | {y} is not thin) only if some W in live
+    with sigma(W) = 2 has y in L(W), for live is thin when the level's
+    system is.  Two failing candidates would give two such sets whose
+    union has sigma <= 2 and covers (t | t2) - {x}: by submodularity if
+    they share a member, and as |y1 & y2| = 2 if not.  With t and t2
+    added, that union has sigma <= 1.  So on thin input the shared-pair
+    candidate never fails and at most one of the four does: the first
+    stands unless it is live or the minimizer rejects it, else the second,
+    unchecked.  A live y (input that is not thin) is an error, so that
+    the unwind never frees one middle twice.
     """
+    rest = sorted((checked[0] | checked[1]) - {x})
+    y, *others = map(frozenset, combinations(rest, 3))
+    if others and (y in live or graphopt.sigma_star(
+            setsys.SetSystem([sorted(m) for m in live | {y}])).value < 2):
+        y = others[0]
+    if y in live:
+        raise InternalVerificationError("the replacement triple is already a member")
+    return y
+
+
+def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
+    """A leaf order of L(tau) whose member middles are pairwise distinct.
+
+    One descent peels the taxon x of least (occurrence count, label): at
+    count 1 its member t goes, at count 2 its members t, t2 give way to
+    `_replacement`'s triple y.  A level records the taxa to insert on the
+    way back (those of t, t2 the reduced system lacks, then x), the
+    members holding them, and y.  One unwind re-inserts them at the first
+    valid slots in canonical order.  `middle_of` and `owner` hold the
+    middle of every member of the current level, which an insertion
+    leaves in place, so only t (and t2) need new, unowned middles, and
+    slots for them always exist:
+
+    - Count 1: x between t's other two taxa is t's middle.
+    - Count 2: with y = {u, v, w} in sequence order, dropping y frees v,
+      and x goes next to one of y's taxa so that t and t2 take the
+      middles x and v.  If t and t2 share a pair {x, a}: for a = v, x
+      right next to v on the side of t's other taxon; for a = u or w, x
+      between v and y's other end.  Else (t | t2) - {x} = y | {z}, and e
+      in y shares a member with z: for e = v, x right after u if z
+      follows v, else right before w; for e = u, x right after u if z
+      follows u, else right before u; e = w mirrors e = u.
+
+    `_insert_checked` tries every class of slots, so it finds one.  A
+    system that is not thin never gets that far: each level keeps a
+    violator (without t, or with y in place of t and t2), so the count
+    check, the guard in `_replacement` or the base case stops the descent.
+    """
+    live = set(tau)
     members_of, heap = _incidence(live)
+    levels = []
     while len(live) > 1 and len(members_of) > 4:
         count, x = _lightest(members_of, heap)
         checked = tuple(sorted(members_of[x], key=sorted))
@@ -410,75 +456,37 @@ def _peel_median(live: set, levels: list, skip: int) -> list[str]:
         for member in checked:
             _drop(member, members_of, heap)
             live.discard(member)
-        y = index = None
+        y = None
         if count == 2:
-            # The triples over t and t2's other taxa: four of them, or the
-            # one over all three when t and t2 share a pair besides x.
-            rest = sorted((checked[0] | checked[1]) - {x})
-            candidates = [frozenset(c) for c in combinations(rest, 3)
-                          if frozenset(c) not in live]
-            for index in range(skip, len(candidates)):
-                y = candidates[index]
-                trial = setsys.SetSystem([sorted(m) for m in live | {y}])
-                if graphopt.sigma_star(trial).value >= 2:
-                    break
-            else:
-                raise InternalVerificationError("no reduction worked in the n=2 case")
-            skip = 0
+            y = _replacement(x, checked, live)
             live.add(y)
             for lab in y:
                 members_of.setdefault(lab, set()).add(y)
                 heapq.heappush(heap, (len(members_of[lab]), lab))
         missing = sorted({lab for m in checked for lab in m
                           if lab != x and lab not in members_of})
-        levels.append((missing + [x], checked, y, index))
+        levels.append((missing + [x], checked, y))
 
     universe = sorted(members_of)
-    if len(live) <= 1:
-        return universe
-    members = sorted(live, key=sorted)
-    for perm in permutations(universe):
-        positions = {lab: i for i, lab in enumerate(perm)}
-        if len({_middle(positions, m) for m in members}) == len(members):
-            return list(perm)
-    raise InternalVerificationError("no ordering for a thin base case")
-
-
-def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
-    """A leaf order of L(tau) whose member middles are pairwise distinct.
-
-    One top-down peel records its reductions on a stack; unwinding it
-    re-inserts each level's taxa at the first valid slots in canonical
-    order.  `middle_of` and `owner` hold the middle of every member of
-    the current level, which an insertion leaves in place.  When no slot
-    works at a count-2 level, that level is peeled again from its own
-    system with the next candidate, as the recursive construction would.
-    """
-    levels: list[tuple] = []
-    live = set(tau)
-    skip = 0
-    while True:
-        seq = _peel_median(live, levels, skip)
-        order = _LeafOrder(seq)
+    for seq in permutations(universe) if len(live) > 1 else [universe]:
         positions = {lab: i for i, lab in enumerate(seq)}
         middle_of = {m: _middle(positions, m) for m in live}
         owner = {mid: m for m, mid in middle_of.items()}
-        while levels:
-            to_place, checked, y, index = levels.pop()
-            if y is not None:
-                del owner[middle_of.pop(y)]
-            middles = _insert_checked(order, to_place, checked, owner)
-            if middles is None:
-                if y is None:
-                    raise InternalVerificationError("no insertion slot in the n=1 case")
-                live = set(middle_of).union(checked)
-                skip = index + 1
-                break
-            for member, mid in zip(checked, middles):
-                middle_of[member] = mid
-                owner[mid] = member
-        else:
-            return list(order)
+        if len(owner) == len(live):
+            break
+    else:
+        raise InternalVerificationError("no ordering for a thin base case")
+    order = _LeafOrder(list(seq))
+    for to_place, checked, y in reversed(levels):
+        if y is not None:
+            del owner[middle_of.pop(y)]
+        middles = _insert_checked(order, to_place, checked, owner)
+        if middles is None:
+            raise InternalVerificationError(f"no insertion slot for taxon {to_place[-1]}")
+        for member, mid in zip(checked, middles):
+            middle_of[member] = mid
+            owner[mid] = member
+    return list(order)
 
 
 def _canonical_sequence(seq: list[str]) -> list[str]:
@@ -719,7 +727,7 @@ def is_total_order_flexible(
     `bruteforce` enumerates all 2^k orientations (bit 1 reverses the
     sorted pair) and reports the first that fails, with its cycle.
     """
-    if system.uniform_size() != 2:
+    if setsys.require_members(system).uniform_size() != 2:
         raise MemberSizeError("total-order flexibility needs a system of pairs")
     if mode == "forest":
         return graphopt.is_forest(graphopt.incidence_graph(system, "unit"))
@@ -729,25 +737,10 @@ def is_total_order_flexible(
     if k > check_limit("cap", cap):
         raise CapExceededError(f"{k} pairs exceed the orientation cap {cap}")
     pairs = [tuple(system.member_labels(i)) for i in range(k)]
-    universe = system.universe
-    checked = 0
     for mask in range(1 << k):
-        orientation = [
-            (pairs[i][1], pairs[i][0]) if mask >> i & 1 else pairs[i]
-            for i in range(k)
-        ]
-        checked += 1
-        report = _extend_sorted(universe, orientation)
+        orientation = tuple(pair[::-1] if mask >> i & 1 else pair for i, pair in enumerate(pairs))
+        report = _extend_sorted(system.universe, orientation)
         if not report.verdict:
-            return CheckReport(
-                verdict=False,
-                method="bruteforce",
-                certificate=(tuple(orientation), report.certificate),
-                stats={"orientations_checked": checked},
-            )
-    return CheckReport(
-        verdict=True,
-        method="bruteforce",
-        certificate=None,
-        stats={"orientations_checked": checked},
-    )
+            return CheckReport(False, "bruteforce", (orientation, report.certificate),
+                               {"orientations_checked": mask + 1})
+    return CheckReport(True, "bruteforce", None, {"orientations_checked": 1 << k})

@@ -292,6 +292,13 @@ class TestErrorSurface:
         code, payload = run_json(capsys, "count", str(path), "--cap", "7")
         assert code == 3 and payload == {"error": "9 leaves exceed the enumeration cap 7"}
 
+    def test_count_formula_alone_does_not_read_cap(self, capsys):
+        # The cap bounds only the enumeration of a triples file.
+        for argv in (("--formula-n", "6"), ()):
+            code, payload = run_json(capsys, "count", *argv, "--cap", "2")
+            assert code == 2
+            assert payload == {"error": "count without a triples file does not read --cap"}
+
     def test_zero_budget_is_a_limit_not_a_usage_error(self, capsys, fig1):
         code, _ = run(
             capsys, "check", "flexible", fig1, "--method", "bruteforce",

@@ -32,7 +32,7 @@ from setflex import (
     verify_median_injective,
 )
 from setflex import graphopt, represent
-from conftest import ALPHA, FIG1, FIG3, random_thin_triples, tsys
+from conftest import ALPHA, FIG1, FIG1P, FIG3, random_thin_triples, tsys
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -582,49 +582,6 @@ class TestPeelMatchesRecursion:
             assert represent._place_median(tau) == _place_median(tau)
         assert variants == {True, False}
 
-    def test_count_two_retry(self, monkeypatch):
-        # No seeded system has needed it, so force the retry: the first
-        # insertion of each count-2 level's x fails, in the peel and in the
-        # reference alike.  Both must then try the same next candidate and
-        # end with the same order or the same error.
-        module = sys.modules[__name__]
-        reference_insert = _insert_and_verify
-        peel_insert = represent._insert_checked
-        failed = {"peel": set(), "reference": set()}
-        depth = [0]
-
-        def failing_reference(seq, to_place, members):
-            if depth[0] == 0 and to_place and sum(to_place[-1] in m for m in members) == 2:
-                if to_place[-1] not in failed["reference"]:
-                    failed["reference"].add(to_place[-1])
-                    return None
-            depth[0] += 1
-            try:
-                return reference_insert(seq, to_place, members)
-            finally:
-                depth[0] -= 1
-
-        def failing_peel(seq, to_place, checked, taken):
-            if len(checked) == 2 and to_place[-1] not in failed["peel"]:
-                failed["peel"].add(to_place[-1])
-                return None
-            return peel_insert(seq, to_place, checked, taken)
-
-        monkeypatch.setattr(module, "_insert_and_verify", failing_reference)
-        monkeypatch.setattr(represent, "_insert_checked", failing_peel)
-        placed = errors = 0
-        for _, members in count_two_systems(337, 25):
-            failed["peel"].clear()
-            failed["reference"].clear()
-            got = outcome(represent._place_median, members)
-            assert got == outcome(_place_median, members)
-            assert failed["peel"] == failed["reference"] != set()
-            if isinstance(got, list):
-                placed += 1
-            else:
-                errors += 1
-        assert placed > 0 and errors > 0
-
     def test_pair_forests(self):
         rng = random.Random(109)
         for _ in range(250):
@@ -673,6 +630,118 @@ class TestPeelMatchesRecursion:
             members.append(frozenset((old, new)))
         tau = frozenset(members)
         assert represent._place_pairs(tau) == _place_pairs(tau)
+
+
+class TestOnePassPeel:
+    """The peel takes one candidate per count-2 level and never re-peels:
+    no insertion can fail, and at most one candidate can."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.permutations(range(16)),
+           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=14),
+           st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
+                    max_size=2),
+           st.lists(st.integers(0, 3), max_size=14))
+    def test_property_insertion_never_fails(self, labels, spine, extra, picks):
+        # Caterpillar-shaped systems (one triple per spine position p, whose
+        # middle is leaf p and whose ends lie within 3), with up to two
+        # arbitrary triples that may break thinness, and any candidate that
+        # is not live at each count-2 level: the insertion argument needs
+        # only a valid reduced order.
+        seq = [f"t{i:02d}" for i in labels[:len(spine) + 2]]
+        members = {frozenset((seq[max(0, p - a)], seq[p], seq[min(len(seq) - 1, p + b)]))
+                   for p, (a, b) in enumerate(spine, 1)}
+        members |= {frozenset(seq[i % len(seq)] for i in ijk) for ijk in extra}
+        members = {m for m in members if len(m) == 3}
+        picked = iter(picks)
+        insert = represent._insert_checked
+
+        def any_candidate(x, checked, live):
+            rest = sorted((checked[0] | checked[1]) - {x})
+            free = [y for y in map(frozenset, combinations(rest, 3)) if y not in live]
+            if not free:
+                raise InternalVerificationError("every candidate is live")
+            return free[next(picked, 0) % len(free)]
+
+        def never_none(order, to_place, checked, taken):
+            middles = insert(order, to_place, checked, taken)
+            assert middles is not None, (to_place, checked)
+            return middles
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(represent, "_replacement", any_candidate)
+            patch.setattr(represent, "_insert_checked", never_none)
+            placed = outcome(represent._place_median, frozenset(members))
+        # Input that is not thin stops in the descent, whatever it picks.
+        if sigma_star(SetSystem([sorted(m) for m in members])).value < 2:
+            assert isinstance(placed, str)
+
+    def test_candidate_lemma(self):
+        # For every taxon x of count 2 in a thin system, with t, t2 its
+        # members and live the rest: the shared-pair candidate keeps the
+        # system thin, and at most one of the four others is live or not.
+        rng = random.Random(71)
+        systems = [members for _, members in count_two_systems(331, 40)]
+        systems += [random_thin_triples(rng, rng.randint(6, 10), 9).member_label_sets()
+                    for _ in range(120)]
+        systems += [dense_members(rng, rng.randint(3, 12)) for _ in range(60)]
+        systems += [sparse_members(rng, rng.randint(3, 12)) for _ in range(60)]
+        seen = {"pair": 0, "four": 0, "one failing": 0}
+        for members in systems:
+            members = set(members)
+            for x in {lab for m in members for lab in m}:
+                holders = [m for m in members if x in m]
+                if len(holders) != 2:
+                    continue
+                live = members - set(holders)
+                candidates = list(map(frozenset, combinations(
+                    sorted((holders[0] | holders[1]) - {x}), 3)))
+                failing = [y for y in candidates if y in live or not _is_thin_triples(live | {y})]
+                if len(candidates) == 1:
+                    seen["pair"] += 1
+                    assert failing == [], (members, x)
+                else:
+                    seen["four"] += 1
+                    seen["one failing"] += len(failing)
+                    assert len(failing) <= 1, (members, x)
+        assert min(seen.values()) >= 50, seen
+
+    def test_count_two_levels_make_at_most_one_call(self, monkeypatch):
+        # A level whose members share a pair besides x makes no minimizer
+        # call, and one with four other taxa at most one.
+        calls, levels = [], []
+        replacement = represent._replacement
+
+        def counted(x, checked, live):
+            before = len(calls)
+            y = replacement(x, checked, live)
+            levels.append((len(checked[0] & checked[1]) == 2, len(calls) - before))
+            return y
+
+        monkeypatch.setattr(graphopt, "sigma_star",
+                            lambda system: calls.append(system) or sigma_star(system))
+        monkeypatch.setattr(represent, "_replacement", counted)
+        for _, members in count_two_systems(331, 25):
+            represent._place_median(frozenset(members))
+        assert {(True, 0), (False, 1)} <= set(levels) <= {(True, 0), (False, 0), (False, 1)}
+
+    @pytest.mark.parametrize("words, thin", [(FIG3, True), (FIG1P, False)])
+    def test_forced_insertion_failure(self, monkeypatch, words, thin):
+        # An insertion that finds no slot ends the construction: thin input
+        # makes that an internal error, and input that is not thin a
+        # "no" with the minimizer's certificate.
+        failed = []
+        monkeypatch.setattr(represent, "_insert_checked",
+                            lambda *args: failed.append(args[1]))
+        s = tsys(*words)
+        with pytest.raises(InternalVerificationError if thin else PreconditionError) as err:
+            caterpillar_median_representation(s)
+        # Input that is not thin stops in the descent, before any insertion.
+        assert len(failed) == thin
+        if thin:
+            assert str(err.value).startswith("no insertion slot for taxon")
+        else:
+            assert err.value.certificate == sigma_star(s)
 
 
 class TestLeafOrder:

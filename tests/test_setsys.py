@@ -18,8 +18,11 @@ from setflex import (
     excess_general,
     excess_uniform,
     gamma,
+    is_slim,
     is_slim_exhaustive,
+    is_thin,
     is_thin_exhaustive,
+    is_total_order_flexible,
     occurrence_count,
     parse_sets,
     parse_sets_json,
@@ -304,12 +307,19 @@ class TestNegativeCaps:
 
 class TestEmptySystem:
     # An empty selection has excess 0, so a scan over no members would
-    # answer "thin" and "slim" for a system with nothing to check.
+    # answer "thin" and "slim" for a system with nothing to check; the
+    # min-cut and order checks say the same, not that the member size is
+    # wrong or that there is nothing to minimize over.
     @pytest.mark.parametrize("check", [
         lambda s: is_thin_exhaustive(s, 3),
         lambda s: is_thin_exhaustive(s, 2, cap=0),
         is_slim_exhaustive,
         patchwork_check,
+        lambda s: is_thin(s, 3),
+        lambda s: is_thin(s, 2),
+        is_slim,
+        is_total_order_flexible,
+        lambda s: is_total_order_flexible(s, "bruteforce"),
     ])
     def test_rejected(self, check):
         with pytest.raises(InputError, match="^the set system has no members$"):

@@ -62,6 +62,7 @@ INPUTS = {
     "chain.triples": "a,b|c\nb,c|d\n",
     "tree.nwk": "(((a,b),c),d);\n",
     "orient.txt": "a,b\nb,c\n",
+    "shared_pair.sets": "a,b,c\na,b,d\nc,e,f\nd,e,f\n",
 }
 
 CASES = [
@@ -82,6 +83,10 @@ CASES = [
     # each construction decides thinness itself, so a "yes" needs no
     # minimizer (fig1's peel meets no taxon of count 2).
     (("represent", "median-caterpillar", "fig1.sets"), {"setsys", "rooted", "represent"}),
+    # Its one count-2 level (a of a,b,c and a,b,d) shares the pair a,b, so
+    # the replacement triple b,c,d needs no minimizer call either.
+    (("represent", "median-caterpillar", "shared_pair.sets"),
+     {"setsys", "rooted", "represent"}),
     (("represent", "lca-caterpillar", "pairs.sets"), {"setsys", "rooted", "represent"}),
     (("check", "order-flexible", "pairs.sets"), {"setsys", "graphopt", "represent"}),
     (("order", "orient.txt"), {"represent"}),
