@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import flex, phylo
+from . import counting, newick
 from .cli import _given, _read_input
 from .errors import InputError
 
@@ -13,16 +13,16 @@ def run(ns) -> tuple[int, dict, list[str]]:
     if ns.input is None and ns.cap is not None:
         raise InputError("count without a triples file does not read --cap")
     if ns.input is not None:
-        triples = phylo.parse_triples_text(_read_input(ns.input))
+        triples = newick.parse_triples_text(_read_input(ns.input))
         if not triples:
             raise InputError("no triples in input")
         trees = [t.as_tree() for t in triples]
         taxa = set()
         for t in triples:
             taxa |= t.taxa
-        enumerated = flex.count_displaying(trees, taxa, **_given(cap=ns.cap))
+        enumerated = counting.count_displaying(trees, taxa, **_given(cap=ns.cap))
     if ns.formula_n is not None:
-        formula = flex.disjoint_count_formula(ns.formula_n)
+        formula = counting.disjoint_count_formula(ns.formula_n)
     if enumerated is None and formula is None:
         raise InputError("provide a triples file, --formula-n, or both")
     if enumerated is not None and formula is not None and enumerated != formula:

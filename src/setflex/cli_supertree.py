@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import phylo
+from . import newick, phylo
 from .cli import _read_input
 from .errors import InputError, InternalVerificationError
 
@@ -17,7 +17,7 @@ def _parse_trees_and_triples(text: str):
         if not line:
             continue
         if line.endswith(";"):
-            tree = phylo.parse_newick(line)
+            tree = newick.parse_newick(line)
             taxa.update(tree.leaves)
             trees.append((lineno, tree))
         else:
@@ -45,10 +45,10 @@ def run(ns) -> tuple[int, dict, list[str]]:
             f"witness: {','.join(result.witness)}",
         ]
         return 1, payload, lines
-    tree = phylo.make_binary(result.tree) if ns.binary else result.tree
+    tree = newick.make_binary(result.tree) if ns.binary else result.tree
     # Displaying a tree's clusters is displaying all of its triples.
     for lineno, guest in trees:
-        if not phylo.displays_clusters(tree, guest):
+        if not newick.displays_clusters(tree, guest):
             raise InternalVerificationError(
                 f"supertree does not display the tree on line {lineno}"
             )

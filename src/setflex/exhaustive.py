@@ -15,8 +15,8 @@ and gamma on two selections, a property-test hook.
 Of the CLI requests only `check thin|slim --method exhaustive` loads
 this module, so the min-cut requests do not compile these scans.  The
 measures they evaluate (`excess_uniform`, `excess_general`, `sigma`,
-`gamma`) stay in `setsys`, next to the `SetSystem` they read, because
-`graphopt` re-checks its minimizers with `sigma` and `gamma`.
+`gamma`) are in `excess`, which `graphopt` also imports, because it
+re-checks its minimizers with `sigma` and `gamma`.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ from .errors import (
     PreconditionError,
     check_limit,
 )
-from .setsys import (
-    SetSystem,
+from .excess import (
     excess_general,
     excess_uniform,
     gamma,
     normalize_selection,
-    require_members,
     sigma,
     size_minus_two,
 )
+from .setsys import SetSystem, require_members
 
 DEFAULT_EXHAUSTIVE_CAP = 16
 

@@ -50,7 +50,8 @@ from .errors import (
     InternalVerificationError,
     MemberSizeError,
 )
-from .setsys import SetSystem, gamma, require_members, sigma, size_minus_two
+from .excess import gamma, sigma, size_minus_two
+from .setsys import SetSystem, require_members
 
 
 class BipartiteIncidenceGraph(NamedTuple):

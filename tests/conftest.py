@@ -10,8 +10,9 @@ import json
 import random
 from itertools import combinations
 
-from setflex import InputError, RootedPhyloTree, SetSystem, phylo
-from setflex.setsys import check_label, normalize_selection
+from setflex import InputError, RootedPhyloTree, SetSystem, rooted
+from setflex.excess import normalize_selection
+from setflex.setsys import check_label
 
 ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -120,7 +121,7 @@ def cluster_graph(triples, taxa) -> dict[str, tuple[str, ...]]:
 def restrict(tree: RootedPhyloTree, taxa) -> RootedPhyloTree:
     """Minimal subtree spanning the given leaves, degree-2 vertices suppressed.
 
-    A fold with an explicit stack (`phylo._fold`), so trees of any depth work.
+    A fold with an explicit stack (`rooted._fold`), so trees of any depth work.
     """
     want = set(taxa)
     if not want:
@@ -136,7 +137,7 @@ def restrict(tree: RootedPhyloTree, taxa) -> RootedPhyloTree:
         return kept[0] if len(kept) == 1 else tuple(kept)
 
     return RootedPhyloTree(
-        phylo._fold(tree.shape, lambda leaf: leaf if leaf in want else None, prune)
+        rooted._fold(tree.shape, lambda leaf: leaf if leaf in want else None, prune)
     )
 
 

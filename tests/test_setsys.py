@@ -18,6 +18,7 @@ from setflex import (
     excess_general,
     excess_uniform,
     gamma,
+    is_flexible_bruteforce,
     is_slim,
     is_slim_exhaustive,
     is_thin,
@@ -308,8 +309,8 @@ class TestNegativeCaps:
 class TestEmptySystem:
     # An empty selection has excess 0, so a scan over no members would
     # answer "thin" and "slim" for a system with nothing to check; the
-    # min-cut and order checks say the same, not that the member size is
-    # wrong or that there is nothing to minimize over.
+    # min-cut, order and flexibility checks say the same, not that the
+    # member size is wrong or that there is nothing to minimize over.
     @pytest.mark.parametrize("check", [
         lambda s: is_thin_exhaustive(s, 3),
         lambda s: is_thin_exhaustive(s, 2, cap=0),
@@ -320,6 +321,7 @@ class TestEmptySystem:
         is_slim,
         is_total_order_flexible,
         lambda s: is_total_order_flexible(s, "bruteforce"),
+        is_flexible_bruteforce,
     ])
     def test_rejected(self, check):
         with pytest.raises(InputError, match="^the set system has no members$"):

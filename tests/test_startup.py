@@ -9,6 +9,7 @@ actually executed.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,7 +21,8 @@ import pytest
 import setflex
 from setflex.cli import COMMANDS
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # Collects the names of the setflex modules whose code runs.
 HOOK = """
@@ -66,19 +68,25 @@ INPUTS = {
 }
 
 CASES = [
-    (("check", "thin", "fig1.sets"), {"setsys", "graphopt"}),
-    (("check", "slim", "fig1.sets"), {"setsys", "graphopt"}),
-    (("check", "flexible", "fig1.sets"), {"setsys", "graphopt"}),
-    (("check", "thin", "fig1.sets", "--method", "exhaustive"), {"setsys", "exhaustive"}),
-    (("check", "slim", "fig1.sets", "--method", "exhaustive"), {"setsys", "exhaustive"}),
-    (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "graphopt"}),
+    # The set-system checks evaluate the excess arithmetic; the flexibility
+    # scan does not, and it reads no tree input and counts no trees.
+    (("check", "thin", "fig1.sets"), {"setsys", "excess", "graphopt"}),
+    (("check", "slim", "fig1.sets"), {"setsys", "excess", "graphopt"}),
+    (("check", "flexible", "fig1.sets"), {"setsys", "excess", "graphopt"}),
+    (("check", "thin", "fig1.sets", "--method", "exhaustive"),
+     {"setsys", "excess", "exhaustive"}),
+    (("check", "slim", "fig1.sets", "--method", "exhaustive"),
+     {"setsys", "excess", "exhaustive"}),
+    (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "excess", "graphopt"}),
     (("check", "flexible", "fig1.sets", "--method", "bruteforce"),
      {"setsys", "rooted", "phylo", "flex"}),
-    (("count", "chain.triples"), {"rooted", "phylo", "flex"}),
-    (("count", "--formula-n", "6"), {"flex"}),
-    (("gen-defining", "tree.nwk"), {"rooted", "phylo", "flex"}),
+    (("count", "chain.triples"), {"rooted", "phylo", "newick", "flex", "counting"}),
+    (("count", "--formula-n", "6"), {"flex", "counting"}),
+    (("gen-defining", "tree.nwk"), {"rooted", "phylo", "newick", "flex", "counting"}),
+    # Triples alone need no Newick parser; a tree or `--binary` does.
     (("supertree", "chain.triples"), {"rooted", "phylo"}),
-    (("supertree", "tree.nwk", "--binary"), {"rooted", "phylo"}),
+    (("supertree", "tree.nwk"), {"rooted", "phylo", "newick"}),
+    (("supertree", "tree.nwk", "--binary"), {"rooted", "phylo", "newick"}),
     # The caterpillars need the tree class and its lca table, not BUILD;
     # each construction decides thinness itself, so a "yes" needs no
     # minimizer (fig1's peel meets no taxon of count 2).
@@ -88,7 +96,8 @@ CASES = [
     (("represent", "median-caterpillar", "shared_pair.sets"),
      {"setsys", "rooted", "represent"}),
     (("represent", "lca-caterpillar", "pairs.sets"), {"setsys", "rooted", "represent"}),
-    (("check", "order-flexible", "pairs.sets"), {"setsys", "graphopt", "represent"}),
+    (("check", "order-flexible", "pairs.sets"),
+     {"setsys", "excess", "graphopt", "represent"}),
     (("order", "orient.txt"), {"represent"}),
 ]
 
@@ -99,24 +108,27 @@ EXPORTS = {
         "InternalVerificationError", "MemberSizeError", "ParseError",
         "PreconditionError", "SetflexError",
     ),
+    "counting": (
+        "count_displaying", "defining_triples", "disjoint_count_formula",
+        "is_unique_display",
+    ),
+    "excess": (
+        "excess_general", "excess_uniform", "gamma", "occurrence_count", "sigma",
+    ),
     "exhaustive": (
         "ExcessReport", "check_submodular_pair", "is_slim_exhaustive",
         "is_thin_exhaustive", "patchwork_check",
     ),
-    "flex": (
-        "FlexReport", "count_displaying", "defining_triples",
-        "disjoint_count_formula", "enumerate_binary_trees",
-        "is_flexible_bruteforce", "is_unique_display",
-    ),
+    "flex": ("FlexReport", "enumerate_binary_trees", "is_flexible_bruteforce"),
     "graphopt": (
         "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport",
         "gamma_star", "incidence_graph", "is_forest", "is_slim", "is_thin",
         "max_flow", "sdr", "sigma_star", "surplus_forest",
     ),
+    "newick": ("displays_clusters", "make_binary", "parse_newick", "parse_triples_text"),
     "phylo": (
-        "BuildResult", "RootedTriple", "build_supertree", "displays_clusters",
-        "displays_triple", "make_binary", "parse_newick", "parse_triple",
-        "parse_triples_text", "spanning_triples", "triples_of",
+        "BuildResult", "RootedTriple", "build_supertree", "displays_triple",
+        "parse_triple", "spanning_triples", "triples_of",
     ),
     "represent": (
         "RepresentationReport", "UnrootedPhyloTree",
@@ -125,11 +137,7 @@ EXPORTS = {
         "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
     ),
     "rooted": ("RootedPhyloTree",),
-    "setsys": (
-        "SetSystem", "excess_general", "excess_uniform",
-        "gamma", "occurrence_count", "parse_sets", "parse_sets_json",
-        "parse_sets_text", "sigma",
-    ),
+    "setsys": ("SetSystem", "parse_sets", "parse_sets_json", "parse_sets_text"),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
@@ -152,13 +160,17 @@ code = setflex.cli.main(sys.argv[1:])
 print(json.dumps(compiled))
 sys.exit(code)
 """
-# Definitions that the flexibility scan and BUILD never run, and those
-# that the caterpillar representations never run; the defining triples
-# are read off the tree, with no heap of cherries.
-SCAN_AND_BUILD_UNUSED = ("class UnrootedPhyloTree", "def _scan_excess")
+# Definitions that the tree requests never run (the unrooted trees, the
+# exhaustive scans and the excess arithmetic); those that the flexibility
+# scan and a triple-only BUILD never run either (the Newick parser and
+# tree counting); and those that the caterpillar representations never
+# run.  The defining triples are read off the tree, with no heap of
+# cherries.
+TREE_UNUSED = ("class UnrootedPhyloTree", "def _scan_excess", "def excess_uniform")
+SCAN_AND_BUILD_UNUSED = TREE_UNUSED + ("def parse_newick", "def _count_by_splits")
 UNUSED = {"check": SCAN_AND_BUILD_UNUSED, "supertree": SCAN_AND_BUILD_UNUSED,
-          "gen-defining": SCAN_AND_BUILD_UNUSED + ("heappush",),
-          "represent": ("def build_supertree", "def parse_newick")}
+          "gen-defining": TREE_UNUSED + ("heappush",),
+          "represent": ("def build_supertree", "def parse_newick", "def excess_uniform")}
 # Each handler module's own helpers, which no other subcommand compiles.
 HANDLER_DEFS = {
     "cli_check.py": ("def _render_certificate", "def _render_order_certificate",
@@ -167,19 +179,19 @@ HANDLER_DEFS = {
     "cli_order.py": ("def _parse_orientation",),
 }
 # Lines and code statements (AST statements other than docstrings) of
-# setflex source a request compiles, as measured when each subcommand's
-# handler left `cli.py` for its own module (2,009 lines and 1,041
-# statements; 1,258 and 666), `gen-defining` and the lca representation
-# when the defining triples became the spanning triples and the pair
-# peel the forest test (1,569 and 766; 1,876 and 987), and the median
-# representation when its construction came to decide thinness without
-# the minimizer (1,829 and 965), plus 5%: every request compiles what it
-# loads again.
+# setflex source a request compiles, as measured when the Newick input,
+# tree counting and excess arithmetic left the scan's modules (the scan
+# 1,639 lines and 802 statements; a triple-only `supertree` 1,176 and
+# 564), `gen-defining` and the lca representation when the defining
+# triples became the spanning triples and the pair peel the forest test
+# (1,569 and 766; 1,876 and 987), and the median representation when its
+# construction came to decide thinness without the minimizer (1,829 and
+# 965), plus 5%: every request compiles what it loads again.
 # Docstrings cost almost no compile time, so the statement count is the
 # one that tracks it.
 MAX_COMPILED = [
-    (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 2109, 1093),
-    (("supertree", "chain.triples"), 1320, 699),
+    (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 1720, 842),
+    (("supertree", "chain.triples"), 1234, 592),
     (("gen-defining", "tree.nwk"), 1647, 804),
     (("represent", "median-caterpillar", "fig1.sets"), 1920, 1013),
     (("represent", "lca-caterpillar", "pairs.sets"), 1969, 1036),
@@ -292,3 +304,56 @@ def test_unknown_attribute():
     assert not hasattr(setflex, "no_such_name")
     with pytest.raises(ImportError):
         exec("from setflex import no_such_name", {})
+
+
+# The benchmark's tracer, loaded from its file without touching sys.path.
+_spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+# Names the tracer pins to a module they left, and where they live now.
+FORWARDED = {
+    ("phylo", "parse_newick"): "newick",
+    ("phylo", "parse_triples_text"): "newick",
+    ("flex", "count_displaying"): "counting",
+    ("flex", "disjoint_count_formula"): "counting",
+    ("flex", "defining_triples"): "counting",
+}
+
+
+def test_every_traced_name_resolves():
+    for module, name, _ in tracing.TRACED:
+        found = getattr(getattr(setflex, module), name)
+        home = FORWARDED.get((module, name))
+        if home is None:
+            assert name in vars(getattr(setflex, module)), (module, name)
+        else:
+            # Forwarded at lookup, not imported: the old module holds no copy.
+            assert found is getattr(getattr(setflex, home), name), (module, name)
+            assert name not in vars(getattr(setflex, module)), (module, name)
+    assert set(FORWARDED) <= {(module, name) for module, name, _ in tracing.TRACED}
+
+
+# Requests that run forwarded names, and the spans the launcher must record.
+FORWARDED_SPANS = [
+    (("count", "chain.triples"), {"flex.count_displaying", "phylo.parse_triples_text"}),
+    (("count", "--formula-n", "6"), {"flex.disjoint_count_formula"}),
+    (("supertree", "tree.nwk"), {"phylo.parse_newick"}),
+    (("gen-defining", "tree.nwk"), {"phylo.parse_newick", "flex.defining_triples"}),
+]
+
+
+@pytest.mark.parametrize("argv, spans", FORWARDED_SPANS,
+                         ids=[" ".join(a) for a, _ in FORWARDED_SPANS])
+def test_traced_launcher_wraps_forwarded_names(tmp_path, argv, spans):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "launcher.py"), "spans.json", "--", *argv,
+         "--json", "--no-stats"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())}
+    assert spans <= recorded, recorded
