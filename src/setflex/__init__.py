@@ -8,33 +8,34 @@ distinct representatives, supertrees, caterpillar representations, and
 total-order extensions.
 
 The layer modules `setsys`, `excess`, `exhaustive`, `rooted`, `phylo`,
-`newick`, `graphopt`, `flex`, `counting` and `represent` are registered
-with `importlib.util.LazyLoader`: `setflex.graphopt` and
-`sys.modules["setflex.graphopt"]` exist from the start, but the
-module's source is compiled and run on its first attribute access.
-Every CLI request is a fresh interpreter, so it pays only for the
-layers it runs: `check thin|slim|flexible` (mincut) and `sdr` load
-`setsys`, `excess` and `graphopt`; `check thin|slim --method
-exhaustive` loads `setsys`, `excess` and `exhaustive`; `check flexible
---method bruteforce` loads `setsys`, `rooted`, `phylo` and `flex`;
-`count` on a triples file and `gen-defining` load `rooted`, `phylo`,
-`newick`, `flex` and `counting`, and `count --formula-n` alone only
-`flex` and `counting`; `supertree` loads `rooted` and `phylo`, and
-`newick` only when the input holds a Newick tree or `--binary` is
-given; `represent median-caterpillar` and `lca-caterpillar` load
-`setsys`, `rooted` and `represent` (the tree class and its lca table,
-not `phylo`'s BUILD or `newick`'s parsers), and `graphopt` with
-`excess` only to certify a "not thin" or, for the median one, for the
-one minimizer call that picks the replacement triple at a count-2
-level with no shared pair; `check order-flexible` loads `setsys`,
-`excess`, `graphopt` and `represent`, and `order` only `represent`.
+`newick`, `graphopt`, `hall`, `flex`, `counting`, `pairs`, `peel` and
+`represent` are registered with `importlib.util.LazyLoader`:
+`setflex.graphopt` and `sys.modules["setflex.graphopt"]` exist from the
+start, but the module's source is compiled and run on its first
+attribute access.  Every CLI request is a fresh interpreter, so it pays
+only for the layers it runs: `check thin|slim|flexible` (mincut) loads
+`setsys`, `excess` and `graphopt`, and `sdr` those and `hall`; `check
+thin|slim --method exhaustive` loads `setsys`, `excess` and
+`exhaustive`; `check flexible --method bruteforce` loads `setsys`,
+`rooted`, `phylo` and `flex`; `count` on a triples file and
+`gen-defining` load `rooted`, `phylo`, `newick`, `flex` and `counting`,
+and `count --formula-n` alone only `flex` and `counting`; `supertree`
+loads `rooted` and `phylo`, and `newick` only when the input holds a
+Newick tree or `--binary` is given; `represent median-caterpillar`
+loads `setsys`, `rooted`, `peel` and `represent`, and `lca-caterpillar`
+`setsys`, `rooted`, `peel` and `pairs` (the tree class and its lca
+table, not `phylo`'s BUILD or `newick`'s parsers), and either loads
+`graphopt` with `excess` only to certify a "not thin" or, for the
+median one, for the one minimizer call that picks the replacement
+triple at a count-2 level with no shared pair; `check order-flexible`
+loads `setsys` and `pairs`, and `order` only `pairs`.
 `phylo` imports its tree class from `rooted`, so every
 request that loads `phylo` loads `rooted` too.  The tree layers stay off
 `setsys`: `rooted` and `phylo` take `check_label` from `errors`, and
 `flex` calls `setsys` only on the system it is given.  `flex`,
-`newick`, `counting` and `represent` reach `phylo`, `setsys` and
-`graphopt` as module attributes, so a layer runs only when a function
-that needs it does.  Each subcommand's
+`newick`, `counting`, `hall`, `pairs`, `peel` and `represent` reach
+`phylo`, `setsys`, `graphopt`, `pairs` and `peel` as module attributes,
+so a layer runs only when a function that needs it does.  Each subcommand's
 handler is its own module (`setflex.cli_check`, ...), which `cli.main`
 imports after parsing and which reaches the layers as module attributes
 too, so a request also compiles one handler, not all seven.  Importing
@@ -70,7 +71,6 @@ _EXPORTS = {
     ),
     "counting": (
         "count_displaying", "defining_triples", "disjoint_count_formula",
-        "is_unique_display",
     ),
     "excess": (
         "excess_general", "excess_uniform", "gamma", "occurrence_count", "sigma",
@@ -78,19 +78,22 @@ _EXPORTS = {
     "flex": ("FlexReport", "enumerate_binary_trees", "is_flexible_bruteforce"),
     "graphopt": (
         "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport",
-        "gamma_star", "incidence_graph", "is_forest", "is_slim", "is_thin", "max_flow",
-        "sdr", "sigma_star", "surplus_forest",
+        "gamma_star", "incidence_graph", "is_slim", "is_thin", "max_flow", "sigma_star",
     ),
+    "hall": ("sdr", "surplus_forest"),
     "newick": ("displays_clusters", "make_binary", "parse_newick", "parse_triples_text"),
     "phylo": (
         "BuildResult", "RootedTriple", "build_supertree", "displays_triple",
         "parse_triple", "spanning_triples", "triples_of",
     ),
+    "pairs": (
+        "extend_to_total_order", "is_forest", "is_total_order_flexible",
+        "lca_caterpillar_representation", "rooted_caterpillar",
+    ),
+    "peel": ("RepresentationReport",),
     "represent": (
-        "RepresentationReport", "UnrootedPhyloTree",
-        "caterpillar_median_representation", "extend_to_total_order",
-        "is_total_order_flexible", "lca_caterpillar_representation",
-        "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
+        "UnrootedPhyloTree", "caterpillar_median_representation",
+        "unrooted_caterpillar", "verify_median_injective",
     ),
     "rooted": ("RootedPhyloTree",),
     "setsys": ("SetSystem", "parse_sets", "parse_sets_json", "parse_sets_text"),

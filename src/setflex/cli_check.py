@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 
-from . import exhaustive, flex, graphopt, phylo, represent, setsys
+from . import exhaustive, flex, graphopt, pairs, phylo, setsys
 from .cli import _given, _member_str, _read_input
 from .errors import InputError, check_limit
 
@@ -77,7 +77,7 @@ def run(ns) -> tuple[int, dict, list[str]]:
     if kind == "order-flexible":
         if method not in ("forest", "bruteforce"):
             raise InputError(f"unsupported method {method!r} for {kind}")
-        report = represent.is_total_order_flexible(system, mode=method, **cap_kwargs)
+        report = pairs.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
     elif kind == "flexible" and method == "bruteforce":
         # The scan alone reads a budget, so it alone reads SETFLEX_BUDGET.

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from . import represent
+from . import pairs
 from .cli import _read_input
 from .errors import InputError
 
 
 def _parse_orientation(text: str) -> list[tuple[str, str]]:
-    pairs = []
+    orientation = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -18,14 +18,14 @@ def _parse_orientation(text: str) -> list[tuple[str, str]]:
             raise InputError(
                 f"line {lineno}: expected an ordered pair 'x,y', got {raw!r}"
             )
-        pairs.append((parts[0], parts[1]))
-    return pairs
+        orientation.append((parts[0], parts[1]))
+    return orientation
 
 
 def run(ns) -> tuple[int, dict, list[str]]:
-    pairs = _parse_orientation(_read_input(ns.input))
-    universe = sorted({x for pair in pairs for x in pair})
-    report = represent.extend_to_total_order(universe, pairs)
+    orientation = _parse_orientation(_read_input(ns.input))
+    universe = sorted({x for pair in orientation for x in pair})
+    report = pairs.extend_to_total_order(universe, orientation)
     if report.verdict:
         payload = {"command": "order", "extendable": True, "order": list(report.certificate)}
         return 0, payload, [" < ".join(report.certificate)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from . import represent, setsys
+from . import pairs, represent, setsys
 from .cli import _member_str, _read_input
 
 
@@ -17,7 +17,7 @@ def run(ns) -> tuple[int, dict, list[str]]:
     if ns.kind == "median-caterpillar":
         report = represent.caterpillar_median_representation(system)
     else:
-        report = represent.lca_caterpillar_representation(system)
+        report = pairs.lca_caterpillar_representation(system)
     vertex_map = {
         _member_str(system, i): v for i, v in sorted(report.vertex_map.items())
     }

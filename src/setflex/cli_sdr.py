@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from . import graphopt, setsys
+from . import hall, setsys
 from .cli import _member_str, _read_input
 
 
 def run(ns) -> tuple[int, dict, list[str]]:
     system = setsys.parse_sets(_read_input(ns.input))
     b_labels = [lab.strip() for lab in ns.B.split(",") if lab.strip()]
-    report = graphopt.sdr(system, b_labels)
+    report = hall.sdr(system, b_labels)
     if report.verdict:
         assignment = {
             _member_str(system, i): system.label_of(x)

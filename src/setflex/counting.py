@@ -1,4 +1,4 @@
-"""Exact counts of displaying trees, the uniqueness test, and defining triples.
+"""Exact counts of displaying trees, and defining triples.
 
 Trees displaying a triple set are counted without listing them: a
 BUILD-style recursion over the root splits of each leaf mask
@@ -12,7 +12,7 @@ does not compile it.
 from __future__ import annotations
 
 from . import phylo
-from .errors import BudgetExceededError, InputError, check_label
+from .errors import BudgetExceededError, InputError
 from .flex import DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_ENUM_CAP, _capped_labels, double_factorial
 
 
@@ -132,28 +132,3 @@ def defining_triples(tree: phylo.RootedPhyloTree) -> tuple[phylo.RootedTriple, .
         raise InputError("defining_triples needs at least three leaves")
     return tuple(phylo.spanning_triples(tree))
 
-
-def is_unique_display(triples, taxa=None) -> bool:
-    """True iff exactly one binary tree on the taxa displays all the triples.
-
-    Uniqueness among binary trees settles uniqueness among all
-    phylogenetic trees: a non-binary displaying tree refines to at least
-    two displaying binary trees.  It takes one BUILD call, with no cap:
-    every restriction of a compatible set is compatible, so every split
-    term of `_count_by_splits` is at least 1 and a scope of k >= 3
-    components has at least 3 terms.  The count is therefore 1 iff every
-    BUILD scope falls into exactly two components, that is iff BUILD's
-    tree is binary.
-    """
-    tr = list(triples)
-    labels = set(taxa) if taxa is not None else set()
-    for t in tr:
-        labels |= t.taxa
-    if not labels:
-        raise InputError("no taxa to enumerate over")
-    # BUILD checks labels only on compatible input.
-    leaves = sorted(labels)
-    for lab in leaves:
-        check_label(lab)
-    result = phylo.build_supertree(tr, taxa=leaves)
-    return result.compatible and result.tree.is_binary()

@@ -16,8 +16,8 @@ to drop, leaves a core (`_core`) whose triples alone decide it.  The
 scan still counts every assignment and reports full assignments; it
 only hands BUILD the core's triples.
 
-Tree counting, the uniqueness test and the defining triples moved to
-`counting`, so the scan does not compile them.  The benchmark's tracer
+Tree counting and the defining triples moved to `counting`, so the
+scan does not compile them.  The benchmark's tracer
 still looks up `count_displaying`, `disjoint_count_formula` and
 `defining_triples` here; `__getattr__` forwards them to `counting`
 until it looks names up where they live (ROADMAP item 1).  `phylo` and

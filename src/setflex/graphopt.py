@@ -1,4 +1,4 @@
-"""Bipartite incidence graphs and the polynomial-time thin/slim checks.
+"""The flow kernel and the polynomial-time thin/slim checks.
 
 The surplus minimizers work by a forced-member min-cut reduction rather
 than a general submodular minimizer: with member v forced into the
@@ -23,15 +23,10 @@ value found.  The witness and cut come from one forced augmentation of
 the chosen member.  `max_flow` and the minimizer share one augmenting
 routine and one residual-cut routine.
 
-The minimizer also decides the degree-two forests of Lovasz's theorem:
-sigma* >= 1 iff each member can keep two taxa so that the kept pairs
-form a forest.  `surplus_forest` builds the first one by a greedy
-union-find pass, or, if that pass fails, by fixing one member's pair at
-a time for which the minimizer still reads sigma* >= 1.
-
-`sdr` is Hall's theorem on the same network with unit weights: one
-max flow gives the representatives, or its residual source side gives
-the violator.
+`hall` runs `sdr` and `surplus_forest` on this network, and `pairs`
+holds the forest test of pair systems, which needs no flow; the
+`__getattr__` below forwards the three names that the benchmark's
+tracer pins to this module.
 
 Everything is deterministic: flows and searches take arcs in insertion
 order, and the forced-member minimum breaks ties by canonical member
@@ -41,7 +36,6 @@ index.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -52,6 +46,15 @@ from .errors import (
 )
 from .excess import gamma, sigma, size_minus_two
 from .setsys import SetSystem, require_members
+
+
+def __getattr__(name: str):
+    # The tracer's names for code in `hall` and `pairs`, imported only when looked up.
+    if name in ("sdr", "surplus_forest", "is_forest"):
+        from . import hall, pairs
+
+        return getattr(pairs if name == "is_forest" else hall, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BipartiteIncidenceGraph(NamedTuple):
@@ -347,25 +350,39 @@ def _member_network(graph: BipartiteIncidenceGraph) -> tuple[FlowNetwork, list[i
     arcs raised to it, are never cut.  Returns the network, each
     member's source arc index and the sentinel.
     """
-    k = graph.member_count
+    k, t = graph.member_count, len(graph.taxa)
     taxon_node = {x: 2 + k + p for p, x in enumerate(graph.taxa)}
-    cinf = sum(graph.weights) + len(graph.taxa) + 1
+    cinf = sum(graph.weights) + t + 1
     net = FlowNetwork()
-    net.source = net.add_node("source")
-    net.sink = net.add_node("sink")
-    for i in range(k):
-        net.add_node(f"member:{i}")
-    for lab in graph.taxon_labels:
-        net.add_node(f"taxon:{lab}")
-    source_arcs = []
-    for i in range(k):
-        source_arcs.append(len(net.arc_to))
-        net.add_arc(net.source, 2 + i, graph.weights[i])
-        for x in graph.adjacency[i]:
-            net.add_arc(2 + i, taxon_node[x], cinf)
-    for p in range(len(graph.taxa)):
-        net.add_arc(2 + k + p, net.sink, 1)
-    return net, source_arcs, cinf
+    net.names = ["source", "sink", *(f"member:{i}" for i in range(k)),
+                 *(f"taxon:{lab}" for lab in graph.taxon_labels)]
+    net.source, net.sink = 0, 1
+    # The arcs `add_arc` would give, in its order, written in one pass:
+    # arc a and its reverse a + 1 for each member's source arc and then
+    # its containment arcs, and last the sink arcs.
+    adj = net.adj = [[] for _ in net.names]
+    arc_to, arc_cap = net.arc_to, net.arc_cap
+    a = 0
+    for u, (weight, taxa) in enumerate(zip(graph.weights, graph.adjacency), 2):
+        out = adj[u]
+        adj[0].append(a)
+        out.append(a + 1)
+        arc_to += (u, 0)
+        for x in taxa:
+            a += 2
+            v = taxon_node[x]
+            out.append(a)
+            adj[v].append(a + 1)
+            arc_to += (v, u)
+        a += 2
+        arc_cap += (weight, 0, *(cinf, 0) * len(taxa))
+    for v in range(2 + k, 2 + k + t):
+        adj[v].append(a)
+        adj[1].append(a + 1)
+        arc_to += (1, v)
+        a += 2
+    arc_cap += (1, 0) * t
+    return net, list(adj[0]), cinf
 
 
 def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
@@ -507,207 +524,3 @@ def is_thin(system: SetSystem, r: int) -> CheckReport:
 def is_slim(system: SetSystem) -> CheckReport:
     """Slim test via gamma* >= 2 for a system with members of size >= 3."""
     return _threshold_report(gamma_star(require_members(system)), "gamma_star", 2)
-
-
-# -- systems of distinct representatives -------------------------------------
-
-
-def sdr(system: SetSystem, B) -> CheckReport:
-    """Distinct representatives for {s - B : s in tau}, |B| = r-1.
-
-    One max flow on the minimizer's network over the derived sets, with
-    unit weights (on unit networks Dinic's phases are Hopcroft and
-    Karp's).  Each member's representative is the taxon its containment
-    arc carries flow to.  If the flow is below the member count, the
-    violator is the members on the residual source side: the unique
-    inclusion-minimal selection of maximum Hall deficiency (members
-    minus the taxa their derived sets cover), k minus the flow.  For
-    thin systems success is guaranteed.
-
-    Method `maxflow`; the certificate is member index -> taxon id on
-    "yes" and the violator's member indices on "no".  B holds labels or
-    taxon ids; one that repeats a taxon is an `InputError`.
-    """
-    r = require_members(system).uniform_size()
-    if r is None:
-        raise MemberSizeError("sdr requires a uniformly sized system")
-    b_ids = set()
-    for x in B:
-        tid = system.id_of(x) if isinstance(x, str) else x
-        if not 0 <= tid < len(system.universe):
-            raise InputError(f"taxon id {tid} out of range")
-        if tid in b_ids:
-            raise InputError(f"B repeats taxon {system.label_of(tid)!r}")
-        b_ids.add(tid)
-    if len(b_ids) != r - 1:
-        raise InputError(f"B must have size r-1 = {r - 1}, got {len(b_ids)}")
-
-    derived = tuple(
-        tuple(x for x in member if x not in b_ids) for member in system.members
-    )
-    k = len(derived)
-    present = sorted({x for d in derived for x in d})
-    net, _, _ = _member_network(BipartiteIncidenceGraph(
-        member_count=k, taxa=tuple(present),
-        taxon_labels=tuple(system.label_of(x) for x in present),
-        adjacency=derived, weights=(1,) * k,
-    ))
-    flow = max_flow(net)
-    if flow.value < k:
-        violator = tuple(i for i in range(k) if 2 + i in flow.source_side)
-        covered = {x for i in violator for x in derived[i]}
-        if len(covered) >= len(violator):
-            raise InternalVerificationError("matching failure without Hall violator")
-        if len(violator) - len(covered) != k - flow.value:
-            raise InternalVerificationError("violator deficiency differs from k - flow")
-        return CheckReport(False, "maxflow", violator,
-                           {"augmenting_paths": flow.augmenting_paths})
-    # A member node's even arcs are its containment arcs (its odd one is
-    # the source arc's reverse); one carries flow iff its reverse arc has
-    # residual capacity.
-    assignment = {
-        i: present[net.arc_to[a] - 2 - k]
-        for i in range(k) for a in net.adj[2 + i] if a % 2 == 0 and flow.residual[a ^ 1]
-    }
-    if len(set(assignment.values())) != k or any(
-        x not in derived[i] for i, x in assignment.items()
-    ):
-        raise InternalVerificationError("representatives are not distinct or not derived")
-    return CheckReport(True, "maxflow", assignment,
-                       {"augmenting_paths": flow.augmenting_paths})
-
-
-# -- forest structure ---------------------------------------------------------
-
-
-def is_forest(graph: BipartiteIncidenceGraph) -> CheckReport:
-    """Acyclicity of the incidence graph, method `forest`.
-
-    On "no" the certificate is a cycle: an alternating tuple of
-    ("member", i) and ("taxon", id) nodes in cycle order.
-    """
-    adj: dict[tuple, list[tuple]] = {}
-    for i in range(graph.member_count):
-        adj[("member", i)] = [("taxon", x) for x in graph.adjacency[i]]
-    for i in range(graph.member_count):
-        for x in graph.adjacency[i]:
-            adj.setdefault(("taxon", x), []).append(("member", i))
-
-    color: dict[tuple, int] = {}
-    parent: dict[tuple, tuple | None] = {}
-
-    def dfs(start) -> tuple | None:
-        stack = [(start, iter(adj[start]))]
-        color[start] = 1
-        parent[start] = None
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt == parent[node]:
-                    continue
-                if color.get(nxt) == 1:
-                    # Back edge: walk up from node to nxt.
-                    cycle = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return tuple(cycle)
-                if nxt not in color:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-        return None
-
-    for i in range(graph.member_count):
-        start = ("member", i)
-        if start not in color:
-            cycle = dfs(start)
-            if cycle is not None:
-                return CheckReport(False, "forest", cycle, {})
-    return CheckReport(True, "forest", None, {})
-
-
-def surplus_forest(graph: BipartiteIncidenceGraph):
-    """A forest using exactly two incident edges per member, or None.
-
-    By Lovasz's theorem (1970, "A generalization of Konig's theorem"),
-    each member can keep two of its taxa so that the kept pairs form a
-    forest iff every non-empty selection W covers at least |W| + 1 taxa,
-    that is iff sigma* >= 1.  The forest returned is the
-    lexicographically first: members in canonical order, each member's
-    pairs in `combinations` order.
-
-    A greedy union-find pass takes, per member, the first pair that
-    joins two components.  Each pair it skips closes a cycle with the
-    earlier choices, so no forest with that prefix uses it; if every
-    member gets a pair, the greedy choice is the first forest, and no
-    minimizer runs.  Otherwise the minimizer decides whether a forest
-    exists, and if one does, a self-reduction starts again from member 0
-    and fixes, per member, the first pair joining two components for
-    which the system with earlier members reduced to their pairs and
-    later members whole still has sigma* >= 1.  By the theorem that
-    holds exactly when the prefix extends to a forest, so this too gives
-    the first forest, at one minimizer call per pair tried.  The result is verified
-    acyclic with every member of degree exactly two.
-    """
-    if any(w != 1 for w in graph.weights):
-        raise InputError("surplus_forest requires unit weights")
-
-    def first_pairs(feasible) -> list[tuple[int, int]] | None:
-        parent = {x: x for x in graph.taxa}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        chosen: list[tuple[int, int]] = []
-        for i, taxa in enumerate(graph.adjacency):
-            for x, y in combinations(taxa, 2):
-                if find(x) != find(y) and feasible(i, (x, y), chosen):
-                    break
-            else:
-                return None
-            parent[find(x)] = find(y)
-            chosen.append((x, y))
-        return chosen
-
-    def extends(i: int, pair: tuple[int, int], chosen: list) -> bool:
-        reduced = (*chosen, pair, *graph.adjacency[i + 1:])
-        return _minimize_surplus(graph._replace(adjacency=reduced)).value >= 1
-
-    pairs = first_pairs(lambda *_: True)
-    if not pairs:  # no greedy forest, or no members, which the minimizer rejects
-        if _minimize_surplus(graph).value < 1:
-            return None
-        pairs = first_pairs(extends)
-    if pairs is None:
-        raise InternalVerificationError("positive surplus but no degree-two forest found")
-    edges = tuple((i, x) for i, pair in enumerate(pairs) for x in pair)
-    _verify_degree_two_forest(graph, edges)
-    return edges
-
-
-def _verify_degree_two_forest(graph: BipartiteIncidenceGraph, edges) -> None:
-    chosen: list[list[int]] = [[] for _ in range(graph.member_count)]
-    for i, x in edges:
-        if x not in graph.adjacency[i]:
-            raise InternalVerificationError("forest edge outside the graph")
-        chosen[i].append(x)
-    if any(len(pair) != 2 for pair in chosen):
-        raise InternalVerificationError("member degree differs from two")
-    # `is_forest` reads adjacency as a simple graph, so a repeated edge,
-    # a cycle of length two, is caught here.
-    if any(x == y for x, y in chosen) or not is_forest(
-        graph._replace(adjacency=tuple(map(tuple, chosen)))
-    ).verdict:
-        raise InternalVerificationError("forest verification found a cycle")

@@ -1,4 +1,4 @@
-"""Caterpillar representations and total-order flexibility.
+"""The median caterpillar of a thin triple system.
 
 Median representations live on unrooted trees, so `UnrootedPhyloTree`
 is defined here, where its only user is: an edge list with labeled
@@ -6,12 +6,13 @@ leaves, its medians read by `rooted._three` off the preorder sparse
 table (`rooted._lca_table`) of the tree hung from the interior vertex
 next to the smallest leaf, and its Newick text printed through
 `rooted.RootedPhyloTree` from the same hanging.  Requests that never
-build one (supertree, count, the flexibility scan) do not compile it,
-and the representations compile none of `phylo`'s parsers, display
-checks and BUILD.  Each construction decides thinness: a caterpillar
-whose medians (or lcas) the final check finds injective proves it, so
-`graphopt`'s minimizer runs only to certify a failed one's "no", and
-at most once at a count-2 level of the median peel.
+build one (supertree, count, the flexibility scan, `pairs`) do not
+compile it, nor does this module compile `phylo`'s BUILD or parsers.
+The construction decides thinness: medians that the final check finds
+injective prove it, so `graphopt`'s minimizer runs only to certify a
+failed one's "no" (`peel._not_thin`), and at most once at a count-2
+level of the peel.  `__getattr__` forwards the names of `pairs` that
+the benchmark's tracer pins to this module.
 
 A caterpillar is handled as a leaf sequence: sequence position p (with
 0 <= p <= n-1) attaches to spine vertex w_{max(0, min(p-1, n-3))}, and
@@ -30,26 +31,30 @@ leaf orderings solves; the unwind re-inserts each x at the first slot,
 in a canonical order, that keeps the member middles distinct, and such
 a slot always exists.
 """
-
 from __future__ import annotations
 
 import heapq
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
-from . import graphopt, rooted, setsys
+from . import graphopt, peel, rooted, setsys
 from .errors import (
-    CapExceededError,
     CheckReport,
     InputError,
     InternalVerificationError,
     MemberSizeError,
-    PreconditionError,
     check_label,
-    check_limit,
 )
 
-DEFAULT_ORIENTATION_CAP = 20
+
+def __getattr__(name: str):
+    # The tracer's names for code in `pairs`, imported only when looked up.
+    if name in ("lca_caterpillar_representation", "extend_to_total_order",
+                "is_total_order_flexible"):
+        from . import pairs
+
+        return getattr(pairs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- unrooted trees -------------------------------------------------------------
@@ -186,77 +191,6 @@ def unrooted_caterpillar(sequence: Iterable[str]) -> UnrootedPhyloTree:
         edges.append((spine[p - 1], leaf_ids[p]))
     edges.append((spine[n - 3], leaf_ids[n - 1]))
     return UnrootedPhyloTree(edges, {leaf_ids[i]: seq[i] for i in range(n)})
-
-
-def rooted_caterpillar(sequence: Iterable[str]) -> rooted.RootedPhyloTree:
-    """The rooted caterpillar whose deepest cherry is the first two leaves."""
-    seq = list(sequence)
-    if len(seq) < 2:
-        raise InputError(f"a rooted caterpillar needs >= 2 leaves, got {len(seq)}")
-    shape = (seq[0], seq[1])
-    for leaf in seq[2:]:
-        shape = (shape, leaf)
-    return rooted.RootedPhyloTree(shape)
-
-
-# -- reports -------------------------------------------------------------------
-
-
-class RepresentationReport(NamedTuple):
-    """A verified caterpillar representation.
-
-    Only a construction that passes its self-check returns one; a failed
-    check raises `InternalVerificationError`.  `vertex_map` sends each
-    member index to its interior vertex in spine order (0-based); for
-    the unrooted case these are the spine ids of the tree as built by
-    `unrooted_caterpillar`, for the rooted case the depth of the lca
-    vertex.  `appended` lists universe taxa outside the covered leaves,
-    attached past the far end of the spine.
-    """
-
-    kind: str
-    tree: UnrootedPhyloTree | rooted.RootedPhyloTree
-    sequence: tuple[str, ...]
-    vertex_map: dict[int, int]
-    appended: tuple[str, ...]
-
-
-# -- the peel: incidence counts and a lazy heap ----------------------------------
-
-
-def _incidence(members) -> tuple[dict, list]:
-    """taxon -> set of members holding it, and a heap of (count, taxon)."""
-    members_of: dict[str, set] = {}
-    for m in members:
-        for lab in m:
-            members_of.setdefault(lab, set()).add(m)
-    heap = [(len(holders), lab) for lab, holders in members_of.items()]
-    heapq.heapify(heap)
-    return members_of, heap
-
-
-def _lightest(members_of: dict, heap: list) -> tuple[int, str]:
-    """The least (count, taxon), as `min` over the live taxa would give it.
-
-    Every count change pushes a fresh entry, so an entry whose count is
-    no longer the taxon's (or whose taxon has left) is stale and dropped.
-    """
-    while True:
-        count, lab = heap[0]
-        holders = members_of.get(lab)
-        if holders is not None and len(holders) == count:
-            return count, lab
-        heapq.heappop(heap)
-
-
-def _drop(member, members_of: dict, heap: list) -> None:
-    for lab in member:
-        holders = members_of[lab]
-        holders.discard(member)
-        if holders:
-            heapq.heappush(heap, (len(holders), lab))
-        else:
-            del members_of[lab]
 
 
 # -- middle-element bookkeeping -------------------------------------------------
@@ -444,17 +378,17 @@ def _place_median(tau: frozenset[frozenset[str]]) -> list[str]:
     check, the guard in `_replacement` or the base case stops the descent.
     """
     live = set(tau)
-    members_of, heap = _incidence(live)
+    members_of, heap = peel._incidence(live)
     levels = []
     while len(live) > 1 and len(members_of) > 4:
-        count, x = _lightest(members_of, heap)
+        count, x = peel._lightest(members_of, heap)
         checked = tuple(sorted(members_of[x], key=sorted))
         if count > 2:
             raise InternalVerificationError(
                 "thin system with no taxon of occurrence count <= 2"
             )
         for member in checked:
-            _drop(member, members_of, heap)
+            peel._drop(member, members_of, heap)
             live.discard(member)
         y = None
         if count == 2:
@@ -501,13 +435,13 @@ def _canonical_sequence(seq: list[str]) -> list[str]:
     return min(normalized(seq), normalized(seq[::-1]))
 
 
-def caterpillar_median_representation(system: setsys.SetSystem) -> RepresentationReport:
+def caterpillar_median_representation(system: setsys.SetSystem) -> peel.RepresentationReport:
     """An unrooted caterpillar on the universe with injective member medians.
 
     The system must be uniformly of size 3 and thin (sigma* >= 2), and
     the universe must have at least 4 taxa.  The construction decides
     thinness: medians recomputed from the finished tree and found
-    injective prove it, and a failure goes to `_not_thin`.  Universe
+    injective prove it, and a failure goes to `peel._not_thin`.  Universe
     taxa outside L(tau) are appended past the far end of the spine.
     """
     if setsys.require_members(system).uniform_size() != 3:
@@ -527,31 +461,19 @@ def caterpillar_median_representation(system: setsys.SetSystem) -> Representatio
                 f"median collision between members {check.certificate}"
             )
     except InternalVerificationError as exc:
-        raise _not_thin(system, 2, str(exc)) from None
+        raise peel._not_thin(system, 2, str(exc)) from None
     vertex_map = check.certificate
     if not all(0 <= med <= len(seq) - 3 for med in vertex_map.values()):
         raise InternalVerificationError("median landed on a leaf")
     if not tree.is_binary() or tree.cherry_count() > 2:
         raise InternalVerificationError("construction is not a caterpillar")
-    return RepresentationReport(
+    return peel.RepresentationReport(
         kind="median-caterpillar",
         tree=tree,
         sequence=tuple(seq),
         vertex_map=vertex_map,
         appended=appended,
     )
-
-
-def _not_thin(system: setsys.SetSystem, threshold: int, failure: str) -> PreconditionError:
-    """The minimizer's "no" for a caterpillar construction that failed.
-
-    A system with sigma* >= `threshold` is thin and has the caterpillar,
-    so a minimizer that finds one contradicts the construction: a bug.
-    """
-    sigma = graphopt.sigma_star(system)
-    if sigma.value >= threshold:
-        raise InternalVerificationError(f"{failure} in a thin system (sigma* = {sigma.value})")
-    return PreconditionError(f"system is not thin (sigma* = {sigma.value})", certificate=sigma)
 
 
 def verify_median_injective(tree: UnrootedPhyloTree, system: setsys.SetSystem) -> CheckReport:
@@ -572,175 +494,3 @@ def verify_median_injective(tree: UnrootedPhyloTree, system: setsys.SetSystem) -
             return CheckReport(False, "median", (seen[med], i), {})
         seen[med] = i
     return CheckReport(True, "median", medians, {})
-
-
-# -- the lca-caterpillar peel ----------------------------------------------------
-
-
-def _place_pairs(tau: frozenset[frozenset[str]]) -> list[str] | None:
-    """A leaf order of L(tau) for a forest of pairs, by one leaf peel.
-
-    Each step drops the pair t of the least-labelled taxon x of count 1;
-    unwinding appends x (after its partner, if the reduced system lacks
-    it) above the spine built so far.  None when no taxon of count 1 is
-    left before one pair remains: the pairs left all have both taxa of
-    count >= 2, so they hold a cycle, and a forest never gets there.
-    """
-    members_of, heap = _incidence(tau)
-    peeled = []
-    for _ in range(len(tau) - 1):
-        count, x = _lightest(members_of, heap)
-        if count != 1:
-            return None
-        (t,) = members_of[x]
-        _drop(t, members_of, heap)
-        (a,) = t - {x}
-        peeled.append([x] if a in members_of else [a, x])
-    seq = sorted(members_of)
-    for taxa in reversed(peeled):
-        seq.extend(taxa)
-    return seq
-
-
-def lca_caterpillar_representation(system: setsys.SetSystem) -> RepresentationReport:
-    """A rooted caterpillar on the universe with injective member lcas.
-
-    The system must be uniformly of size 2 and thin (sigma* >= 1), which
-    for pairs is the incidence graph being a forest (the paper's pair
-    theorem).  The leaf peel that places the pairs decides it: it runs
-    out of taxa of count 1 exactly on a cycle, and `_not_thin` certifies
-    the "no".  Universe taxa outside L(tau) are appended above the
-    existing spine and flagged in the report.  The lca map is recomputed
-    from the finished tree and its depths give the spine numbering.
-    """
-    if setsys.require_members(system).uniform_size() != 2:
-        raise MemberSizeError("lca representation needs a system of pairs")
-    seq = _place_pairs(frozenset(system.member_label_sets()))
-    if seq is None:
-        raise _not_thin(system, 1, "pair peel found a cycle")
-    appended = tuple(sorted(set(system.universe) - set(seq)))
-    seq = seq + list(appended)
-
-    tree = rooted_caterpillar(seq)
-    n = len(seq)
-    seen: dict[int, int] = {}
-    vertex_map: dict[int, int] = {}
-    for i in range(system.member_count):
-        v = tree.lca(system.member_labels(i))
-        if v in seen:
-            raise InternalVerificationError(
-                f"lca collision between members {seen[v]} and {i}"
-            )
-        seen[v] = i
-        vertex_map[i] = tree.depth(v)
-    cherries = sum(
-        1
-        for v in tree.interior_ids()
-        if all(not tree.children_ids(k) for k in tree.children_ids(v))
-    )
-    if not tree.is_binary() or cherries > 1 or tree.leaf_count != n:
-        raise InternalVerificationError("construction is not a rooted caterpillar")
-    return RepresentationReport(
-        kind="lca-caterpillar",
-        tree=tree,
-        sequence=tuple(seq),
-        vertex_map=vertex_map,
-        appended=appended,
-    )
-
-
-# -- total orders ----------------------------------------------------------------
-
-
-def extend_to_total_order(
-    universe: Iterable[str], orientation: Iterable[tuple[str, str]]
-) -> CheckReport:
-    """Extend ordered pairs to a total order, smallest label first.
-
-    Each pair (x, y) declares x before y.  Method `topological`: if the
-    precedence digraph is acyclic the certificate is the
-    lexicographically preferred topological order; otherwise it is a
-    directed cycle, smallest label first.  Every label must pass
-    `check_label`, so that the text formats can read it back.
-    """
-    nodes = sorted(set(universe))
-    for label in nodes:
-        check_label(label)
-    return _extend_sorted(nodes, orientation)
-
-
-def _extend_sorted(
-    nodes: list[str] | tuple[str, ...], orientation: Iterable[tuple[str, str]]
-) -> CheckReport:
-    """`extend_to_total_order` on sorted, distinct labels already checked."""
-    node_set = set(nodes)
-    succ: dict[str, set[str]] = {v: set() for v in nodes}
-    indeg: dict[str, int] = {v: 0 for v in nodes}
-    for x, y in orientation:
-        if x not in node_set or y not in node_set:
-            raise InputError(f"pair ({x!r}, {y!r}) mentions an unknown taxon")
-        if x == y:
-            raise InputError(f"pair may not relate {x!r} to itself")
-        if y not in succ[x]:
-            succ[x].add(y)
-            indeg[y] += 1
-
-    heap = [v for v in nodes if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) == len(nodes):
-        return CheckReport(True, "topological", tuple(order), {})
-
-    # Every stalled vertex keeps an unprocessed predecessor, so walking
-    # backward must revisit a vertex; that closes a directed cycle.
-    remaining = {v for v in nodes if indeg[v] > 0}
-    pred: dict[str, list[str]] = {v: [] for v in remaining}
-    for x in remaining:
-        for y in succ[x]:
-            if y in remaining:
-                pred[y].append(x)
-    path: list[str] = []
-    index: dict[str, int] = {}
-    v = min(remaining)
-    while v not in index:
-        index[v] = len(path)
-        path.append(v)
-        v = min(pred[v])
-    cycle = path[index[v]:][::-1]
-    start = cycle.index(min(cycle))
-    return CheckReport(False, "topological", tuple(cycle[start:] + cycle[:start]), {})
-
-
-def is_total_order_flexible(
-    system: setsys.SetSystem, mode: str = "forest", cap: int = DEFAULT_ORIENTATION_CAP
-) -> CheckReport:
-    """Whether every orientation of the pair system extends to a total order.
-
-    `forest` mode returns the incidence-graph acyclicity test's report;
-    `bruteforce` enumerates all 2^k orientations (bit 1 reverses the
-    sorted pair) and reports the first that fails, with its cycle.
-    """
-    if setsys.require_members(system).uniform_size() != 2:
-        raise MemberSizeError("total-order flexibility needs a system of pairs")
-    if mode == "forest":
-        return graphopt.is_forest(graphopt.incidence_graph(system, "unit"))
-    if mode != "bruteforce":
-        raise InputError(f"mode must be 'forest' or 'bruteforce', got {mode!r}")
-    k = system.member_count
-    if k > check_limit("cap", cap):
-        raise CapExceededError(f"{k} pairs exceed the orientation cap {cap}")
-    pairs = [tuple(system.member_labels(i)) for i in range(k)]
-    for mask in range(1 << k):
-        orientation = tuple(pair[::-1] if mask >> i & 1 else pair for i, pair in enumerate(pairs))
-        report = _extend_sorted(system.universe, orientation)
-        if not report.verdict:
-            return CheckReport(False, "bruteforce", (orientation, report.certificate),
-                               {"orientations_checked": mask + 1})
-    return CheckReport(True, "bruteforce", None, {"orientations_checked": 1 << k})

@@ -10,7 +10,7 @@ import json
 import random
 from itertools import combinations
 
-from setflex import InputError, RootedPhyloTree, SetSystem, rooted
+from setflex import InputError, RootedPhyloTree, SetSystem, build_supertree, rooted
 from setflex.excess import normalize_selection
 from setflex.setsys import check_label
 
@@ -116,6 +116,32 @@ def cluster_graph(triples, taxa) -> dict[str, tuple[str, ...]]:
             adj[t.first].add(t.second)
             adj[t.second].add(t.first)
     return {v: tuple(sorted(adj[v])) for v in nodes}
+
+
+def is_unique_display(triples, taxa=None) -> bool:
+    """True iff exactly one binary tree on the taxa displays all the triples.
+
+    Uniqueness among binary trees settles uniqueness among all
+    phylogenetic trees: a non-binary displaying tree refines to at least
+    two displaying binary trees.  It takes one BUILD call, with no cap:
+    every restriction of a compatible set is compatible, so every split
+    term of `counting._count_by_splits` is at least 1 and a scope of
+    k >= 3 components has at least 3 terms.  The count is therefore 1
+    iff every BUILD scope falls into exactly two components, that is iff
+    BUILD's tree is binary.
+    """
+    tr = list(triples)
+    labels = set(taxa) if taxa is not None else set()
+    for t in tr:
+        labels |= t.taxa
+    if not labels:
+        raise InputError("no taxa to enumerate over")
+    # BUILD checks labels only on compatible input.
+    leaves = sorted(labels)
+    for lab in leaves:
+        check_label(lab)
+    result = build_supertree(tr, taxa=leaves)
+    return result.compatible and result.tree.is_binary()
 
 
 def restrict(tree: RootedPhyloTree, taxa) -> RootedPhyloTree:

@@ -27,7 +27,6 @@ from setflex import (
     is_thin,
     is_thin_exhaustive,
     is_total_order_flexible,
-    is_unique_display,
     lca_caterpillar_representation,
     occurrence_count,
     parse_triple,
@@ -43,6 +42,7 @@ from conftest import (
     FIG3,
     brute_minimum,
     count_displaying_hosts,
+    is_unique_display,
     oracle_gamma,
     oracle_sigma,
     random_slim_system,

@@ -22,7 +22,6 @@ from setflex import (
     enumerate_binary_trees,
     is_flexible_bruteforce,
     is_thin,
-    is_unique_display,
     parse_newick,
     parse_triple,
     sigma_star,
@@ -38,6 +37,7 @@ from conftest import (
     balanced_shape,
     caterpillar_shape,
     count_displaying_hosts,
+    is_unique_display,
     random_system,
     shuffled_labels,
     tsys,

@@ -36,9 +36,10 @@ from setflex import (
     surplus_forest,
 )
 from conftest import ALPHA, FIG1, FIG1P, brute_minimum, random_system, tsys
-from setflex import graphopt
+from setflex import graphopt, hall
 from setflex.errors import InternalVerificationError
-from setflex.graphopt import _minimize_surplus, _verify_degree_two_forest
+from setflex.graphopt import _minimize_surplus
+from setflex.hall import _verify_degree_two_forest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -742,7 +743,7 @@ def minimizer_calls(monkeypatch) -> list:
         calls.append(graph)
         return _minimize_surplus(graph)
 
-    monkeypatch.setattr(graphopt, "_minimize_surplus", counted)
+    monkeypatch.setattr(hall, "_minimize_surplus", counted)
     return calls
 
 

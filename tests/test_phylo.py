@@ -20,7 +20,6 @@ from setflex import (
     displays_clusters,
     displays_triple,
     enumerate_binary_trees,
-    is_unique_display,
     make_binary,
     parse_newick,
     parse_triple,
@@ -37,6 +36,7 @@ from conftest import (
     caterpillar_shape,
     cluster_graph,
     component_count,
+    is_unique_display,
     restrict,
     shuffled_labels,
     unrooted_neighbors,

@@ -32,6 +32,7 @@ from setflex import (
     verify_median_injective,
 )
 from setflex import graphopt, represent
+from setflex.pairs import _place_pairs as pair_peel
 from conftest import ALPHA, FIG1, FIG1P, FIG3, random_thin_triples, tsys
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -587,7 +588,7 @@ class TestPeelMatchesRecursion:
         for _ in range(250):
             members = pair_forest(rng, rng.randint(1, 90), rng.randint(1, 4))
             tau = frozenset(members)
-            assert represent._place_pairs(tau) == _place_pairs(tau)
+            assert pair_peel(tau) == _place_pairs(tau)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(
@@ -629,7 +630,7 @@ class TestPeelMatchesRecursion:
             seen.append(new)
             members.append(frozenset((old, new)))
         tau = frozenset(members)
-        assert represent._place_pairs(tau) == _place_pairs(tau)
+        assert pair_peel(tau) == _place_pairs(tau)
 
 
 class TestOnePassPeel:
@@ -795,7 +796,7 @@ class TestLcaPrecondition:
         # The peel drains the pendant path and the separate tree first,
         # then finds only the square's taxa, each of count 2.
         s = pair_system("ab", "bc", "cd", "da", "dx", "xy", "yz", "pq", "qr")
-        assert represent._place_pairs(frozenset(s.member_label_sets())) is None
+        assert pair_peel(frozenset(s.member_label_sets())) is None
         with pytest.raises(PreconditionError) as err:
             lca_caterpillar_representation(s)
         assert err.value.certificate == sigma_star(s)
@@ -807,7 +808,7 @@ class TestLcaPrecondition:
     def test_property_peel_fails_exactly_on_cycles(self, pairs):
         s = SetSystem([[ALPHA[i], ALPHA[j]] for i, j in sorted(pairs)])
         forest = is_forest(incidence_graph(s, "unit")).verdict
-        assert (represent._place_pairs(frozenset(s.member_label_sets())) is not None) == forest
+        assert (pair_peel(frozenset(s.member_label_sets())) is not None) == forest
         if forest:
             assert injective(lca_caterpillar_representation(s))
         else:

@@ -77,7 +77,9 @@ CASES = [
      {"setsys", "excess", "exhaustive"}),
     (("check", "slim", "fig1.sets", "--method", "exhaustive"),
      {"setsys", "excess", "exhaustive"}),
-    (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "excess", "graphopt"}),
+    # `sdr` runs one max flow on the minimizer's network; `hall` reaches the
+    # pair code only for `surplus_forest`'s self-check.
+    (("sdr", "fig1.sets", "--B", "a,b"), {"setsys", "excess", "graphopt", "hall"}),
     (("check", "flexible", "fig1.sets", "--method", "bruteforce"),
      {"setsys", "rooted", "phylo", "flex"}),
     (("count", "chain.triples"), {"rooted", "phylo", "newick", "flex", "counting"}),
@@ -87,18 +89,20 @@ CASES = [
     (("supertree", "chain.triples"), {"rooted", "phylo"}),
     (("supertree", "tree.nwk"), {"rooted", "phylo", "newick"}),
     (("supertree", "tree.nwk", "--binary"), {"rooted", "phylo", "newick"}),
-    # The caterpillars need the tree class and its lca table, not BUILD;
-    # each construction decides thinness itself, so a "yes" needs no
-    # minimizer (fig1's peel meets no taxon of count 2).
-    (("represent", "median-caterpillar", "fig1.sets"), {"setsys", "rooted", "represent"}),
+    # The caterpillars need the tree class and its lca table, not BUILD,
+    # and the shared peel helpers, not each other's construction; each
+    # decides thinness itself, so a "yes" needs no minimizer (fig1's peel
+    # meets no taxon of count 2).
+    (("represent", "median-caterpillar", "fig1.sets"),
+     {"setsys", "rooted", "peel", "represent"}),
     # Its one count-2 level (a of a,b,c and a,b,d) shares the pair a,b, so
     # the replacement triple b,c,d needs no minimizer call either.
     (("represent", "median-caterpillar", "shared_pair.sets"),
-     {"setsys", "rooted", "represent"}),
-    (("represent", "lca-caterpillar", "pairs.sets"), {"setsys", "rooted", "represent"}),
-    (("check", "order-flexible", "pairs.sets"),
-     {"setsys", "excess", "graphopt", "represent"}),
-    (("order", "orient.txt"), {"represent"}),
+     {"setsys", "rooted", "peel", "represent"}),
+    (("represent", "lca-caterpillar", "pairs.sets"), {"setsys", "rooted", "peel", "pairs"}),
+    # A pair system's forest test reads the set system: no flow code.
+    (("check", "order-flexible", "pairs.sets"), {"setsys", "pairs"}),
+    (("order", "orient.txt"), {"pairs"}),
 ]
 
 # The names `setflex` re-exports, by the module that defines them.
@@ -108,10 +112,7 @@ EXPORTS = {
         "InternalVerificationError", "MemberSizeError", "ParseError",
         "PreconditionError", "SetflexError",
     ),
-    "counting": (
-        "count_displaying", "defining_triples", "disjoint_count_formula",
-        "is_unique_display",
-    ),
+    "counting": ("count_displaying", "defining_triples", "disjoint_count_formula"),
     "excess": (
         "excess_general", "excess_uniform", "gamma", "occurrence_count", "sigma",
     ),
@@ -122,19 +123,22 @@ EXPORTS = {
     "flex": ("FlexReport", "enumerate_binary_trees", "is_flexible_bruteforce"),
     "graphopt": (
         "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport",
-        "gamma_star", "incidence_graph", "is_forest", "is_slim", "is_thin",
-        "max_flow", "sdr", "sigma_star", "surplus_forest",
+        "gamma_star", "incidence_graph", "is_slim", "is_thin", "max_flow", "sigma_star",
     ),
+    "hall": ("sdr", "surplus_forest"),
     "newick": ("displays_clusters", "make_binary", "parse_newick", "parse_triples_text"),
     "phylo": (
         "BuildResult", "RootedTriple", "build_supertree", "displays_triple",
         "parse_triple", "spanning_triples", "triples_of",
     ),
+    "pairs": (
+        "extend_to_total_order", "is_forest", "is_total_order_flexible",
+        "lca_caterpillar_representation", "rooted_caterpillar",
+    ),
+    "peel": ("RepresentationReport",),
     "represent": (
-        "RepresentationReport", "UnrootedPhyloTree",
-        "caterpillar_median_representation", "extend_to_total_order",
-        "is_total_order_flexible", "lca_caterpillar_representation",
-        "rooted_caterpillar", "unrooted_caterpillar", "verify_median_injective",
+        "UnrootedPhyloTree", "caterpillar_median_representation",
+        "unrooted_caterpillar", "verify_median_injective",
     ),
     "rooted": ("RootedPhyloTree",),
     "setsys": ("SetSystem", "parse_sets", "parse_sets_json", "parse_sets_text"),
@@ -163,14 +167,30 @@ sys.exit(code)
 # Definitions that the tree requests never run (the unrooted trees, the
 # exhaustive scans and the excess arithmetic); those that the flexibility
 # scan and a triple-only BUILD never run either (the Newick parser and
-# tree counting); and those that the caterpillar representations never
-# run.  The defining triples are read off the tree, with no heap of
-# cherries.
+# tree counting); those that the caterpillar representations never run,
+# and each one's construction, which the other never runs; the pair code
+# that the min-cut checks and `sdr` never run; and the flow code that the
+# pair checks never run.  The defining triples are read off the tree,
+# with no heap of cherries.  A request must compile none of the
+# definitions under each key that its argv starts with; the only `check
+# flexible` pinned below is the scan.
 TREE_UNUSED = ("class UnrootedPhyloTree", "def _scan_excess", "def excess_uniform")
 SCAN_AND_BUILD_UNUSED = TREE_UNUSED + ("def parse_newick", "def _count_by_splits")
-UNUSED = {"check": SCAN_AND_BUILD_UNUSED, "supertree": SCAN_AND_BUILD_UNUSED,
-          "gen-defining": TREE_UNUSED + ("heappush",),
-          "represent": ("def build_supertree", "def parse_newick", "def excess_uniform")}
+PAIRS_UNUSED = ("def _augment", "class UnrootedPhyloTree", "def _incidence")
+UNUSED = {
+    ("check", "flexible"): SCAN_AND_BUILD_UNUSED,
+    ("check", "thin"): ("def sdr", "def surplus_forest", "def is_forest"),
+    ("check", "slim"): ("def sdr", "def surplus_forest", "def is_forest"),
+    ("check", "order-flexible"): PAIRS_UNUSED,
+    ("sdr",): ("def is_forest", "class UnrootedPhyloTree"),
+    ("order",): PAIRS_UNUSED,
+    ("supertree",): SCAN_AND_BUILD_UNUSED,
+    ("gen-defining",): TREE_UNUSED + ("heappush",),
+    ("represent",): ("def build_supertree", "def parse_newick", "def excess_uniform"),
+    ("represent", "median-caterpillar"): ("def _place_pairs", "def _extend_sorted"),
+    ("represent", "lca-caterpillar"): (
+        "class UnrootedPhyloTree", "class _LeafOrder", "def _place_median"),
+}
 # Each handler module's own helpers, which no other subcommand compiles.
 HANDLER_DEFS = {
     "cli_check.py": ("def _render_certificate", "def _render_order_certificate",
@@ -182,19 +202,25 @@ HANDLER_DEFS = {
 # setflex source a request compiles, as measured when the Newick input,
 # tree counting and excess arithmetic left the scan's modules (the scan
 # 1,639 lines and 802 statements; a triple-only `supertree` 1,176 and
-# 564), `gen-defining` and the lca representation when the defining
-# triples became the spanning triples and the pair peel the forest test
-# (1,569 and 766; 1,876 and 987), and the median representation when its
-# construction came to decide thinness without the minimizer (1,829 and
-# 965), plus 5%: every request compiles what it loads again.
-# Docstrings cost almost no compile time, so the statement count is the
-# one that tracks it.
+# 564), `gen-defining` when the defining triples became the spanning
+# triples (1,569 and 766), and the rest when the min-cut, median and
+# pair code went to modules of their own (`check thin|slim` 1,426 and
+# 748, `check order-flexible` 1,064 and 552, `sdr` 1,498 and 754,
+# `order` 787 and 384, the median representation 1,569 and 795, the
+# lca one 1,344 and 680), plus 5%: every request compiles what it loads
+# again.  Docstrings cost almost no compile time, so the statement
+# count is the one that tracks it.
 MAX_COMPILED = [
     (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 1720, 842),
+    (("check", "thin", "fig1.sets"), 1497, 785),
+    (("check", "slim", "fig1.sets"), 1497, 785),
+    (("check", "order-flexible", "pairs.sets"), 1117, 579),
+    (("sdr", "fig1.sets", "--B", "a,b"), 1572, 791),
+    (("order", "orient.txt"), 826, 403),
     (("supertree", "chain.triples"), 1234, 592),
     (("gen-defining", "tree.nwk"), 1647, 804),
-    (("represent", "median-caterpillar", "fig1.sets"), 1920, 1013),
-    (("represent", "lca-caterpillar", "pairs.sets"), 1969, 1036),
+    (("represent", "median-caterpillar", "fig1.sets"), 1647, 834),
+    (("represent", "lca-caterpillar", "pairs.sets"), 1411, 714),
 ]
 
 
@@ -255,8 +281,9 @@ def test_request_compiles_few_lines(tmp_path, argv, max_lines, max_statements):
     assert sum(lines.values()) <= max_lines, lines
     statements = {name: code_statements(source) for name, source in compiled.items()}
     assert sum(statements.values()) <= max_statements, statements
-    unused = UNUSED[argv[0]] + tuple(d for name, defs in HANDLER_DEFS.items()
-                                     if name != own for d in defs)
+    unused = [d for prefix, defs in UNUSED.items() if argv[:len(prefix)] == prefix
+              for d in defs]
+    unused += [d for name, defs in HANDLER_DEFS.items() if name != own for d in defs]
     assert [d for d in unused if any(d in source for source in compiled.values())] == []
 
 
@@ -318,6 +345,12 @@ FORWARDED = {
     ("flex", "count_displaying"): "counting",
     ("flex", "disjoint_count_formula"): "counting",
     ("flex", "defining_triples"): "counting",
+    ("graphopt", "is_forest"): "pairs",
+    ("graphopt", "surplus_forest"): "hall",
+    ("graphopt", "sdr"): "hall",
+    ("represent", "lca_caterpillar_representation"): "pairs",
+    ("represent", "is_total_order_flexible"): "pairs",
+    ("represent", "extend_to_total_order"): "pairs",
 }
 
 
@@ -340,6 +373,12 @@ FORWARDED_SPANS = [
     (("count", "--formula-n", "6"), {"flex.disjoint_count_formula"}),
     (("supertree", "tree.nwk"), {"phylo.parse_newick"}),
     (("gen-defining", "tree.nwk"), {"phylo.parse_newick", "flex.defining_triples"}),
+    (("sdr", "fig1.sets", "--B", "a,b"), {"graphopt.sdr", "graphopt.max_flow"}),
+    (("check", "order-flexible", "pairs.sets"),
+     {"represent.is_total_order_flexible", "graphopt.is_forest"}),
+    (("represent", "lca-caterpillar", "pairs.sets"),
+     {"represent.lca_caterpillar_representation"}),
+    (("order", "orient.txt"), {"represent.extend_to_total_order"}),
 ]
 
 
