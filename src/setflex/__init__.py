@@ -18,8 +18,8 @@ only for the layers it runs: `check thin|slim|flexible` (mincut) loads
 thin|slim --method exhaustive` loads `setsys`, `excess` and
 `exhaustive`; `check flexible --method bruteforce` loads `setsys`,
 `rooted`, `phylo` and `flex`; `count` on a triples file and
-`gen-defining` load `rooted`, `phylo`, `newick`, `flex` and `counting`,
-and `count --formula-n` alone only `flex` and `counting`; `supertree`
+`gen-defining` load `rooted`, `phylo`, `newick` and `counting`, and
+`count --formula-n` alone only `counting`; `supertree`
 loads `rooted` and `phylo`, and `newick` only when the input holds a
 Newick tree or `--binary` is given; `represent median-caterpillar`
 loads `setsys`, `rooted`, `peel` and `represent`, and `lca-caterpillar`
@@ -77,8 +77,8 @@ _EXPORTS = {
     ),
     "flex": ("FlexReport", "enumerate_binary_trees", "is_flexible_bruteforce"),
     "graphopt": (
-        "BipartiteIncidenceGraph", "FlowNetwork", "MinimizerReport",
-        "gamma_star", "incidence_graph", "is_slim", "is_thin", "max_flow", "sigma_star",
+        "FlowNetwork", "MinimizerReport", "gamma_star", "is_slim", "is_thin",
+        "max_flow", "sigma_star",
     ),
     "hall": ("sdr", "surplus_forest"),
     "newick": ("displays_clusters", "make_binary", "parse_newick", "parse_triples_text"),
@@ -100,8 +100,11 @@ _EXPORTS = {
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
+# Each spec is built from its file: `find_spec` would walk `sys.meta_path`
+# once per layer.
 for _name in _EXPORTS:
-    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec = importlib.util.spec_from_file_location(
+        f"{__name__}.{_name}", f"{__path__[0]}/{_name}.py")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(_module)

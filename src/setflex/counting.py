@@ -12,8 +12,14 @@ does not compile it.
 from __future__ import annotations
 
 from . import phylo
-from .errors import BudgetExceededError, InputError
-from .flex import DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_ENUM_CAP, _capped_labels, double_factorial
+from .errors import (
+    DEFAULT_ASSIGNMENT_BUDGET,
+    DEFAULT_ENUM_CAP,
+    BudgetExceededError,
+    InputError,
+    _capped_labels,
+    double_factorial,
+)
 
 
 def _count_by_splits(labels: tuple[str, ...], triples) -> int:

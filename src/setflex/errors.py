@@ -11,8 +11,11 @@ The two input checks every layer shares live here too, in the one
 module every request loads (`check_limit` for caps and budgets,
 `check_label` for taxon labels), and so does `CheckReport`, the record
 of every yes/no answer, so a layer returns one without loading `setsys`.
+So do the enumeration cap, the assignment budget, `_capped_labels` and
+`double_factorial`, which tree counting shares with the flexibility scan.
 """
 
+from math import prod
 from typing import NamedTuple
 
 
@@ -82,6 +85,10 @@ class CheckReport(NamedTuple):
     stats: dict
 
 
+DEFAULT_ENUM_CAP = 8
+DEFAULT_ASSIGNMENT_BUDGET = 10**6
+
+
 def check_limit(name: str, value: int) -> int:
     """Return a cap or budget unchanged; a negative one is an `InputError`."""
     if value < 0:
@@ -109,3 +116,23 @@ def check_label(label: str) -> str:
             f"taxon label {label!r} contains # or | or starts with a quote"
         )
     return label
+
+
+def _capped_labels(leaves, cap: int) -> tuple[str, ...]:
+    """The sorted distinct leaves: at least one, no more than `cap`, and
+    each a label a tree accepts."""
+    labels = tuple(sorted(set(leaves)))
+    if not labels:
+        raise InputError("cannot enumerate trees on an empty leaf set")
+    if len(labels) > check_limit("cap", cap):
+        raise CapExceededError(
+            f"{len(labels)} leaves exceed the enumeration cap {cap}"
+        )
+    for lab in labels:
+        check_label(lab)
+    return labels
+
+
+def double_factorial(k: int) -> int:
+    """k!! with the empty product (k <= 0) read as 1."""
+    return prod(range(k, 1, -2))

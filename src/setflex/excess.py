@@ -7,9 +7,9 @@ measures; `graphopt` decides them in polynomial time and re-checks each
 minimizer's witness with `sigma` or `gamma`, and `exhaustive` decides
 them by scanning every selection and re-checks its witness with
 `excess_uniform` or `excess_general`.  Both import these measures from
-here.  They moved out of `setsys` because the parsing and the
-`SetSystem` there are run by every set-system request, the flexibility
-scan and the representations included, and those run none of this.
+here, not from `setsys`: every set-system request runs the parsing and
+the `SetSystem` there, the flexibility scan and the representations
+included, and those run none of this.
 """
 
 from __future__ import annotations

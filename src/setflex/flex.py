@@ -16,12 +16,15 @@ to drop, leaves a core (`_core`) whose triples alone decide it.  The
 scan still counts every assignment and reports full assignments; it
 only hands BUILD the core's triples.
 
-Tree counting and the defining triples moved to `counting`, so the
-scan does not compile them.  The benchmark's tracer
-still looks up `count_displaying`, `disjoint_count_formula` and
-`defining_triples` here; `__getattr__` forwards them to `counting`
-until it looks names up where they live (ROADMAP item 1).  `phylo` and
-`setsys` are module attributes, so loading this module loads neither.
+Tree counting and the defining triples are in `counting`, so the scan
+does not compile them.  The enumeration cap, the assignment budget,
+`_capped_labels` and `double_factorial`, which both modules use, are in
+`errors`, so `counting` runs without loading this module.  The
+benchmark's tracer still looks up `count_displaying`,
+`disjoint_count_formula` and `defining_triples` here; `__getattr__`
+forwards them to `counting` until it looks names up where they live
+(ROADMAP item 1).  `phylo` and `setsys` are module attributes, so
+loading this module loads neither.
 """
 
 from __future__ import annotations
@@ -31,17 +34,16 @@ from itertools import product
 from math import prod
 
 from .errors import (
+    DEFAULT_ASSIGNMENT_BUDGET,
+    DEFAULT_ENUM_CAP,
     BudgetExceededError,
-    CapExceededError,
     CheckReport,
     InputError,
-    check_label,
+    _capped_labels,
     check_limit,
+    double_factorial,
 )
 from . import phylo, setsys
-
-DEFAULT_ENUM_CAP = 8
-DEFAULT_ASSIGNMENT_BUDGET = 10**6
 
 
 def __getattr__(name: str):
@@ -51,15 +53,6 @@ def __getattr__(name: str):
 
         return getattr(counting, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def double_factorial(k: int) -> int:
-    """k!! with the empty product (k <= 0) read as 1."""
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
 
 
 def tree_count(m: int) -> int:
@@ -85,21 +78,6 @@ def _enumerate_trees(labels: tuple[str, ...]) -> tuple[phylo.RootedPhyloTree, ..
     for leaf in labels[1:]:
         shapes = [s for old in shapes for s in _insert_everywhere(old, leaf)]
     return tuple(phylo.RootedPhyloTree(s) for s in shapes)
-
-
-def _capped_labels(leaves, cap: int) -> tuple[str, ...]:
-    """The sorted distinct leaves: at least one, no more than `cap`, and
-    each a label a tree accepts."""
-    labels = tuple(sorted(set(leaves)))
-    if not labels:
-        raise InputError("cannot enumerate trees on an empty leaf set")
-    if len(labels) > check_limit("cap", cap):
-        raise CapExceededError(
-            f"{len(labels)} leaves exceed the enumeration cap {cap}"
-        )
-    for lab in labels:
-        check_label(lab)
-    return labels
 
 
 def enumerate_binary_trees(

@@ -57,45 +57,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class BipartiteIncidenceGraph(NamedTuple):
-    """The member-versus-taxon containment graph of a set system.
-
-    `adjacency[i]` lists the taxon ids of member i in sorted order;
-    `weights[i]` is the member weight (1 or |s|-2 depending on use).
-    `taxa` holds the occurring taxon ids sorted, with `taxon_labels`
-    aligned to it.
-    """
-
-    member_count: int
-    taxa: tuple[int, ...]
-    taxon_labels: tuple[str, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-
-
-def incidence_graph(system: SetSystem, weighting: str = "unit") -> BipartiteIncidenceGraph:
-    """Build G(tau) with unit or size-minus-two member weights."""
-    if weighting == "unit":
-        weights = tuple(1 for _ in system.members)
-    elif weighting == "size_minus_two":
-        weights = tuple(size_minus_two(system))
-    else:
-        raise InputError(f"weighting must be 'unit' or 'size_minus_two', got {weighting!r}")
-    present = sorted({x for m in system.members for x in m})
-    return BipartiteIncidenceGraph(
-        member_count=system.member_count,
-        taxa=tuple(present),
-        taxon_labels=tuple(system.label_of(x) for x in present),
-        adjacency=tuple(system.members),
-        weights=weights,
-    )
-
-
 # -- max flow -----------------------------------------------------------------
 
 
 class FlowNetwork:
-    """Integer-capacity flow network with named nodes.
+    """Integer-capacity flow network on the nodes 0 .. node_count - 1.
 
     Arcs store capacity and a paired reverse arc of capacity 0; the
     residual graph lives in the same arrays.  Augmentation explores arcs
@@ -103,22 +69,23 @@ class FlowNetwork:
     order.
     """
 
-    def __init__(self):
-        self.names: list[str] = []
-        self.adj: list[list[int]] = []
+    def __init__(self, node_count: int, source: int, sink: int):
+        self.adj: list[list[int]] = [[] for _ in range(node_count)]
         self.arc_to: list[int] = []
         self.arc_cap: list[int] = []
-        self.source: int | None = None
-        self.sink: int | None = None
+        self.source = self._node(source)
+        self.sink = self._node(sink)
 
-    def add_node(self, name: str) -> int:
-        self.names.append(name)
-        self.adj.append([])
-        return len(self.names) - 1
+    def _node(self, u: int) -> int:
+        # A negative index would silently name a node from the end.
+        if not 0 <= u < len(self.adj):
+            raise InputError(f"node {u} is not one of 0 .. {len(self.adj) - 1}")
+        return u
 
     def add_arc(self, u: int, v: int, capacity: int) -> None:
         if capacity < 0:
             raise InputError("arc capacities must be non-negative")
+        u, v = self._node(u), self._node(v)
         self.adj[u].append(len(self.arc_to))
         self.arc_to.append(v)
         self.arc_cap.append(capacity)
@@ -137,7 +104,7 @@ class FlowResult(NamedTuple):
 
     value: int
     source_side: frozenset[int]
-    cut_arcs: tuple[tuple[str, str, int], ...]
+    cut_arcs: tuple[tuple[int, int, int], ...]
     residual: tuple[int, ...]
     augmenting_paths: int
 
@@ -153,7 +120,7 @@ def _augment(network: FlowNetwork, cap: list[int]) -> tuple[int, int]:
     """
     s, t = network.source, network.sink
     adj, arc_to = network.adj, network.arc_to
-    node_count = len(network.names)
+    node_count = len(adj)
     added = paths = 0
     while True:
         level = [-1] * node_count
@@ -204,7 +171,7 @@ def _augment(network: FlowNetwork, cap: list[int]) -> tuple[int, int]:
 def _residual_cut(network: FlowNetwork, cap: list[int]) -> tuple[frozenset[int], tuple]:
     """The source side of the residual `cap` and the network arcs leaving it.
 
-    Cut arcs are reported by node name with their capacity in `network`.
+    Cut arcs are reported as (tail, head, capacity in `network`).
     """
     adj, arc_to = network.adj, network.arc_to
     reachable = {network.source}
@@ -221,7 +188,7 @@ def _residual_cut(network: FlowNetwork, cap: list[int]) -> tuple[frozenset[int],
         for a in adj[u]:
             v = arc_to[a]
             if a % 2 == 0 and v not in reachable:
-                cut.append((network.names[u], network.names[v], network.arc_cap[a]))
+                cut.append((u, v, network.arc_cap[a]))
     return frozenset(reachable), tuple(cut)
 
 
@@ -231,10 +198,7 @@ def max_flow(network: FlowNetwork) -> FlowResult:
     The cut is reported as the source side of the residual graph plus
     the saturated arcs crossing it.
     """
-    s, t = network.source, network.sink
-    if s is None or t is None:
-        raise InputError("network has no designated source/sink")
-    if s == t:
+    if network.source == network.sink:
         raise InputError("source and sink must differ")
     cap = list(network.arc_cap)
     value, paths = _augment(network, cap)
@@ -322,8 +286,9 @@ def _sink_gains(network: FlowNetwork, cap, first_taxon: int) -> list[int]:
 class MinimizerReport(NamedTuple):
     """Minimum of sigma (or gamma) over non-empty selections, with witness.
 
-    The cut certifies optimality: its capacity equals value + offset,
-    where offset is the total member weight of the reduction.
+    The cut certifies optimality: its arcs, (tail, head, capacity) on
+    the nodes of `_member_network`, add up to value + offset, where
+    offset is the total member weight of the reduction.
     `augmenting_paths` (base flow and every forced augmentation),
     `forced_members` (members minimized over) and
     `forced_solves` (members solved by an explicit forced augmentation)
@@ -332,38 +297,37 @@ class MinimizerReport(NamedTuple):
 
     value: int
     witness: tuple[int, ...]
-    cut: tuple[tuple[str, str, int], ...]
+    cut: tuple[tuple[int, int, int], ...]
     offset: int
     augmenting_paths: int
     forced_members: int
     forced_solves: int
 
 
-def _member_network(graph: BipartiteIncidenceGraph) -> tuple[FlowNetwork, list[int], int]:
-    """The network source -> member -> taxon -> sink of `graph`.
+def _member_network(members, weights) -> tuple[FlowNetwork, list[int], int]:
+    """The network source -> member -> taxon -> sink of a set system.
 
-    Source -> member arcs carry the member weight, member -> taxon
-    containment arcs a sentinel capacity, taxon -> sink arcs 1.  Nodes
-    are numbered source 0, sink 1, member i as 2 + i, then taxon
-    `graph.taxa[p]` as 2 + k + p, named `taxon:<label>`.  The sentinel
-    is above the total finite capacity, so containment arcs, and source
-    arcs raised to it, are never cut.  Returns the network, each
-    member's source arc index and the sentinel.
+    `members[i]` holds the taxon ids of member i and `weights[i]` its
+    weight.  Source -> member arcs carry the member weight, member ->
+    taxon containment arcs a sentinel capacity, taxon -> sink arcs 1.
+    Nodes are numbered source 0, sink 1, member i as 2 + i, then the
+    occurring taxa in increasing id order.  The sentinel is above the
+    total finite capacity, so containment arcs, and source arcs raised
+    to it, are never cut.  Returns the network, each member's source arc
+    index and the sentinel.
     """
-    k, t = graph.member_count, len(graph.taxa)
-    taxon_node = {x: 2 + k + p for p, x in enumerate(graph.taxa)}
-    cinf = sum(graph.weights) + t + 1
-    net = FlowNetwork()
-    net.names = ["source", "sink", *(f"member:{i}" for i in range(k)),
-                 *(f"taxon:{lab}" for lab in graph.taxon_labels)]
-    net.source, net.sink = 0, 1
+    k = len(members)
+    present = sorted({x for m in members for x in m})
+    taxon_node = {x: 2 + k + p for p, x in enumerate(present)}
+    t = len(present)
+    cinf = sum(weights) + t + 1
+    net = FlowNetwork(2 + k + t, 0, 1)
     # The arcs `add_arc` would give, in its order, written in one pass:
     # arc a and its reverse a + 1 for each member's source arc and then
     # its containment arcs, and last the sink arcs.
-    adj = net.adj = [[] for _ in net.names]
-    arc_to, arc_cap = net.arc_to, net.arc_cap
+    adj, arc_to, arc_cap = net.adj, net.arc_to, net.arc_cap
     a = 0
-    for u, (weight, taxa) in enumerate(zip(graph.weights, graph.adjacency), 2):
+    for u, (weight, taxa) in enumerate(zip(weights, members), 2):
         out = adj[u]
         adj[0].append(a)
         out.append(a + 1)
@@ -385,8 +349,8 @@ def _member_network(graph: BipartiteIncidenceGraph) -> tuple[FlowNetwork, list[i
     return net, list(adj[0]), cinf
 
 
-def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
-    """Minimum of the weighted surplus over non-empty member selections.
+def _minimize_surplus(members, weights) -> MinimizerReport:
+    """Minimum of |L(W)| - w(W) over non-empty member selections W.
 
     On the network of `_member_network`, a source side holding the
     members W (and necessarily their taxa) cuts
@@ -414,12 +378,11 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
     minimum-cut source side, and sentinel arcs are never cut, so the
     sentinel's value does not show.
     """
-    k = graph.member_count
+    k = len(members)
     if k == 0:
         raise InputError("cannot minimize over an empty system")
-    total_weight = sum(graph.weights)
-    net, source_arcs, cinf = _member_network(graph)
-    member_nodes = range(2, 2 + k)
+    total_weight = sum(weights)
+    net, source_arcs, cinf = _member_network(members, weights)
 
     base = max_flow(net)
     gains = _sink_gains(net, base.residual, 2 + k)
@@ -429,7 +392,7 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
     def forced(i: int) -> tuple[int, list[int]]:
         nonlocal paths, solves
         res = list(base.residual)
-        res[source_arcs[i]] += cinf - graph.weights[i]
+        res[source_arcs[i]] += cinf - weights[i]
         added, steps = _augment(net, res)
         paths += steps
         solves += 1
@@ -438,8 +401,8 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
     # (gain, member) pairs; the least is the minimum with the lowest index.
     known, fallback = [], []
     for i in range(k):
-        room = len(graph.adjacency[i]) - graph.weights[i] + base.residual[source_arcs[i]]
-        gain = gains[member_nodes[i]]
+        room = len(members[i]) - weights[i] + base.residual[source_arcs[i]]
+        gain = gains[2 + i]
         if gain == 2 and room > 2:
             fallback.append(i)
         else:
@@ -460,19 +423,17 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
 
     value = base.value + gain - total_weight
     source_side, cut = _residual_cut(net, best_res)
-    witness = tuple(i for i in range(k) if member_nodes[i] in source_side)
+    witness = tuple(i for i in range(k) if 2 + i in source_side)
     if not witness:
         raise InternalVerificationError("minimizer produced an empty witness")
     if sum(c for _, _, c in cut) != value + total_weight:
         raise InternalVerificationError("cut capacity does not certify the minimum")
-    side_names = {net.names[v] for v in source_side}
-    if any(u not in side_names or v in side_names for u, v, _ in cut):
+    if any(u not in source_side or v in source_side for u, v, _ in cut):
         raise InternalVerificationError("cut arc does not leave the source side")
     # A member is on the source side iff its source arc is not cut.
-    cut_heads = {v for u, v, _ in cut if u == "source"}
+    cut_heads = {v for u, v, _ in cut if u == 0}
     chosen = set(witness)
-    if any((i in chosen) == (net.names[node] in cut_heads)
-           for i, node in enumerate(member_nodes)):
+    if any((i in chosen) == (2 + i in cut_heads) for i in range(k)):
         raise InternalVerificationError("witness differs from the source-side members")
     return MinimizerReport(value=value, witness=witness, cut=cut, offset=total_weight,
                            augmenting_paths=paths, forced_members=k, forced_solves=solves)
@@ -480,7 +441,7 @@ def _minimize_surplus(graph: BipartiteIncidenceGraph) -> MinimizerReport:
 
 def sigma_star(system: SetSystem) -> MinimizerReport:
     """min sigma over non-empty selections, by the forced-member min-cut."""
-    report = _minimize_surplus(incidence_graph(system, "unit"))
+    report = _minimize_surplus(system.members, (1,) * system.member_count)
     if sigma(system, report.witness) != report.value:
         raise InternalVerificationError("sigma witness does not reproduce the minimum")
     return report
@@ -488,7 +449,7 @@ def sigma_star(system: SetSystem) -> MinimizerReport:
 
 def gamma_star(system: SetSystem) -> MinimizerReport:
     """min gamma over non-empty selections; members must have size >= 3."""
-    report = _minimize_surplus(incidence_graph(system, "size_minus_two"))
+    report = _minimize_surplus(system.members, size_minus_two(system))
     if gamma(system, report.witness) != report.value:
         raise InternalVerificationError("gamma witness does not reproduce the minimum")
     return report

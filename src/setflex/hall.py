@@ -3,7 +3,7 @@
 `sdr` is Hall's theorem on `graphopt`'s member network with unit
 weights, and `surplus_forest` builds the degree-two forest that exists
 iff sigma* >= 1, with the minimizer as its oracle.  Its self-check
-reaches `pairs.is_forest` as a module attribute, so `sdr` compiles no
+reaches `pairs._cycle` as a module attribute, so `sdr` compiles no
 pair code.  The benchmark's tracer finds both through `graphopt`.
 """
 
@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import pairs
 from .errors import CheckReport, InputError, InternalVerificationError, MemberSizeError
-from .graphopt import BipartiteIncidenceGraph, _member_network, _minimize_surplus, max_flow
+from .graphopt import _member_network, _minimize_surplus, max_flow
 from .setsys import SetSystem, require_members
 
 
@@ -51,12 +51,7 @@ def sdr(system: SetSystem, B) -> CheckReport:
         tuple(x for x in member if x not in b_ids) for member in system.members
     )
     k = len(derived)
-    present = sorted({x for d in derived for x in d})
-    net, _, _ = _member_network(BipartiteIncidenceGraph(
-        member_count=k, taxa=tuple(present),
-        taxon_labels=tuple(system.label_of(x) for x in present),
-        adjacency=derived, weights=(1,) * k,
-    ))
+    net, _, _ = _member_network(derived, (1,) * k)
     flow = max_flow(net)
     if flow.value < k:
         violator = tuple(i for i in range(k) if 2 + i in flow.source_side)
@@ -69,7 +64,8 @@ def sdr(system: SetSystem, B) -> CheckReport:
                            {"augmenting_paths": flow.augmenting_paths})
     # A member node's even arcs are its containment arcs (its odd one is
     # the source arc's reverse); one carries flow iff its reverse arc has
-    # residual capacity.
+    # residual capacity.  Taxon nodes follow the members in id order.
+    present = sorted({x for d in derived for x in d})
     assignment = {
         i: present[net.arc_to[a] - 2 - k]
         for i in range(k) for a in net.adj[2 + i] if a % 2 == 0 and flow.residual[a ^ 1]
@@ -82,7 +78,7 @@ def sdr(system: SetSystem, B) -> CheckReport:
                        {"augmenting_paths": flow.augmenting_paths})
 
 
-def surplus_forest(graph: BipartiteIncidenceGraph):
+def surplus_forest(system: SetSystem):
     """A forest using exactly two incident edges per member, or None.
 
     By Lovasz's theorem (1970, "A generalization of Konig's theorem"),
@@ -105,11 +101,11 @@ def surplus_forest(graph: BipartiteIncidenceGraph):
     the first forest, at one minimizer call per pair tried.  The result is verified
     acyclic with every member of degree exactly two.
     """
-    if any(w != 1 for w in graph.weights):
-        raise InputError("surplus_forest requires unit weights")
+    members = system.members
+    weights = (1,) * len(members)
 
     def first_pairs(feasible) -> list[tuple[int, int]] | None:
-        parent = {x: x for x in graph.taxa}
+        parent = list(range(len(system.universe)))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -118,7 +114,7 @@ def surplus_forest(graph: BipartiteIncidenceGraph):
             return x
 
         chosen: list[tuple[int, int]] = []
-        for i, taxa in enumerate(graph.adjacency):
+        for i, taxa in enumerate(members):
             for x, y in combinations(taxa, 2):
                 if find(x) != find(y) and feasible(i, (x, y), chosen):
                     break
@@ -129,32 +125,31 @@ def surplus_forest(graph: BipartiteIncidenceGraph):
         return chosen
 
     def extends(i: int, pair: tuple[int, int], chosen: list) -> bool:
-        reduced = (*chosen, pair, *graph.adjacency[i + 1:])
-        return _minimize_surplus(graph._replace(adjacency=reduced)).value >= 1
+        reduced = (*chosen, pair, *members[i + 1:])
+        return _minimize_surplus(reduced, weights).value >= 1
 
     kept = first_pairs(lambda *_: True)
     if not kept:  # no greedy forest, or no members, which the minimizer rejects
-        if _minimize_surplus(graph).value < 1:
+        if _minimize_surplus(members, weights).value < 1:
             return None
         kept = first_pairs(extends)
     if kept is None:
         raise InternalVerificationError("positive surplus but no degree-two forest found")
     edges = tuple((i, x) for i, pair in enumerate(kept) for x in pair)
-    _verify_degree_two_forest(graph, edges)
+    _verify_degree_two_forest(members, edges)
     return edges
 
 
-def _verify_degree_two_forest(graph: BipartiteIncidenceGraph, edges) -> None:
-    chosen: list[list[int]] = [[] for _ in range(graph.member_count)]
+def _verify_degree_two_forest(members, edges) -> None:
+    chosen: list[list[int]] = [[] for _ in members]
     for i, x in edges:
-        if x not in graph.adjacency[i]:
+        if x not in members[i]:
             raise InternalVerificationError("forest edge outside the graph")
         chosen[i].append(x)
     if any(len(pair) != 2 for pair in chosen):
         raise InternalVerificationError("member degree differs from two")
-    # `is_forest` reads adjacency as a simple graph, so a repeated edge,
-    # a cycle of length two, is caught here.
-    if any(x == y for x, y in chosen) or not pairs.is_forest(
-        graph._replace(adjacency=tuple(map(tuple, chosen)))
-    ).verdict:
+    # `_cycle` reads the pairs as a simple graph, so a repeated edge, a
+    # cycle of length two, is caught here.  It is a search of its own, not
+    # the union-find that chose the pairs.
+    if any(x == y for x, y in chosen) or pairs._cycle(chosen) is not None:
         raise InternalVerificationError("forest verification found a cycle")

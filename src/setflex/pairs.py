@@ -29,15 +29,19 @@ from .errors import (
 DEFAULT_ORIENTATION_CAP = 20
 
 
-def is_forest(graph) -> CheckReport:
-    """Acyclicity of the incidence graph, method `forest`.
+def is_forest(system: setsys.SetSystem) -> CheckReport:
+    """Acyclicity of the member-taxon incidence graph, method `forest`.
 
-    `graph` is a `graphopt.BipartiteIncidenceGraph` or a `SetSystem`,
-    whose sorted members are that graph's adjacency.  On "no" the
-    certificate is a cycle: an alternating tuple of ("member", i) and
-    ("taxon", id) nodes in cycle order.
+    On "no" the certificate is a cycle: an alternating tuple of
+    ("member", i) and ("taxon", id) nodes in cycle order.
     """
-    members = graph.members if isinstance(graph, setsys.SetSystem) else graph.adjacency
+    cycle = _cycle(system.members)
+    return CheckReport(cycle is None, "forest", cycle, {})
+
+
+def _cycle(members) -> tuple | None:
+    """A cycle, as `is_forest` reports it, of the graph joining member i
+    to each taxon id in `members[i]`, or None."""
     adj: dict[tuple, list[tuple]] = {}
     for i, taxa in enumerate(members):
         adj[("member", i)] = [("taxon", x) for x in taxa]
@@ -83,8 +87,8 @@ def is_forest(graph) -> CheckReport:
         if start not in color:
             cycle = dfs(start)
             if cycle is not None:
-                return CheckReport(False, "forest", cycle, {})
-    return CheckReport(True, "forest", None, {})
+                return cycle
+    return None
 
 
 # -- the lca caterpillar ----------------------------------------------------------

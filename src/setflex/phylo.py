@@ -3,7 +3,7 @@
 Trees themselves (canonical shapes, preorder indexing, the lca table
 and `_three`) are in `rooted`; this module imports them, so
 `phylo.RootedPhyloTree` is `rooted.RootedPhyloTree`.  The Newick and
-triple-file parsers, `displays_clusters` and `make_binary` moved to
+triple-file parsers, `displays_clusters` and `make_binary` are in
 `newick`, which the flexibility scan does not compile.
 
 Leaf sets inside BUILD are integer bitmasks over the sorted leaf labels,

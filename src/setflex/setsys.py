@@ -4,10 +4,8 @@ A `SetSystem` is a finite collection of distinct non-empty subsets of a
 taxon universe.  This module parses the text and JSON set-system
 formats, which every set-system request runs.  The excess arithmetic on
 member selections (uniform and general excess, sigma, gamma and their
-helpers) moved to `excess`, which `graphopt` and `exhaustive` import,
-so the flexibility scan and the representations do not compile it.
-The `CheckReport` every check returns lives in `errors` and is
-re-exported here.
+helpers) is in `excess`, which `graphopt` and `exhaustive` import, so
+the flexibility scan and the representations do not compile it.
 
 Taxa are interned: the universe is the lexicographically sorted tuple of
 labels and a taxon id is its position in that tuple.  Members are stored
@@ -21,7 +19,6 @@ import json
 from typing import Iterable
 
 from .errors import InputError, ParseError, check_label
-from .errors import CheckReport  # noqa: F401  (re-exported: setsys.CheckReport)
 
 
 class SetSystem:

@@ -20,7 +20,6 @@ from setflex import (
     disjoint_count_formula,
     excess_uniform,
     gamma_star,
-    incidence_graph,
     is_flexible_bruteforce,
     is_forest,
     is_slim,
@@ -254,7 +253,7 @@ def test_criterion_9_pair_systems_three_way():
             members = [pool[i] for i in range(10) if mask >> i & 1]
             s = SetSystem([list(m) for m in members])
             brute = is_total_order_flexible(s, "bruteforce").verdict
-            forest_ok = is_forest(incidence_graph(s, "unit")).verdict
+            forest_ok = is_forest(s).verdict
             thin = sigma_star(s).value >= 1
             assert brute == forest_ok == thin
             if thin:
@@ -269,7 +268,7 @@ def test_criterion_9_pair_systems_three_way():
             }
             s = SetSystem([list(m) for m in members])
             brute = is_total_order_flexible(s, "bruteforce").verdict
-            forest_ok = is_forest(incidence_graph(s, "unit")).verdict
+            forest_ok = is_forest(s).verdict
             thin = sigma_star(s).value >= 1
             assert brute == forest_ok == thin
             if thin:

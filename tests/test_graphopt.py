@@ -22,7 +22,6 @@ from setflex import (
     caterpillar_median_representation,
     gamma,
     gamma_star,
-    incidence_graph,
     is_forest,
     is_slim,
     is_slim_exhaustive,
@@ -38,59 +37,81 @@ from setflex import (
 from conftest import ALPHA, FIG1, FIG1P, brute_minimum, random_system, tsys
 from setflex import graphopt, hall
 from setflex.errors import InternalVerificationError
-from setflex.graphopt import _minimize_surplus
+from setflex.excess import size_minus_two
+from setflex.graphopt import _member_network, _minimize_surplus
 from setflex.hall import _verify_degree_two_forest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def network_arcs(net) -> list[tuple[int, int, int]]:
+    """Every arc of `net` as (tail, head, capacity), in insertion order."""
+    return [(net.arc_to[a + 1], net.arc_to[a], net.arc_cap[a])
+            for a in range(0, len(net.arc_to), 2)]
+
+
 class TestIncidenceGraph:
+    """The member network: source 0, sink 1, member i as 2 + i, then the
+    occurring taxa in id order."""
+
     def test_path_pairs(self):
-        g = incidence_graph(SetSystem([["a", "b"], ["b", "c"]]), "unit")
-        assert g.member_count == 2
-        assert g.taxon_labels == ("a", "b", "c")
-        assert sum(map(len, g.adjacency)) == 4
+        s = SetSystem([["a", "b"], ["b", "c"]])
+        net, source_arcs, cinf = _member_network(s.members, (1, 1))
+        assert (len(net.adj), net.source, net.sink, cinf) == (7, 0, 1, 6)
+        assert network_arcs(net) == [
+            (0, 2, 1), (2, 4, cinf), (2, 5, cinf),
+            (0, 3, 1), (3, 5, cinf), (3, 6, cinf),
+            (4, 1, 1), (5, 1, 1), (6, 1, 1),
+        ]
+        assert source_arcs == [0, 6]
 
     def test_triangle_pairs(self):
-        g = incidence_graph(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), "unit")
-        assert g.member_count == 3 and len(g.taxa) == 3
-        assert sum(map(len, g.adjacency)) == 6
+        s = SetSystem([["a", "b"], ["b", "c"], ["a", "c"]])
+        net, _, cinf = _member_network(s.members, (1, 1, 1))
+        assert len(net.adj) == 2 + 3 + 3
+        assert sum(c == cinf for _, _, c in network_arcs(net)) == 6
 
     def test_single_member_star(self):
-        g = incidence_graph(tsys("abc"), "unit")
-        assert sum(map(len, g.adjacency)) == 3
+        net, _, cinf = _member_network(tsys("abc").members, (1,))
+        assert [(u, v) for u, v, c in network_arcs(net) if c == cinf] == [(2, 3), (2, 4), (2, 5)]
 
     def test_weights(self):
-        g = incidence_graph(tsys("abcd", "cdef"), "size_minus_two")
-        assert g.weights == (2, 2)
+        s = tsys("abcd", "cdef")
+        net, source_arcs, _ = _member_network(s.members, size_minus_two(s))
+        assert [net.arc_cap[a] for a in source_arcs] == [2, 2]
         with pytest.raises(MemberSizeError):
-            incidence_graph(SetSystem([["a", "b"]]), "size_minus_two")
-
-    def test_unknown_weighting(self):
-        with pytest.raises(InputError):
-            incidence_graph(tsys("abc"), "squared")
+            gamma_star(SetSystem([["a", "b"], ["a", "c", "d"]]))
 
 
 class TestMaxFlow:
     def test_single_path(self):
-        net = FlowNetwork()
-        s, v, t = net.add_node("s"), net.add_node("v"), net.add_node("t")
-        net.source, net.sink = s, t
-        net.add_arc(s, v, 3)
-        net.add_arc(v, t, 2)
+        net = FlowNetwork(3, 0, 2)
+        net.add_arc(0, 1, 3)
+        net.add_arc(1, 2, 2)
         result = max_flow(net)
         assert result.value == 2
-        assert sum(c for _, _, c in result.cut_arcs) == 2
+        assert result.cut_arcs == ((1, 2, 2),)
 
     def test_parallel_paths(self):
-        net = FlowNetwork()
-        s, t = net.add_node("s"), net.add_node("t")
-        net.source, net.sink = s, t
-        for _ in range(3):
-            v = net.add_node("v")
-            net.add_arc(s, v, 1)
-            net.add_arc(v, t, 1)
+        net = FlowNetwork(5, 0, 1)
+        for v in range(2, 5):
+            net.add_arc(0, v, 1)
+            net.add_arc(v, 1, 1)
         assert max_flow(net).value == 3
+
+    def test_nodes_and_capacities_are_checked(self):
+        with pytest.raises(InputError, match="must differ"):
+            max_flow(FlowNetwork(2, 1, 1))
+        for source, sink in ((0, 2), (-1, 1)):
+            with pytest.raises(InputError, match=r"is not one of 0 \.\. 1"):
+                FlowNetwork(2, source, sink)
+        net = FlowNetwork(2, 0, 1)
+        for u, v in ((0, 2), (-1, 0)):
+            with pytest.raises(InputError, match=r"is not one of 0 \.\. 1"):
+                net.add_arc(u, v, 1)
+        with pytest.raises(InputError, match="non-negative"):
+            net.add_arc(0, 1, -1)
+        assert net.arc_to == [] and net.adj == [[], []]
 
     def test_fig1_forced_member_network(self):
         # Source -> members at weight 1 (the forced one at the sentinel),
@@ -98,11 +119,9 @@ class TestMaxFlow:
         # forced member a,b,c equals total weight + min sigma over
         # selections containing it, which is sigma* = 2 here.
         s = tsys(*FIG1)
-        net = FlowNetwork()
-        net.source = net.add_node("source")
-        net.sink = net.add_node("sink")
-        members = [net.add_node(f"m{i}") for i in range(4)]
-        taxa = {x: net.add_node(lab) for x, lab in enumerate("abcdef")}
+        net = FlowNetwork(2 + 4 + 6, 0, 1)
+        members = range(2, 6)
+        taxa = {x: 6 + x for x in range(6)}
         sentinel = 3 + 6 + 1
         for i in range(4):
             net.add_arc(net.source, members[i], sentinel if i == 0 else 1)
@@ -115,18 +134,44 @@ class TestMaxFlow:
     def test_flow_equals_cut_on_random_networks(self):
         rng = random.Random(17)
         for _ in range(50):
-            net = FlowNetwork()
             n = rng.randint(2, 7)
-            nodes = [net.add_node(str(i)) for i in range(n)]
-            net.source, net.sink = nodes[0], nodes[-1]
+            net = FlowNetwork(n, 0, n - 1)
             for u in range(n):
                 for v in range(n):
                     if u != v and rng.random() < 0.4:
-                        net.add_arc(nodes[u], nodes[v], rng.randint(0, 5))
+                        net.add_arc(u, v, rng.randint(0, 5))
             result = max_flow(net)
             assert result.value == sum(c for _, _, c in result.cut_arcs)
             assert net.source in result.source_side
             assert net.sink not in result.source_side
+
+    def test_random_networks_against_networkx(self):
+        # Arbitrary networks, parallel and antiparallel arcs included; the
+        # cut must be the arcs of `net` that leave the source side.
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            source, sink = rng.sample(range(n), 2)
+            net = FlowNetwork(n, source, sink)
+            g = nx.DiGraph()
+            g.add_nodes_from(range(n))
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.sample(range(n), 2)
+                c = rng.randint(0, 9)
+                net.add_arc(u, v, c)
+                if g.has_edge(u, v):
+                    g[u][v]["capacity"] += c
+                else:
+                    g.add_edge(u, v, capacity=c)
+            result = max_flow(net)
+            assert result.value == nx.maximum_flow_value(g, source, sink)
+            side = result.source_side
+            assert source in side and sink not in side
+            assert all(u in side and v not in side for u, v, _ in result.cut_arcs)
+            assert result.cut_arcs == tuple(
+                arc for arc in sorted(network_arcs(net), key=lambda arc: arc[0])
+                if arc[0] in side and arc[1] not in side)
+            assert sum(c for _, _, c in result.cut_arcs) == result.value
 
 
 class TestMinimizers:
@@ -164,50 +209,57 @@ class TestMinimizers:
                 assert evaluate(s, report.witness) == expected
 
 
-def networkx_minimum(graph) -> int:
+def weightings(s: SetSystem):
+    """(measure, member weights) for sigma, and for gamma when every
+    member has size >= 3."""
+    yield "sigma", (1,) * s.member_count
+    if all(len(m) >= 3 for m in s.members):
+        yield "gamma", tuple(size_minus_two(s))
+
+
+def networkx_minimum(members, weights) -> int:
     """Min over forced members of a networkx min cut, minus the offset.
 
-    The network is rebuilt from the incidence graph alone; arcs without
-    a capacity attribute are infinite in networkx.
+    The network is rebuilt from the members and weights alone; arcs
+    without a capacity attribute are infinite in networkx.
     """
     g = nx.DiGraph()
-    for i in range(graph.member_count):
-        g.add_edge("s", ("m", i), capacity=graph.weights[i])
-        for x in graph.adjacency[i]:
+    for i, member in enumerate(members):
+        g.add_edge("s", ("m", i), capacity=weights[i])
+        for x in member:
             g.add_edge(("m", i), ("x", x))
-    for x in graph.taxa:
+    for x in {x for member in members for x in member}:
         g.add_edge(("x", x), "t", capacity=1)
     values = []
-    for i in range(graph.member_count):
+    for i in range(len(members)):
         arc = g["s"][("m", i)]
         del arc["capacity"]
         value, _ = nx.minimum_cut(g, "s", "t", flow_func=nx.flow.boykov_kolmogorov)
         values.append(value)
-        arc["capacity"] = graph.weights[i]
-    return min(values) - sum(graph.weights)
+        arc["capacity"] = weights[i]
+    return min(values) - sum(weights)
 
 
-def reference_minimize(graph):
+def reference_minimize(members, weights):
     """(value, witness, cut) by the forced-member loop: one cold max flow by
     BFS augmentation, then a BFS-augmented copy of its residual per member
     with that member's source arc raised, the least (value, member) kept.
 
-    The network is built as `_minimize_surplus` builds it, so the cut arcs
-    carry the same names in the same order.
+    The network is built arc by arc with `add_arc`, numbered as
+    `_minimize_surplus` numbers it, so the cut arcs carry the same nodes
+    in the same order.
     """
-    k = graph.member_count
-    cinf = sum(graph.weights) + len(graph.taxa) + 1
-    net = FlowNetwork()
-    net.source, net.sink = net.add_node("source"), net.add_node("sink")
-    members = [net.add_node(f"member:{i}") for i in range(k)]
-    taxa = {x: net.add_node(f"taxon:{lab}")
-            for x, lab in zip(graph.taxa, graph.taxon_labels)}
+    k = len(members)
+    present = sorted({x for member in members for x in member})
+    cinf = sum(weights) + len(present) + 1
+    net = FlowNetwork(2 + k + len(present), 0, 1)
+    taxa = {x: 2 + k + p for p, x in enumerate(present)}
     source_arcs = []
     for i in range(k):
         source_arcs.append(len(net.arc_to))
-        net.add_arc(net.source, members[i], graph.weights[i])
-        for x in graph.adjacency[i]:
-            net.add_arc(members[i], taxa[x], cinf)
+        net.add_arc(net.source, 2 + i, weights[i])
+        for x in members[i]:
+            net.add_arc(2 + i, taxa[x], cinf)
     for node in taxa.values():
         net.add_arc(node, net.sink, 1)
 
@@ -239,32 +291,32 @@ def reference_minimize(graph):
     best = None
     for i in range(k):
         cap = list(base)
-        cap[source_arcs[i]] += cinf - graph.weights[i]
-        value = flow + augment(cap) - sum(graph.weights)
+        cap[source_arcs[i]] += cinf - weights[i]
+        value = flow + augment(cap) - sum(weights)
         if best is None or value < best[0]:
             best = (value, cap)
     value, cap = best
     side = reachable(cap)
-    witness = tuple(i for i in range(k) if members[i] in side)
-    cut = tuple((net.names[u], net.names[net.arc_to[a]], net.arc_cap[a])
+    witness = tuple(i for i in range(k) if 2 + i in side)
+    cut = tuple((u, net.arc_to[a], net.arc_cap[a])
                 for u in sorted(side) for a in net.adj[u]
                 if a % 2 == 0 and net.arc_to[a] not in side)
     return value, witness, cut
 
 
-def assert_matches_reference(graph, report):
-    assert (report.value, report.witness, report.cut) == reference_minimize(graph)
+def assert_matches_reference(members, weights, report):
+    assert (report.value, report.witness, report.cut) == reference_minimize(members, weights)
 
 
-def assert_cut_certifies(graph, report):
+def assert_cut_certifies(members, weights, report):
     """Cut = uncut members' weights + taxa of the witness = value + offset."""
     assert report.witness
-    covered = {x for i in report.witness for x in graph.adjacency[i]}
-    outside = sum(w for i, w in enumerate(graph.weights) if i not in report.witness)
+    covered = {x for i in report.witness for x in members[i]}
+    outside = sum(w for i, w in enumerate(weights) if i not in report.witness)
     assert outside + len(covered) == report.value + report.offset
     assert sum(c for _, _, c in report.cut) == report.value + report.offset
-    assert {v for u, v, _ in report.cut if u == "source"} == {
-        f"member:{i}" for i in range(graph.member_count) if i not in report.witness
+    assert {v for u, v, _ in report.cut if u == 0} == {
+        2 + i for i in range(len(members)) if i not in report.witness
     }
 
 
@@ -275,15 +327,12 @@ class TestOracles:
         for _ in range(320):
             sizes = rng.choice([(2, 3), (3,), (3, 4, 5), (2, 3, 4, 5)])
             s = random_system(rng, rng.randint(5, 10), rng.randint(1, 12), sizes)
-            for weighting, measure in (("unit", "sigma"), ("size_minus_two", "gamma")):
-                if weighting == "size_minus_two" and any(len(m) < 3 for m in s.members):
-                    continue
-                graph = incidence_graph(s, weighting)
-                report = _minimize_surplus(graph)
-                assert report.value == networkx_minimum(graph)
+            for measure, weights in weightings(s):
+                report = _minimize_surplus(s.members, weights)
+                assert report.value == networkx_minimum(s.members, weights)
                 assert report.value == brute_minimum(s, measure)[0]
-                assert_cut_certifies(graph, report)
-                assert_matches_reference(graph, report)
+                assert_cut_certifies(s.members, weights, report)
+                assert_matches_reference(s.members, weights, report)
                 assert report.forced_members == s.member_count
                 assert 1 <= report.forced_solves <= s.member_count
                 checked += 1
@@ -296,14 +345,10 @@ class TestOracles:
     ))
     def test_property_minimum_equals_exhaustive(self, members):
         s = SetSystem([sorted(m) for m in members])
-        weightings = [("unit", "sigma")]
-        if all(len(m) >= 3 for m in s.members):
-            weightings.append(("size_minus_two", "gamma"))
-        for weighting, measure in weightings:
-            graph = incidence_graph(s, weighting)
-            report = _minimize_surplus(graph)
+        for measure, weights in weightings(s):
+            report = _minimize_surplus(s.members, weights)
             assert report.value == brute_minimum(s, measure)[0]
-            assert_cut_certifies(graph, report)
+            assert_cut_certifies(s.members, weights, report)
 
 
     def test_property_matches_forced_member_reference(self):
@@ -318,13 +363,9 @@ class TestOracles:
         )))
         def check(members):
             s = SetSystem([sorted(m) for m in members])
-            weightings = ["unit"]
-            if all(len(m) >= 3 for m in s.members):
-                weightings.append("size_minus_two")
-            for weighting in weightings:
-                graph = incidence_graph(s, weighting)
-                report = _minimize_surplus(graph)
-                assert_matches_reference(graph, report)
+            for _, weights in weightings(s):
+                report = _minimize_surplus(s.members, weights)
+                assert_matches_reference(s.members, weights, report)
                 fallbacks.append(report.forced_solves > 1)
 
         check()
@@ -636,13 +677,11 @@ class TestSdrAgainstRecursion:
 
 class TestForest:
     def test_path_is_forest(self):
-        report = is_forest(incidence_graph(SetSystem([["a", "b"], ["b", "c"]]), "unit"))
+        report = is_forest(SetSystem([["a", "b"], ["b", "c"]]))
         assert report == (True, "forest", None, {})
 
     def test_triangle_cycle(self):
-        ok, _, cycle, _ = is_forest(
-            incidence_graph(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), "unit")
-        )
+        ok, _, cycle, _ = is_forest(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]))
         assert not ok
         assert len(cycle) == 6
         kinds = [kind for kind, _ in cycle]
@@ -650,18 +689,17 @@ class TestForest:
 
     def test_cycle_is_closed_walk(self):
         system = SetSystem([["a", "b"], ["b", "c"], ["a", "c"], ["c", "d"]])
-        graph = incidence_graph(system, "unit")
-        ok, _, cycle, _ = is_forest(graph)
+        ok, _, cycle, _ = is_forest(system)
         assert not ok
         for pos, (kind, value) in enumerate(cycle):
             nkind, nvalue = cycle[(pos + 1) % len(cycle)]
             if kind == "member":
-                assert nvalue in graph.adjacency[value]
+                assert nvalue in system.members[value]
             else:
-                assert value in graph.adjacency[nvalue]
+                assert value in system.members[nvalue]
 
     def test_single_member_star(self):
-        assert is_forest(incidence_graph(tsys("abc"), "unit")).verdict
+        assert is_forest(tsys("abc")).verdict
 
     def test_pairs_forest_iff_sigma_star_positive(self):
         # The pair theorem behind the lca precondition.
@@ -674,20 +712,21 @@ class TestForest:
             }
             extra = [x for x in ALPHA[9:12] if rng.random() < 0.5]
             s = SetSystem([list(m) for m in members], extra_taxa=extra)
-            ok = is_forest(incidence_graph(s, "unit")).verdict
+            ok = is_forest(s).verdict
             assert ok == (sigma_star(s).value >= 1)
             verdicts.add(ok)
         assert verdicts == {True, False}
 
 
-def backtracking_forest(graph):
+def backtracking_forest(system: SetSystem):
     """Reference: the lexicographically first degree-two forest by a
     depth-first search over each member's pairs in `combinations` order,
     with an undoable rank union-find; None if the search fails.
     Exponential in the worst case, so for small systems only."""
-    k = graph.member_count
-    parent = {x: x for x in graph.taxa}
-    rank = {x: 0 for x in graph.taxa}
+    k = system.member_count
+    taxa = {x for member in system.members for x in member}
+    parent = {x: x for x in taxa}
+    rank = {x: 0 for x in taxa}
 
     def find(x):
         while parent[x] != x:
@@ -720,7 +759,7 @@ def backtracking_forest(graph):
     def solve(i):
         if i == k:
             return True
-        for x, y in combinations(graph.adjacency[i], 2):
+        for x, y in combinations(system.members[i], 2):
             mark = len(trail)
             if union(x, y):
                 choice[i] = (x, y)
@@ -739,9 +778,9 @@ def minimizer_calls(monkeypatch) -> list:
     """Record each `_minimize_surplus` call `surplus_forest` makes."""
     calls = []
 
-    def counted(graph):
-        calls.append(graph)
-        return _minimize_surplus(graph)
+    def counted(members, weights):
+        calls.append(members)
+        return _minimize_surplus(members, weights)
 
     monkeypatch.setattr(hall, "_minimize_surplus", counted)
     return calls
@@ -749,8 +788,7 @@ def minimizer_calls(monkeypatch) -> list:
 
 class TestSurplusForest:
     def test_fig1_has_forest(self):
-        g = incidence_graph(tsys(*FIG1), "unit")
-        edges = surplus_forest(g)
+        edges = surplus_forest(tsys(*FIG1))
         assert edges is not None
         per_member = {}
         for i, x in edges:
@@ -758,11 +796,10 @@ class TestSurplusForest:
         assert all(len(v) == 2 for v in per_member.values())
 
     def test_triangle_none(self):
-        g = incidence_graph(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), "unit")
-        assert surplus_forest(g) is None
+        assert surplus_forest(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]])) is None
 
     def test_single_member(self):
-        edges = surplus_forest(incidence_graph(tsys("abc"), "unit"))
+        edges = surplus_forest(tsys("abc"))
         assert edges is not None and len(edges) == 2
 
     def test_exists_iff_sigma_star_positive(self):
@@ -772,20 +809,16 @@ class TestSurplusForest:
             for _ in range(60):
                 sizes = rng.choice([(2, 3), (3, 4), (2, 3, 4)])
                 s = random_system(rng, rng.randint(3, 9), rng.randint(1, 8), sizes)
-                edges = surplus_forest(incidence_graph(s, "unit"))
+                edges = surplus_forest(s)
                 assert (edges is not None) == (sigma_star(s).value >= 1)
                 verdicts.add(edges is not None)
         assert verdicts == {True, False}
-
-    def test_requires_unit_weights(self):
-        with pytest.raises(InputError):
-            surplus_forest(incidence_graph(tsys("abcd"), "size_minus_two"))
 
     def test_r2_thin_iff_forest(self):
         rng = random.Random(43)
         for _ in range(60):
             s = random_system(rng, rng.randint(3, 7), rng.randint(1, 6), (2,))
-            ok = is_forest(incidence_graph(s, "unit")).verdict
+            ok = is_forest(s).verdict
             assert ok == is_thin(s, 2).verdict
 
     def test_self_reduction_when_the_greedy_pass_fails(self, monkeypatch):
@@ -793,9 +826,9 @@ class TestSurplusForest:
         # acd the pair {a,c}, and bc then closes a cycle; the first forest
         # gives acd the pair {a,d}.
         calls = minimizer_calls(monkeypatch)
-        g = incidence_graph(tsys("ab", "bc", "acd"), "unit")
-        edges = surplus_forest(g)
-        assert edges == backtracking_forest(g) == ((0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2))
+        s = tsys("ab", "bc", "acd")
+        edges = surplus_forest(s)
+        assert edges == backtracking_forest(s) == ((0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2))
         assert len(calls) > 1
 
 
@@ -806,10 +839,9 @@ class TestSurplusForestAgainstBacktracking:
         outcomes = {"none": 0, "greedy": 0, "self-reduction": 0}
         for _ in range(400):
             s = random_system(rng, rng.randint(3, 9), rng.randint(1, 9), (2, 3, 4))
-            g = incidence_graph(s, "unit")
             calls.clear()
-            edges = surplus_forest(g)
-            assert edges == backtracking_forest(g)
+            edges = surplus_forest(s)
+            assert edges == backtracking_forest(s)
             # The greedy pass runs no minimizer; a failed one runs it once
             # to decide, and more to fix the pairs when a forest exists.
             if edges is None:
@@ -825,8 +857,8 @@ class TestSurplusForestAgainstBacktracking:
         min_size=1, max_size=8, unique=True,
     ))
     def test_property_first_forest(self, members):
-        g = incidence_graph(SetSystem([sorted(m) for m in members]), "unit")
-        assert surplus_forest(g) == backtracking_forest(g)
+        s = SetSystem([sorted(m) for m in members])
+        assert surplus_forest(s) == backtracking_forest(s)
 
 
 @contextmanager
@@ -854,25 +886,25 @@ class TestSurplusForestLarge:
         # chain order, so the greedy pass completes, with no minimizer.
         calls = minimizer_calls(monkeypatch)
         names = [f"t{i:05d}" for i in range(10_002)]
-        g = incidence_graph(SetSystem([names[i:i + 3] for i in range(10_000)]), "unit")
+        s = SetSystem([names[i:i + 3] for i in range(10_000)])
         with time_bound(3.0):
-            edges = surplus_forest(g)
+            edges = surplus_forest(s)
         assert len(edges) == 20_000 and calls == []
-        _verify_degree_two_forest(g, edges)
+        _verify_degree_two_forest(s.members, edges)
 
     def test_dense_20_taxon_systems(self):
         # Measured: about 0.45 s for all 47; 44 of them take the
         # self-reduction.
         rng = random.Random(11)
-        graphs = []
-        while len(graphs) < 47:
+        systems = []
+        while len(systems) < 47:
             s = random_system(rng, 20, 18, (3, 4))
             if sigma_star(s).value >= 1:
-                graphs.append(incidence_graph(s, "unit"))
+                systems.append(s)
         with time_bound(3.0):
-            forests = [surplus_forest(g) for g in graphs]
-        for g, edges in zip(graphs, forests):
-            _verify_degree_two_forest(g, edges)
+            forests = [surplus_forest(s) for s in systems]
+        for s, edges in zip(systems, forests):
+            _verify_degree_two_forest(s.members, edges)
 
     def test_self_reduction_on_a_200_member_shuffled_chain(self, monkeypatch):
         # Measured: about 0.65 s, with 211 minimizer calls.  Shuffled
@@ -881,32 +913,32 @@ class TestSurplusForestLarge:
         calls = minimizer_calls(monkeypatch)
         names = chain_names(203)
         s = SetSystem([names[i:i + 3 + i % 2] for i in range(200)])
-        g = incidence_graph(s, "unit")
         with time_bound(5.0):
-            edges = surplus_forest(g)
+            edges = surplus_forest(s)
         assert len(calls) > 1
-        _verify_degree_two_forest(g, edges)
+        _verify_degree_two_forest(s.members, edges)
 
 
 class TestVerifyDegreeTwoForest:
     """The self-check `surplus_forest` runs on its own result."""
 
     # Members abc, abd, bce, def with taxa a..f as ids 0..5.
-    GRAPH = incidence_graph(tsys(*FIG1), "unit")
+    SYSTEM = tsys(*FIG1)
+    MEMBERS = SYSTEM.members
 
     def test_found_forest_passes(self):
-        _verify_degree_two_forest(self.GRAPH, surplus_forest(self.GRAPH))
+        _verify_degree_two_forest(self.MEMBERS, surplus_forest(self.SYSTEM))
 
     def test_cycle(self):
         # abc and abd both pick {a, b}: a-abc-b-abd-a.
         edges = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 4), (3, 3), (3, 5)]
         with pytest.raises(InternalVerificationError, match="found a cycle"):
-            _verify_degree_two_forest(self.GRAPH, edges)
+            _verify_degree_two_forest(self.MEMBERS, edges)
 
     def test_repeated_edge(self):
         edges = [(0, 0), (0, 0), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]
         with pytest.raises(InternalVerificationError, match="found a cycle"):
-            _verify_degree_two_forest(self.GRAPH, edges)
+            _verify_degree_two_forest(self.MEMBERS, edges)
 
     @pytest.mark.parametrize("edges", [
         [(0, 0), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)],
@@ -914,10 +946,10 @@ class TestVerifyDegreeTwoForest:
     ], ids=["degree-1", "degree-3"])
     def test_degree_other_than_two(self, edges):
         with pytest.raises(InternalVerificationError, match="degree differs from two"):
-            _verify_degree_two_forest(self.GRAPH, edges)
+            _verify_degree_two_forest(self.MEMBERS, edges)
 
     def test_edge_outside_the_graph(self):
         # Member abc does not hold d (id 3).
         edges = [(0, 0), (0, 3), (1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]
         with pytest.raises(InternalVerificationError, match="outside the graph"):
-            _verify_degree_two_forest(self.GRAPH, edges)
+            _verify_degree_two_forest(self.MEMBERS, edges)

@@ -8,7 +8,6 @@ hashes exactly when none of its fields is a dict.
 import pytest
 
 from setflex import (
-    BipartiteIncidenceGraph,
     BuildResult,
     CheckReport,
     ExcessReport,
@@ -18,7 +17,6 @@ from setflex import (
     RootedPhyloTree,
     UnrootedPhyloTree,
     extend_to_total_order,
-    incidence_graph,
     is_flexible_bruteforce,
     is_forest,
     is_slim,
@@ -40,16 +38,17 @@ RECORDS = [
     (FlexReport, dict(verdict=False, method="bruteforce", certificate=(TREE,),
                       stats={"assignments_checked": 3, "core_members": 2}),
      {"assignments_checked": 3}, False),
-    (BipartiteIncidenceGraph,
-     dict(member_count=2, taxa=(0, 1, 2), taxon_labels=("a", "b", "c"),
-          adjacency=((0, 1), (0, 1, 2)), weights=(1, 1)),
+    # A flow with nothing to cut: the sink is out of reach.
+    (FlowResult,
+     dict(value=0, source_side=frozenset({0}), cut_arcs=(), residual=(0, 0),
+          augmenting_paths=0),
      {}, True),
     (FlowResult,
-     dict(value=2, source_side=frozenset({0, 2}), cut_arcs=(("s", "m0", 1),),
+     dict(value=2, source_side=frozenset({0, 2}), cut_arcs=((0, 3, 1), (2, 1, 1)),
           residual=(0, 1, 1, 0), augmenting_paths=2),
      {}, True),
     (MinimizerReport,
-     dict(value=1, witness=(0, 1), cut=(("s", "m0", 1),), offset=4,
+     dict(value=1, witness=(0, 1), cut=((0, 4, 1),), offset=4,
           augmenting_paths=3, forced_members=2, forced_solves=1),
      {}, True),
     (CheckReport, dict(verdict=True, method="maxflow", certificate={0: 2, 1: 3},
@@ -152,8 +151,8 @@ PRODUCERS = [
     ("bruteforce", lambda: is_flexible_bruteforce(tsys(*FIG1)), lambda c: c is None,
      lambda: is_flexible_bruteforce(tsys(*FIG1P)),
      lambda c: len(c) == 5 and all(isinstance(t, RootedPhyloTree) for t in c)),
-    ("forest", lambda: is_forest(incidence_graph(PATH)), lambda c: c is None,
-     lambda: is_forest(incidence_graph(TRIANGLE)), is_cycle),
+    ("forest", lambda: is_forest(PATH), lambda c: c is None,
+     lambda: is_forest(TRIANGLE), is_cycle),
     ("forest", lambda: is_total_order_flexible(PATH), lambda c: c is None,
      lambda: is_total_order_flexible(TRIANGLE), is_cycle),
     ("bruteforce", lambda: is_total_order_flexible(PATH, "bruteforce"), lambda c: c is None,

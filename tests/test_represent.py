@@ -24,7 +24,6 @@ from setflex import (
     is_forest,
     is_thin,
     is_total_order_flexible,
-    incidence_graph,
     lca_caterpillar_representation,
     rooted_caterpillar,
     sigma_star,
@@ -305,7 +304,7 @@ class TestOrderFlexible:
             }
             s = SetSystem([list(m) for m in members])
             flexible = is_total_order_flexible(s, "bruteforce").verdict
-            forest_ok = is_forest(incidence_graph(s, "unit")).verdict
+            forest_ok = is_forest(s).verdict
             assert flexible == forest_ok == (sigma_star(s).value >= 1)
             assert flexible == is_thin(s, 2).verdict
             if flexible:
@@ -807,7 +806,7 @@ class TestLcaPrecondition:
                    .filter(lambda p: p[0] < p[1]), min_size=1, max_size=9))
     def test_property_peel_fails_exactly_on_cycles(self, pairs):
         s = SetSystem([[ALPHA[i], ALPHA[j]] for i, j in sorted(pairs)])
-        forest = is_forest(incidence_graph(s, "unit")).verdict
+        forest = is_forest(s).verdict
         assert (pair_peel(frozenset(s.member_label_sets())) is not None) == forest
         if forest:
             assert injective(lca_caterpillar_representation(s))
