@@ -65,16 +65,11 @@ from .errors import (
 
 # Layer module -> the names the package re-exports from it.
 _EXPORTS = {
-    "exhaustive": (
-        "ExcessReport", "check_submodular_pair", "is_slim_exhaustive",
-        "is_thin_exhaustive", "patchwork_check",
-    ),
+    "exhaustive": ("ExcessReport", "is_slim_exhaustive", "is_thin_exhaustive"),
     "counting": (
         "count_displaying", "defining_triples", "disjoint_count_formula",
     ),
-    "excess": (
-        "excess_general", "excess_uniform", "gamma", "occurrence_count", "sigma",
-    ),
+    "excess": ("excess_general", "excess_uniform", "gamma", "sigma"),
     "flex": ("FlexReport", "enumerate_binary_trees", "is_flexible_bruteforce"),
     "graphopt": (
         "FlowNetwork", "MinimizerReport", "gamma_star", "is_slim", "is_thin",

@@ -57,16 +57,25 @@ def _flex_certificate(assignment) -> list[str]:
     return lines
 
 
+# Check kind -> the methods it runs, the default first.
+METHODS = {"thin": ("mincut", "exhaustive"), "slim": ("mincut", "exhaustive"),
+           "flexible": ("mincut", "bruteforce"), "order-flexible": ("forest", "bruteforce")}
+
+
 def run(ns) -> tuple[int, dict, list[str]]:
     kind = ns.kind
-    method = ns.method or ("forest" if kind == "order-flexible" else "mincut")
-    # An option the check would not read is an error, not a silent no-op.
+    method = ns.method or METHODS[kind][0]
+    # An option the check would not read is an error, not a silent no-op;
+    # it and a method the kind does not run are rejected before any input
+    # is read.
     reads = {"--r": kind == "thin",
              "--budget": kind == "flexible" and method == "bruteforce",
              "--cap": method in ("exhaustive", "bruteforce")}
     for option, read in reads.items():
         if getattr(ns, option[2:]) is not None and not read:
             raise InputError(f"check {kind} --method {method} does not read {option}")
+    if method not in METHODS[kind]:
+        raise InputError(f"unsupported method {method!r} for {kind}")
     system = setsys.require_members(setsys.parse_sets(_read_input(ns.input)))
     payload: dict = {"command": "check", "kind": kind}
     cap_kwargs = _given(cap=ns.cap)
@@ -75,8 +84,6 @@ def run(ns) -> tuple[int, dict, list[str]]:
         if r is None:
             raise InputError("members have mixed sizes; check 'slim' instead")
     if kind == "order-flexible":
-        if method not in ("forest", "bruteforce"):
-            raise InputError(f"unsupported method {method!r} for {kind}")
         report = pairs.is_total_order_flexible(system, mode=method, **cap_kwargs)
         certificate_json = _render_order_certificate(system, report)
     elif kind == "flexible" and method == "bruteforce":
@@ -94,12 +101,10 @@ def run(ns) -> tuple[int, dict, list[str]]:
     else:
         if method == "mincut":
             report = graphopt.is_thin(system, r) if kind == "thin" else graphopt.is_slim(system)
-        elif method == "exhaustive" and kind == "thin":
+        elif kind == "thin":
             report = exhaustive.is_thin_exhaustive(system, r, **cap_kwargs)
-        elif method == "exhaustive" and kind == "slim":
-            report = exhaustive.is_slim_exhaustive(system, **cap_kwargs)
         else:
-            raise InputError(f"unsupported method {method!r} for {kind}")
+            report = exhaustive.is_slim_exhaustive(system, **cap_kwargs)
         certificate_json = _render_certificate(system, report)
 
     payload["verdict"] = report.verdict

@@ -68,15 +68,15 @@ class CheckReport(NamedTuple):
     None: the representatives (`maxflow`, member index -> taxon id), the
     total order (`topological`) or the medians (`median`, member index
     -> vertex).  On "no" it is the refutation: a `MinimizerReport`
-    (`mincut`), an `ExcessReport` (`exhaustive`; for `patchwork_check`
-    a pair of selections), the first failing assignment, or orientation
-    and its cycle (`bruteforce`), an incidence-graph cycle of ("member",
-    i) and ("taxon", id) nodes (`forest`), the violator's member indices
-    (`maxflow`), a directed cycle (`topological`) or the first colliding
-    member pair (`median`).
-    `stats` holds integers only: work counters and measured values.  A
-    report is immutable, and neither `stats` nor `certificate` has a
-    default (a NamedTuple default would be one dict shared by all).
+    (`mincut`), an `ExcessReport` (`exhaustive`), the first failing
+    assignment, or orientation and its cycle (`bruteforce`), an
+    incidence-graph cycle of ("member", i) and ("taxon", id) nodes
+    (`forest`), the violator's member indices (`maxflow`), a directed
+    cycle (`topological`) or the first colliding member pair (`median`).
+    `stats` holds work counters and measured values: integers, or None
+    (null in JSON) for a minimum over no scanned selection.  A report is
+    immutable, and neither `stats` nor `certificate` has a default (a
+    NamedTuple default would be one dict shared by all).
     """
 
     verdict: bool

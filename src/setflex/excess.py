@@ -1,11 +1,13 @@
 """Excess arithmetic: the surplus-style measures on member selections.
 
-Uniform and general excess, sigma and gamma, the weights |s|-2 and
-occurrence counts, evaluated on a `SetSystem` with exact integer
-arithmetic.  Thin and slim are one Hall-type inequality on these
-measures; `graphopt` decides them in polynomial time and re-checks each
-minimizer's witness with `sigma` or `gamma`, and `exhaustive` decides
-them by scanning every selection and re-checks its witness with
+Uniform and general excess, sigma, gamma and the weights |s|-2,
+evaluated on a `SetSystem` with exact integer arithmetic.  Thin and slim
+are one Hall-type inequality on these measures: |L(sel)| minus the
+selection's weight is evaluated only in `sigma` (unit weights) and
+`gamma` (weights |s|-2), and the two excesses shift them.  `graphopt`
+decides thin and slim in polynomial time and re-checks each minimizer's
+witness with `sigma` or `gamma`, and `exhaustive` decides them by
+scanning every selection and re-checks its witness with
 `excess_uniform` or `excess_general`.  Both import these measures from
 here, not from `setsys`: every set-system request runs the parsing and
 the `SetSystem` there, the flexibility scan and the representations
@@ -44,7 +46,7 @@ def _union_bits(system: SetSystem, sel: tuple[int, ...]) -> int:
 
 
 def excess_uniform(system: SetSystem, selection: Iterable[int], r: int) -> int:
-    """|L(sel)| - |sel| - (r-1) for a selection of uniformly size-r members."""
+    """sigma(sel) - (r-1) for a selection of uniformly size-r members."""
     sel = normalize_selection(system, selection, allow_empty=False)
     if r < 2:
         raise InputError(f"uniform size r must be >= 2, got {r}")
@@ -53,23 +55,26 @@ def excess_uniform(system: SetSystem, selection: Iterable[int], r: int) -> int:
             raise MemberSizeError(
                 f"member {','.join(system.member_labels(i))} does not have size {r}"
             )
-    return _union_bits(system, sel).bit_count() - len(sel) - (r - 1)
+    return sigma(system, sel) - (r - 1)
 
 
 def excess_general(system: SetSystem, selection: Iterable[int]) -> int:
-    """|L(sel)| - 2 - sum(|s|-2) over the selection; members must have size >= 3."""
+    """gamma(sel) - 2 for a selection of members of size >= 3."""
     sel = normalize_selection(system, selection, allow_empty=False)
-    return _union_bits(system, sel).bit_count() - 2 - sum(size_minus_two(system, sel))
+    size_minus_two(system, sel)  # raises on a member of size < 3
+    return gamma(system, sel) - 2
 
 
-def size_minus_two(system: SetSystem, indices: Iterable[int] | None = None) -> list[int]:
-    """The weights |s|-2 of the given members (default all); each needs |s| >= 3."""
+def size_minus_two(
+    system: SetSystem, indices: Iterable[int] | None = None, least: int = 3
+) -> list[int]:
+    """The weights |s|-2 of the given members (default all); each needs |s| >= least."""
     weights = []
     for i in range(system.member_count) if indices is None else indices:
         size = len(system.members[i])
-        if size < 3:
+        if size < least:
             raise MemberSizeError(
-                f"member {','.join(system.member_labels(i))} has size {size} < 3"
+                f"member {','.join(system.member_labels(i))} has size {size} < {least}"
             )
         weights.append(size - 2)
     return weights
@@ -78,30 +83,10 @@ def size_minus_two(system: SetSystem, indices: Iterable[int] | None = None) -> l
 def sigma(system: SetSystem, selection: Iterable[int]) -> int:
     """|L(sel)| - |sel|; the empty selection gives 0."""
     sel = normalize_selection(system, selection, allow_empty=True)
-    if not sel:
-        return 0
     return _union_bits(system, sel).bit_count() - len(sel)
 
 
 def gamma(system: SetSystem, selection: Iterable[int]) -> int:
     """|L(sel)| - sum(|s|-2); members must have size >= 2; empty gives 0."""
     sel = normalize_selection(system, selection, allow_empty=True)
-    if not sel:
-        return 0
-    total = 0
-    for i in sel:
-        size = len(system.members[i])
-        if size < 2:
-            raise MemberSizeError(
-                f"member {','.join(system.member_labels(i))} has size {size} < 2"
-            )
-        total += size - 2
-    return _union_bits(system, sel).bit_count() - total
-
-
-def occurrence_count(system: SetSystem, x: int | str) -> int:
-    """Number of members containing taxon x (given as id or label)."""
-    tid = system.id_of(x) if isinstance(x, str) else x
-    if not 0 <= tid < len(system.universe):
-        raise InputError(f"taxon id {tid} out of range")
-    return sum(1 for m in system.members if tid in m)
+    return _union_bits(system, sel).bit_count() - sum(size_minus_two(system, sel, 2))

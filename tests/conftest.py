@@ -10,7 +10,14 @@ import json
 import random
 from itertools import combinations
 
-from setflex import InputError, RootedPhyloTree, SetSystem, build_supertree, rooted
+from setflex import (
+    InputError,
+    RootedPhyloTree,
+    SetSystem,
+    build_supertree,
+    excess_general,
+    rooted,
+)
 from setflex.excess import normalize_selection
 from setflex.setsys import check_label
 
@@ -80,6 +87,24 @@ def brute_slim(system: SetSystem) -> bool:
             if len(union) - 2 - weight < 0:
                 return False
     return True
+
+
+def zero_excess_family(system: SetSystem) -> set[frozenset[int]]:
+    """The non-empty selections of general excess 0, by `excess_general`."""
+    k = system.member_count
+    return {
+        frozenset(combo)
+        for n in range(1, k + 1)
+        for combo in combinations(range(k), n)
+        if excess_general(system, combo) == 0
+    }
+
+
+def is_patchwork(family: set[frozenset[int]]) -> bool:
+    """Whether each intersecting pair of the family has its union and
+    intersection in the family (the paper's patchwork property)."""
+    return all(a | b in family and a & b in family
+               for a in family for b in family if a & b)
 
 
 def component_count(adj: dict) -> int:

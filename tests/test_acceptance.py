@@ -7,6 +7,7 @@ wall-clock limits are asserted as stated.
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations, product
 
@@ -14,23 +15,23 @@ from setflex import (
     SetSystem,
     build_supertree,
     caterpillar_median_representation,
-    check_submodular_pair,
     count_displaying,
     defining_triples,
     disjoint_count_formula,
     excess_uniform,
+    gamma,
     gamma_star,
     is_flexible_bruteforce,
     is_forest,
     is_slim,
+    is_slim_exhaustive,
     is_thin,
     is_thin_exhaustive,
     is_total_order_flexible,
     lca_caterpillar_representation,
-    occurrence_count,
     parse_triple,
-    patchwork_check,
     sdr,
+    sigma,
     sigma_star,
 )
 from setflex.flex import enumerate_binary_trees
@@ -41,12 +42,14 @@ from conftest import (
     FIG3,
     brute_minimum,
     count_displaying_hosts,
+    is_patchwork,
     is_unique_display,
     oracle_gamma,
     oracle_sigma,
     random_slim_system,
     random_thin_triples,
     tsys,
+    zero_excess_family,
 )
 
 
@@ -179,9 +182,9 @@ def test_criterion_5_submodularity():
             s = SetSystem([list(m) for m in members])
             sel1 = [i for i in range(s.member_count) if rng.random() < 0.5]
             sel2 = [i for i in range(s.member_count) if rng.random() < 0.5]
-            for measure in ("sigma", "gamma"):
-                ok, _ = check_submodular_pair(measure, s, sel1, sel2)
-                assert ok
+            union, inter = sorted(set(sel1) | set(sel2)), sorted(set(sel1) & set(sel2))
+            for f in (sigma, gamma):
+                assert f(s, sel1) + f(s, sel2) >= f(s, union) + f(s, inter)
 
 
 def test_criterion_6_disjoint_count():
@@ -292,7 +295,7 @@ def test_criterion_10_thin_structure():
             leaves = s.leaf_labels()
             n = len(leaves)
             assert s.member_count <= n - 3 + 1
-            assert min(occurrence_count(s, x) for x in leaves) <= 2
+            assert min(Counter(x for m in s.member_label_sets() for x in m).values()) <= 2
             for _ in range(20):
                 B = rng.sample(leaves, 2)
                 assert sdr(s, B).verdict
@@ -304,5 +307,5 @@ def test_criterion_11_patchwork():
         for _ in range(100):
             s = random_slim_system(rng, rng.randint(6, 10), rng.randint(2, 10))
             assert s.member_count <= 10
-            report = patchwork_check(s)
-            assert report.verdict
+            assert is_slim_exhaustive(s).verdict
+            assert is_patchwork(zero_excess_family(s))

@@ -24,7 +24,7 @@ from setflex import (
     phylo,
 )
 import setflex.__main__
-from setflex.cli import main
+from setflex.cli import COMMANDS, main
 from conftest import FIG1, restrict, shuffled_labels, yule_shape
 
 
@@ -220,11 +220,15 @@ class TestErrorSurface:
         ("slim", "forest"),
         ("flexible", "exhaustive"),
     ])
-    def test_unsupported_method_exit_2(self, capsys, kind, method):
+    def test_unsupported_method_exit_2(self, capsys, monkeypatch, tmp_path, kind, method):
+        # The pair is rejected before the input is read: an empty stdin
+        # ("no members") and a missing path ("cannot read") answer the same.
         path = Path(__file__).parent / "golden" / "pair_square.sets"
-        code, payload = run_json(capsys, "check", kind, str(path), "--method", method)
-        assert code == 2
-        assert payload == {"error": f"unsupported method {method!r} for {kind}"}
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+        for source in ([str(path)], [str(tmp_path / "missing.sets")], []):
+            code, payload = run_json(capsys, "check", kind, *source, "--method", method)
+            assert code == 2
+            assert payload == {"error": f"unsupported method {method!r} for {kind}"}
 
     @pytest.mark.parametrize("method", ["mincut", "exhaustive"])
     def test_thin_on_mixed_sizes_points_to_slim(self, capsys, method):
@@ -742,6 +746,25 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["setflex", "check", "thin", fig1, "--json"])
         assert main() == 0
         assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+    def test_readme_synopsis_lists_the_parsed_kinds_and_options(self):
+        # The README's "Command line" block holds one synopsis per
+        # subcommand; an indented line continues the one above it.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        listed = {}
+        for line in re.sub(r"\n\s+", " ", block).splitlines():
+            _, name, first, *_ = line.split()
+            kinds = re.fullmatch(r"\{(.*)\}", first)
+            options = dict(re.findall(r"(--[\w-]+)(?: ([^\]\s]*))?", line))
+            listed[name] = (kinds and tuple(kinds[1].split("|")), options)
+        assert list(listed) == list(COMMANDS)
+        for name, (_, kinds, options, _) in COMMANDS.items():
+            assert listed[name][0] == kinds, name
+            assert set(listed[name][1]) == set(options), name
+            for option, kind in options.items():
+                if isinstance(kind, tuple):
+                    assert tuple(listed[name][1][option].split("|")) == kind, option
 
 
 class TestSupertreeLarge:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 from typing import Iterable
@@ -136,8 +137,6 @@ class TestMedianCaterpillar:
         # Thin systems whose least-covered taxon sits in two members
         # exercise the pair-replacement reductions, in both the shared-pair
         # and the shared-taxon-only variants.
-        from setflex import occurrence_count
-
         rng = random.Random(331)
         shared_pair = shared_taxon = 0
         for _ in range(4000):
@@ -155,7 +154,7 @@ class TestMedianCaterpillar:
             if sigma_star(s).value < 2 or len(s.universe) < 5:
                 continue
             leaves = s.leaf_labels()
-            counts = {x: occurrence_count(s, x) for x in leaves}
+            counts = Counter(x for m in s.member_label_sets() for x in m)
             if min(counts.values()) != 2:
                 continue
             x = min(leaves, key=lambda lab: (counts[lab], lab))

@@ -12,9 +12,7 @@ from setflex import (
     MemberSizeError,
     ParseError,
     CapExceededError,
-    PreconditionError,
     SetSystem,
-    check_submodular_pair,
     excess_general,
     excess_uniform,
     gamma,
@@ -24,11 +22,9 @@ from setflex import (
     is_thin,
     is_thin_exhaustive,
     is_total_order_flexible,
-    occurrence_count,
     parse_sets,
     parse_sets_json,
     parse_sets_text,
-    patchwork_check,
     sigma,
 )
 from setflex import exhaustive
@@ -42,12 +38,14 @@ from conftest import (
     brute_thin,
     format_sets_json,
     format_sets_text,
+    is_patchwork,
     leaf_union,
     oracle_gamma,
     oracle_sigma,
     random_slim_system,
     random_system,
     tsys,
+    zero_excess_family,
 )
 
 
@@ -85,7 +83,7 @@ class TestSetSystem:
         s = tsys("abc", extra=("z",))
         assert "z" in s.universe
         assert s.leaf_labels() == ("a", "b", "c")
-        assert occurrence_count(s, "z") == 0
+        assert not any(s.id_of("z") in m for m in s.members)
 
     def test_uniform_size(self):
         assert tsys(*FIG1).uniform_size() == 3
@@ -183,17 +181,6 @@ class TestSigmaGamma:
                 i for i in range(s.member_count) if rng.random() < 0.6
             ) or (0,)
             assert excess_uniform(s, combo, r) == sigma(s, combo) - (r - 1)
-
-
-class TestOccurrenceCount:
-    def test_fig1_counts(self):
-        s = tsys(*FIG1)
-        assert occurrence_count(s, "b") == 3
-        assert occurrence_count(s, "f") == 1
-
-    def test_unknown_taxon(self):
-        with pytest.raises(InputError):
-            occurrence_count(tsys(*FIG1), "z")
 
 
 class TestThinExhaustive:
@@ -297,10 +284,6 @@ class TestNegativeCaps:
         with pytest.raises(InputError, match="cap must be non-negative"):
             is_slim_exhaustive(tsys(*FIG1), cap=-1)
 
-    def test_patchwork_check(self):
-        with pytest.raises(InputError, match="cap must be non-negative"):
-            patchwork_check(tsys("abcd", "cdef"), cap=-1)
-
     def test_zero_cap_is_exceeded(self):
         with pytest.raises(CapExceededError):
             is_slim_exhaustive(tsys(*FIG1), cap=0)
@@ -315,7 +298,6 @@ class TestEmptySystem:
         lambda s: is_thin_exhaustive(s, 3),
         lambda s: is_thin_exhaustive(s, 2, cap=0),
         is_slim_exhaustive,
-        patchwork_check,
         lambda s: is_thin(s, 3),
         lambda s: is_thin(s, 2),
         is_slim,
@@ -382,8 +364,7 @@ class TestExhaustiveScanOracles:
     @pytest.mark.parametrize("measure, check", [
         ("excess_uniform", lambda s: is_thin_exhaustive(s, 3)),
         ("excess_general", is_slim_exhaustive),
-        ("excess_general", patchwork_check),
-    ], ids=["thin", "slim", "patchwork"])
+    ], ids=["thin", "slim"])
     def test_witness_that_misses_the_measure_is_an_internal_error(
         self, monkeypatch, measure, check
     ):
@@ -438,22 +419,26 @@ class TestExhaustiveScanOracles:
                 for combo in combinations(range(len(sets)), n)
                 if oracle_gamma(sets, combo) == 2
             }
-            closed = all(a | b in family and a & b in family
-                         for a in family for b in family if a & b)
-            report = patchwork_check(s)
-            assert report.stats["family_size"] == len(family)
-            assert report.verdict == closed
+            assert is_slim_exhaustive(s).verdict
+            assert zero_excess_family(s) == family
+            assert is_patchwork(family)
 
 
 class TestSubmodularity:
+    """f(A) + f(B) >= f(A|B) + f(A&B) for the library's sigma and gamma."""
+
+    @staticmethod
+    def values(measure, system, a, b):
+        union, inter = sorted(set(a) | set(b)), sorted(set(a) & set(b))
+        return tuple(measure(system, sel) for sel in (a, b, union, inter))
+
     def test_fig1_pair_example(self):
-        ok, values = check_submodular_pair("sigma", tsys(*FIG1), [0, 1], [1, 2])
-        assert ok
+        values = self.values(sigma, tsys(*FIG1), [0, 1], [1, 2])
         assert values == (2, 3, 2, 2)
+        assert values[0] + values[1] >= values[2] + values[3]
 
     def test_equal_selections_hold_with_equality(self):
-        ok, values = check_submodular_pair("gamma", tsys(*FIG1), [0, 2], [0, 2])
-        assert ok
+        values = self.values(gamma, tsys(*FIG1), [0, 2], [0, 2])
         assert values[0] + values[1] == values[2] + values[3]
 
     def test_random_draws(self):
@@ -463,9 +448,9 @@ class TestSubmodularity:
             k = s.member_count
             sel1 = [i for i in range(k) if rng.random() < 0.5]
             sel2 = [i for i in range(k) if rng.random() < 0.5]
-            for measure in ("sigma", "gamma"):
-                ok, _ = check_submodular_pair(measure, s, sel1, sel2)
-                assert ok
+            for measure in (sigma, gamma):
+                values = self.values(measure, s, sel1, sel2)
+                assert values[0] + values[1] >= values[2] + values[3]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
@@ -480,33 +465,33 @@ class TestSubmodularity:
         selection = st.lists(st.integers(0, system.member_count - 1), unique=True)
         a, b = data.draw(selection, label="A"), data.draw(selection, label="B")
         union, inter = sorted(set(a) | set(b)), sorted(set(a) & set(b))
-        for measure, oracle in (("sigma", oracle_sigma), ("gamma", oracle_gamma)):
-            ok, values = check_submodular_pair(measure, system, a, b)
+        for measure, oracle in ((sigma, oracle_sigma), (gamma, oracle_gamma)):
+            values = self.values(measure, system, a, b)
             assert values == tuple(oracle(member_sets, sel) for sel in (a, b, union, inter))
-            assert ok and values[0] + values[1] >= values[2] + values[3]
-
-    def test_unknown_measure(self):
-        with pytest.raises(InputError):
-            check_submodular_pair("delta", tsys(*FIG1), [0], [1])
+            assert values[0] + values[1] >= values[2] + values[3]
 
 
 class TestPatchwork:
+    """The zero general-excess selections of a slim system form a patchwork."""
+
     def test_two_quads(self):
-        report = patchwork_check(tsys("abcd", "cdef"))
-        assert report.verdict
-        assert report.stats["family_size"] == 3
+        s = tsys("abcd", "cdef")
+        assert is_slim_exhaustive(s).verdict
+        family = zero_excess_family(s)
+        assert is_patchwork(family)
+        assert len(family) == 3
 
     def test_single_member(self):
-        report = patchwork_check(tsys("abcde"))
-        assert report.verdict
-        assert report.stats["family_size"] == 1
+        s = tsys("abcde")
+        assert is_slim_exhaustive(s).verdict
+        family = zero_excess_family(s)
+        assert is_patchwork(family)
+        assert len(family) == 1
 
     def test_fig1(self):
-        assert patchwork_check(tsys(*FIG1)).verdict
-
-    def test_not_slim_rejected(self):
-        with pytest.raises(PreconditionError):
-            patchwork_check(tsys("abcd", "abce"))
+        s = tsys(*FIG1)
+        assert is_slim_exhaustive(s).verdict
+        assert is_patchwork(zero_excess_family(s))
 
 
 class TestFormats:

@@ -114,13 +114,8 @@ EXPORTS = {
         "PreconditionError", "SetflexError",
     ),
     "counting": ("count_displaying", "defining_triples", "disjoint_count_formula"),
-    "excess": (
-        "excess_general", "excess_uniform", "gamma", "occurrence_count", "sigma",
-    ),
-    "exhaustive": (
-        "ExcessReport", "check_submodular_pair", "is_slim_exhaustive",
-        "is_thin_exhaustive", "patchwork_check",
-    ),
+    "excess": ("excess_general", "excess_uniform", "gamma", "sigma"),
+    "exhaustive": ("ExcessReport", "is_slim_exhaustive", "is_thin_exhaustive"),
     "flex": ("FlexReport", "enumerate_binary_trees", "is_flexible_bruteforce"),
     "graphopt": (
         "FlowNetwork", "MinimizerReport", "gamma_star", "is_slim", "is_thin",
@@ -205,21 +200,26 @@ HANDLER_DEFS = {
 # tree counting and excess arithmetic left the scan's modules (the scan
 # 1,639 lines and 802 statements; a triple-only `supertree` 1,176 and
 # 564), `gen-defining` when the defining triples became the spanning
-# triples (1,569 and 766), and the rest when the min-cut, median and
-# pair code went to modules of their own (`check thin|slim` 1,426 and
-# 748, `check order-flexible` 1,064 and 552, `sdr` 1,498 and 754,
-# `order` 787 and 384, the median representation 1,569 and 795, the
-# lca one 1,344 and 680), `count` and `gen-defining` when they stopped
-# loading the scan (`count` on triples 1,461 and 715, `count --formula-n`
-# 686 and 297, `gen-defining` 1,438 and 694), plus 5%: every request
-# compiles what it loads again.  Docstrings cost almost no compile time,
-# so the statement count is the one that tracks it.
+# triples (1,569 and 766), the pair and median requests when the min-cut,
+# median and pair code went to modules of their own (`check
+# order-flexible` 1,064 and 552, `order` 787 and 384, the median
+# representation 1,569 and 795, the lca one 1,344 and 680), `count` and
+# `gen-defining` when they stopped loading the scan (`count` on triples
+# 1,461 and 715, `count --formula-n` 686 and 297, `gen-defining` 1,438
+# and 694), and the requests that load `excess` when the property-test
+# hooks left `exhaustive` and `excess` and one formula per measure was
+# left (`check thin|slim` 1,399 and 726, `check thin|slim --method
+# exhaustive` 1,043 and 505, `sdr` 1,461 and 733), plus 5%: every
+# request compiles what it loads again.  Docstrings cost almost no
+# compile time, so the statement count is the one that tracks it.
 MAX_COMPILED = [
     (("check", "flexible", "fig1.sets", "--method", "bruteforce"), 1720, 842),
-    (("check", "thin", "fig1.sets"), 1497, 785),
-    (("check", "slim", "fig1.sets"), 1497, 785),
+    (("check", "thin", "fig1.sets"), 1468, 762),
+    (("check", "slim", "fig1.sets"), 1468, 762),
+    (("check", "thin", "fig1.sets", "--method", "exhaustive"), 1095, 530),
+    (("check", "slim", "fig1.sets", "--method", "exhaustive"), 1095, 530),
     (("check", "order-flexible", "pairs.sets"), 1117, 579),
-    (("sdr", "fig1.sets", "--B", "a,b"), 1572, 791),
+    (("sdr", "fig1.sets", "--B", "a,b"), 1534, 769),
     (("order", "orient.txt"), 826, 403),
     (("supertree", "chain.triples"), 1234, 592),
     (("count", "chain.triples"), 1534, 750),
