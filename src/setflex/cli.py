@@ -13,25 +13,22 @@ verdict false (with certificate), 2 usage or input error, 3 budget or
 cap exceeded, 4 an internal self-check failed (a bug; reported, never a
 traceback).  JSON output (--json) is byte-deterministic for a fixed
 input and flag set: keys are sorted, label ordering is lexicographic,
-and timings are printed only in human mode.
+and timings are printed only in human mode.  setflex writes its own
+JSON (`dumps`, the bytes of `json.dumps(value, sort_keys=True)`) and
+imports `json` only to read JSON input, since importing it costs a
+request more than writing its one answer.  Help, usage and error text
+are in `usage`, which only a request that prints them loads.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import graphopt, setsys
-from .errors import (
-    CapExceededError,
-    InputError,
-    InternalVerificationError,
-    PreconditionError,
-    check_limit,
-)
+from . import setsys
+from .errors import InputError, SetflexError, check_limit
 
 
 def _read_input(path: str | None) -> str:
@@ -60,11 +57,52 @@ def _given(**kwargs) -> dict:
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
+class _Escapes(dict):
+    """`str.translate` table to the characters of a JSON string body as
+    `json.dumps` writes it by default: printable ASCII kept, `"` and `\\`
+    escaped, the five short escapes, and every other code point as
+    `\\uXXXX`, above the BMP as a surrogate pair."""
+
+    def __missing__(self, code: int) -> str:
+        if 0x20 <= code < 0x7F:
+            text = chr(code)
+        elif code < 0x10000:
+            text = f"\\u{code:04x}"
+        else:
+            high, low = divmod(code - 0x10000, 0x400)
+            text = f"\\u{0xD800 + high:04x}\\u{0xDC00 + low:04x}"
+        self[code] = text
+        return text
+
+
+_ESCAPES = _Escapes({ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')})
+
+
+def dumps(value) -> str:
+    """`json.dumps(value, sort_keys=True)`, byte for byte, for str, int,
+    bool, None, list, tuple and dicts with str keys; any other type is a
+    `TypeError`, never written in some other form."""
+    if isinstance(value, str):
+        return '"' + value.translate(_ESCAPES) + '"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(dumps, value)) + "]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        return "{" + ", ".join(
+            f"{dumps(key)}: {dumps(item)}" for key, item in sorted(value.items())) + "}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _emit(ns, payload: dict, human_lines: list[str], elapsed: float) -> None:
     if ns.json:
         if ns.no_stats:
             payload.pop("stats", None)
-        print(json.dumps(payload, sort_keys=True))
+        print(dumps(payload))
     else:
         for line in human_lines:
             print(line)
@@ -100,35 +138,11 @@ COMMANDS = {
     "order": ("cli_order", None, {}, ()),
     "gen-defining": ("cli_gen_defining", None, {}, ()),
 }
-DESCRIPTION = """
-Decide thin/slim/flexible taxon coverage and build certificates.  The
-input is a file path, or stdin when it is absent or '-'.
-"""
-
-
-def _usage(names) -> str:
-    """One synopsis line per subcommand in `names`."""
-    lines = []
-    for name in names:
-        _, kinds, options, required = COMMANDS[name]
-        words = [name, "{" + ",".join(kinds) + "}"] if kinds else [name]
-        words.append("[input]")
-        for option, kind in {**options, **COMMON}.items():
-            if kind is not None:
-                option += " N" if kind is int else " x,y" if kind is str else (
-                    " {" + ",".join(kind) + "}")
-            words.append(option if option.split()[0] in required else f"[{option}]")
-        lines.append("setflex " + " ".join(words))
-    return "usage: " + "\n       ".join(lines) + "\n"
-
-
 def _usage_exit(names, error: str | None = None):
-    """Help on stdout and exit 0, or usage and `error` on stderr and exit 2."""
-    if error is None:
-        print(_usage(names) + DESCRIPTION, end="")
-        raise SystemExit(0)
-    sys.stderr.write(f"{_usage(names)}setflex: error: {error}\n")
-    raise SystemExit(2)
+    """Help and exit 0, or usage and `error` and exit 2 (see `usage`)."""
+    from .usage import usage_exit
+
+    usage_exit(names, error)
 
 
 def _option_like(token: str) -> bool:
@@ -208,24 +222,6 @@ def _parse(argv: list[str]):
     return module, ns
 
 
-def _print_error(ns, exc: Exception) -> None:
-    payload = {"error": str(exc)}
-    if isinstance(exc, InternalVerificationError):
-        payload["kind"] = "internal-verification"
-    if isinstance(exc, PreconditionError) and isinstance(
-        exc.certificate, graphopt.MinimizerReport
-    ):
-        payload["sigma_star"] = exc.certificate.value
-        payload["witness_indices"] = list(exc.certificate.witness)
-    if ns.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-        if "witness_indices" in payload:
-            print(f"witness member indices: {payload['witness_indices']}",
-                  file=sys.stderr)
-
-
 def main(argv=None) -> int:
     module, ns = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
@@ -233,14 +229,9 @@ def main(argv=None) -> int:
         run = import_module(f".{module}", __package__).run
         t0 = time.perf_counter()
         code, payload, lines = run(ns)
-    except CapExceededError as exc:
-        _print_error(ns, exc)
-        return 3
-    except InputError as exc:
-        _print_error(ns, exc)
-        return 2
-    except InternalVerificationError as exc:
-        _print_error(ns, exc)
-        return 4
+    except SetflexError as exc:
+        from .usage import print_error
+
+        return print_error(ns, exc)
     _emit(ns, payload, lines, time.perf_counter() - t0)
     return code

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 from . import exhaustive, flex, graphopt, pairs, phylo, setsys
-from .cli import _given, _member_str, _read_input
+from .cli import _given, _member_str, _read_input, dumps
 from .errors import InputError, check_limit
 
 
@@ -125,5 +124,5 @@ def run(ns) -> tuple[int, dict, list[str]]:
         lines.append("counterexample:")
         lines.extend(certificate_json)
     elif certificate_json is not None:
-        lines.append(f"certificate: {json.dumps(certificate_json, sort_keys=True)}")
+        lines.append(f"certificate: {dumps(certificate_json)}")
     return (0 if report.verdict else 1), payload, lines

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
-
 from . import pairs, represent, setsys
-from .cli import _member_str, _read_input
+from .cli import _member_str, _read_input, dumps
 
 
 def run(ns) -> tuple[int, dict, list[str]]:
@@ -35,7 +33,7 @@ def run(ns) -> tuple[int, dict, list[str]]:
     lines = [
         newick,
         "verified: yes",
-        f"vertex_map: {json.dumps(vertex_map, sort_keys=True)}",
+        f"vertex_map: {dumps(vertex_map)}",
     ]
     if report.appended:
         lines.append(f"appended_taxa: {','.join(report.appended)}")

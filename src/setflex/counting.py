@@ -11,11 +11,15 @@ does not compile it.
 
 from __future__ import annotations
 
+import sys
+from math import lgamma, log
+
 from . import phylo
 from .errors import (
     DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_ENUM_CAP,
     BudgetExceededError,
+    CapExceededError,
     InputError,
     _capped_labels,
     double_factorial,
@@ -106,12 +110,30 @@ def count_displaying(
 
 
 def disjoint_count_formula(n: int) -> int:
-    """(2n-3)!!/3^(n/3): displaying trees for n/3 disjoint triples on n taxa."""
+    """(2n-3)!!/3^(n/3): displaying trees for n/3 disjoint triples on n taxa.
+
+    A count with more decimal digits than the interpreter converts to
+    text (`sys.get_int_max_str_digits()`, 0 for no limit) could not be
+    printed, so it is a `CapExceededError`.  The digits are estimated
+    from n first, with (2n-3)!! = (2n-2)! / (2^(n-1) (n-1)!), so a count
+    far past the limit is refused before its product is built; one near
+    the limit is computed and compared exactly.
+    """
     if n < 3 or n % 3 != 0:
         raise InputError(f"n must be a positive multiple of 3, got {n}")
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    too_long = CapExceededError(
+        f"the count for n={n} has more than {digits} digits, the limit for printing an integer"
+    )
+    log10 = (lgamma(2 * n - 1) - lgamma(n) - (n - 1) * log(2) - n // 3 * log(3)) / log(10)
+    # The float error in log10 is far below the margin of 1.
+    if digits and log10 > digits + 1:
+        raise too_long
     value, rem = divmod(double_factorial(2 * n - 3), 3 ** (n // 3))
     if rem:
         raise InputError(f"(2n-3)!! is not divisible by 3^(n/3) for n={n}")
+    if digits and value >= 10**digits:
+        raise too_long
     return value
 
 

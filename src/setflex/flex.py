@@ -77,7 +77,9 @@ def _enumerate_trees(labels: tuple[str, ...]) -> tuple[phylo.RootedPhyloTree, ..
     shapes = [labels[0]]
     for leaf in labels[1:]:
         shapes = [s for old in shapes for s in _insert_everywhere(old, leaf)]
-    return tuple(phylo.RootedPhyloTree(s) for s in shapes)
+    # Each leaf is larger than those before it, so it never changes a
+    # subtree's smallest label: every shape is already canonical.
+    return tuple(phylo.RootedPhyloTree._from_canonical(s, labels) for s in shapes)
 
 
 def enumerate_binary_trees(
@@ -140,7 +142,7 @@ def is_flexible_bruteforce(
     fit the budget.
 
     Each assignment is one BUILD call on the spanning triples of the
-    core's trees only (`_core`).  Rooted trees whose leaf sets share at
+    core's trees only (`_core`), over the core's taxa.  Rooted trees whose leaf sets share at
     most two taxa are always compatible, so a member meeting the rest in
     at most two taxa cannot make an assignment incompatible, and the
     verdict, the counterexample (the first failing assignment, every
@@ -176,7 +178,9 @@ def is_flexible_bruteforce(
     build = phylo.build_supertree
     core = _core([frozenset(labels) for labels in member_labels])
 
-    taxa = system.leaf_labels()
+    # Taxa outside the core are in no triple, so BUILD's verdict is the
+    # same without them; an empty core keeps every taxon.
+    taxa = tuple(sorted({lab for i in core for lab in member_labels[i]})) or system.leaf_labels()
     # Assignments in mixed-radix order: the last member cycles fastest.
     for checked, digits in enumerate(product(*map(range, counts)), start=1):
         pooled: list[phylo.RootedTriple] = []

@@ -314,14 +314,14 @@ def build_supertree(
             leaf_set.update(t)
         taxa = sorted(leaf_set)
     leaves, bit_of = _leaf_index(tuple(taxa))
+    if not tr and leaves:
+        return _star(leaves)
     try:
         pairs = [(ab := bit_of[a] | bit_of[b], ab | bit_of[c]) for a, b, c in tr]
     except KeyError:
         raise InputError("triples mention taxa outside the given leaf set") from None
     if not leaves:
         raise InputError("supertree needs at least one taxon")
-    if not pairs:
-        return _star(leaves)
     # The plain `RootedTriple(...)` constructor checks nothing; a repeated
     # taxon leaves fewer than three bits.
     for t, (_, whole) in zip(tr, pairs):

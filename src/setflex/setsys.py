@@ -15,7 +15,6 @@ downstream report deterministic.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from .errors import InputError, ParseError, check_label
@@ -159,7 +158,12 @@ def parse_sets_text(text: str) -> SetSystem:
 
 
 def parse_sets_json(text: str) -> SetSystem:
-    """JSON form: {"sets": [["a","b","c"], ...], "extra_taxa": [...]}."""
+    """JSON form: {"sets": [["a","b","c"], ...], "extra_taxa": [...]}.
+
+    `json` is imported here, so only JSON input pays for importing it.
+    """
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

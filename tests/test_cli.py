@@ -12,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setflex import (
     BuildResult,
@@ -24,7 +26,7 @@ from setflex import (
     phylo,
 )
 import setflex.__main__
-from setflex.cli import COMMANDS, main
+from setflex.cli import COMMANDS, dumps, main
 from conftest import FIG1, restrict, shuffled_labels, yule_shape
 
 
@@ -585,6 +587,32 @@ class TestCount:
         code, payload = run_json(capsys, "count", str(path))
         assert payload["count"] == 1
 
+    # n = 1491 gives 4,293 digits, and 1494 more than the 4,300 that str()
+    # converts by default; 300,000 would take about 36 s to multiply out.
+    @pytest.mark.parametrize("n", [1491, 1494, 300000])
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "human"])
+    def test_formula_past_the_digit_limit_is_a_cap(self, capsys, n, mode):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default
+        try:
+            start = time.perf_counter()
+            code = main(["count", "--formula-n", str(n), *mode, "--no-stats"])
+            captured = capsys.readouterr()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert time.perf_counter() - start < 1.0
+        if n == 1491:
+            assert code == 0 and captured.err == ""
+            count = json.loads(captured.out)["count"] if mode else int(captured.out)
+            assert len(str(count)) == 4293
+            return
+        assert code == 3
+        error = f"the count for n={n} has more than 4300 digits, the limit for printing an integer"
+        if mode:
+            assert (captured.out, captured.err) == (json.dumps({"error": error}) + "\n", "")
+        else:
+            assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
 
 class TestSdr:
     def test_fig1(self, capsys, fig1):
@@ -905,6 +933,37 @@ class TestDeterminism:
         assert code == 2
 
 
+# Every code point, lone surrogates included, and ints up to the 4,300
+# digits that str() converts by default.
+ANY_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, categories=None))
+BIG = 10**4300 - 1
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-BIG, BIG) | ANY_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(ANY_TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestDumps:
+    """`cli.dumps` writes every output as `json.dumps(value, sort_keys=True)` would."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    @example("".join(map(chr, range(0x80))) + "\x7f\x80\xff\u2028\ud800\udfff\U0001f600")
+    @example([BIG, -BIG, True, False, None, (), [], {}])
+    @example({"b": [1, {"z": None, "a": ("x",)}], "a": "\U0010ffff", "": 0})
+    def test_equals_json_dumps(self, value):
+        assert dumps(value) == json.dumps(value, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.0, {1}, {1: "a"}, [1, 2.5], {"a": {None: 1}}, b"a"],
+                             ids=["float", "set", "int key", "nested float", "None key",
+                                  "bytes"])
+    def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
 class TestStartup:
     def test_cli_import_loads_no_dataclasses_or_inspect(self):
         # Every request is a fresh interpreter, so each module the CLI
@@ -924,7 +983,7 @@ class TestStartup:
         # The star import runs every lazily loaded layer module.
         added = loaded("import setflex.cli\nfrom setflex import *") - loaded("pass")
         assert "setflex.cli" in added
-        assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
+        assert not added & {"dataclasses", "inspect", "argparse", "gettext", "json"}
 
 
 class TestExitPath:

@@ -71,6 +71,13 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_binary_trees("abcdefghi", cap=8)
 
+    def test_shapes_are_canonical(self):
+        # The enumeration wraps its shapes without canonicalizing them.
+        for m in range(1, 8):
+            for tree in enumerate_binary_trees("abcdefg"[:m]):
+                assert RootedPhyloTree(tree.shape).shape == tree.shape
+                assert tree.leaves == tuple("abcdefg"[:m])
+
     def test_deterministic_order(self):
         first = [t.newick() for t in enumerate_binary_trees("abcde")]
         second = [t.newick() for t in enumerate_binary_trees("abcde")]
@@ -246,6 +253,26 @@ class TestScanCore:
         count = data.draw(st.integers(1, 4), label="members")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         self.check(random_system(random.Random(seed), n, count, (3, 4)))
+
+    def test_core_taxa_give_the_report_of_every_taxon(self, monkeypatch):
+        # BUILD gets the core's taxa only; handing it every taxon of the
+        # system instead changes no verdict, counterexample or counter.
+        real = phylo.build_supertree
+        rng = random.Random(34)
+        fewer = 0
+        for _ in range(300):
+            s = random_system(rng, rng.randint(4, 7), rng.randint(2, 5), (3, 4))
+            given = set()
+            monkeypatch.setattr(
+                phylo, "build_supertree",
+                lambda triples, taxa: given.add(taxa) or real(triples, taxa=taxa))
+            report = is_flexible_bruteforce(s)
+            monkeypatch.setattr(
+                phylo, "build_supertree",
+                lambda triples, taxa, every=s.leaf_labels(): real(triples, taxa=every))
+            assert is_flexible_bruteforce(s) == report
+            fewer += given != {s.leaf_labels()}
+        assert fewer > 30
 
     def test_slim_chain_builds_on_no_triples(self, monkeypatch):
         sizes = []

@@ -74,8 +74,9 @@ class TestNewick:
             assert parse_newick(text).newick() == text
 
     # Label characters around the Newick grammar, quotes, '#' and '|'
-    # included; a label `check_label` rejects is drawn again, so every
-    # accepted label can occur.
+    # included; a label `check_label` rejects, or one drawn before (b1 + 60
+    # and b + 160 both give b160), is drawn again, so every accepted label
+    # can occur.
     LABEL_CHARS = "abcXYZ019_-.|*+[]{}#!'\""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -89,7 +90,7 @@ class TestNewick:
             label = "".join(
                 rng.choice(self.LABEL_CHARS) for _ in range(rng.randint(1, 4))
             ) + str(len(labels))
-            if accepted_label(label):
+            if accepted_label(label) and label not in labels:
                 labels.append(label)
         make = rng.choice((yule_shape, caterpillar_shape, balanced_shape))
         tree = RootedPhyloTree(_contract(rng, make(rng, labels), rng.choice((0.0, 0.4))))

@@ -24,9 +24,10 @@ from setflex.cli import COMMANDS
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
-# Collects the names of the setflex modules whose code runs.
+# Collects the names of the setflex modules whose code runs.  It imports
+# no `json`, so that a request's own imports show in `sys.modules`.
 HOOK = """
-import json, os, sys
+import os, sys
 executed = set()
 
 def hook(event, args):
@@ -38,13 +39,16 @@ def hook(event, args):
 
 sys.addaudithook(hook)
 """
-# One CLI request, then the executed modules and the loaded argument
-# parsing modules of the standard library as the last two lines.
+# One CLI request, then the executed modules and the loaded parsing
+# modules of the standard library (argument parsing, and JSON, which
+# setflex reads but never writes with `json`) as the last two lines.
 CLI = HOOK + """
 import setflex.cli
 code = setflex.cli.main(sys.argv[1:])
+loaded = sorted({"argparse", "gettext", "json"} & set(sys.modules))
+import json
 print(json.dumps(sorted(executed)))
-print(json.dumps(sorted({"argparse", "gettext"} & set(sys.modules))))
+print(json.dumps(loaded))
 sys.exit(code)
 """
 
@@ -167,13 +171,15 @@ sys.exit(code)
 # and each one's construction, which the other never runs; the pair code
 # that the min-cut checks and `sdr` never run; and the flow code that the
 # pair checks never run.  The defining triples are read off the tree,
-# with no heap of cherries.  A request must compile none of the
-# definitions under each key that its argv starts with; the only `check
-# flexible` pinned below is the scan.
+# with no heap of cherries.  No request pinned below prints help or an
+# error, so none compiles the usage text.  A request must compile none of
+# the definitions under each key that its argv starts with; the only
+# `check flexible` pinned below is the scan.
 TREE_UNUSED = ("class UnrootedPhyloTree", "def _scan_excess", "def excess_uniform")
 SCAN_AND_BUILD_UNUSED = TREE_UNUSED + ("def parse_newick", "def _count_by_splits")
 PAIRS_UNUSED = ("def _augment", "class UnrootedPhyloTree", "def _incidence")
 UNUSED = {
+    (): ("def _usage(", "def print_error"),
     ("check", "flexible"): SCAN_AND_BUILD_UNUSED,
     ("check", "thin"): ("def sdr", "def surplus_forest", "def is_forest"),
     ("check", "slim"): ("def sdr", "def surplus_forest", "def is_forest"),
@@ -263,6 +269,21 @@ def test_request_executes_only_its_layers(tmp_path, argv, layers):
     assert json.loads(parsers) == []
 
 
+def test_json_input_is_parsed_with_json(tmp_path):
+    # Reading JSON input imports `json`, and the verdict is the text input's.
+    (tmp_path / "fig1.sets").write_text(INPUTS["fig1.sets"])
+    (tmp_path / "fig1.json").write_text(
+        '{"sets": [["a","b","c"], ["a","b","d"], ["b","c","e"], ["d","e","f"]]}')
+    outputs = []
+    for name in ("fig1.sets", "fig1.json"):
+        code, (output, _, loaded) = run_python(
+            CLI, "check", "thin", name, "--json", "--no-stats", cwd=tmp_path)
+        assert code == 0
+        outputs.append((output, json.loads(loaded)))
+    assert outputs[0][0] == outputs[1][0]
+    assert [loaded for _, loaded in outputs] == [[], ["json"]]
+
+
 def test_cases_cover_every_subcommand():
     assert {argv[0] for argv, _ in CASES} == set(COMMANDS)
 
@@ -295,7 +316,7 @@ def test_request_compiles_few_lines(tmp_path, argv, max_lines, max_statements):
 
 def test_package_import_executes_no_layer():
     code, (registered, executed) = run_python(HOOK + """
-import setflex
+import json, setflex
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "setflex")))
 print(json.dumps(sorted(executed)))
 """)
