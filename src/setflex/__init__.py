@@ -83,7 +83,8 @@ _EXPORTS = {
     ),
     "pairs": (
         "extend_to_total_order", "is_forest", "is_total_order_flexible",
-        "lca_caterpillar_representation", "rooted_caterpillar",
+        "is_total_order_flexible_bruteforce", "lca_caterpillar_representation",
+        "rooted_caterpillar",
     ),
     "peel": ("RepresentationReport",),
     "represent": (

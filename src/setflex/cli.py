@@ -127,7 +127,7 @@ def _check_limits(ns) -> None:
 COMMON = {"--json": None, "--no-stats": None}
 COMMANDS = {
     "check": ("cli_check", ("thin", "slim", "flexible", "order-flexible"), {
-        "--r": int, "--method": ("mincut", "exhaustive", "bruteforce", "forest"),
+        "--method": ("mincut", "exhaustive", "bruteforce", "forest"),
         "--budget": int, "--cap": int,
     }, ()),
     "supertree": ("cli_supertree", None, {"--binary": None}, ()),

@@ -1,51 +1,31 @@
-"""`setflex check {thin,slim,flexible,order-flexible}`: one verdict and its certificate."""
+"""`setflex check {thin,slim,flexible,order-flexible}`: one verdict and its certificate.
+
+`CHECKS` is the whole command: one row per (kind, method), and a kind's
+first row is its default method.  Each row's check looks its layer up
+when it runs, so a request loads only the layer it calls, and a tracer
+that wraps a layer's functions sees the call.
+"""
 
 from __future__ import annotations
 
-import os
-
 from . import exhaustive, flex, graphopt, pairs, phylo, setsys
 from .cli import _given, _member_str, _read_input, dumps
-from .errors import InputError, check_limit
+from .errors import InputError
 
 
-def _render_certificate(system: setsys.SetSystem, report) -> object:
-    """An exhaustive check's `ExcessReport` or a min-cut check's
-    `MinimizerReport`, told apart by the report's method, or None."""
-    certificate = report.certificate
-    if certificate is None:
-        return None
-    witness = [_member_str(system, i) for i in certificate.witness]
-    if report.method == "exhaustive":
-        return {
-            "excess": certificate.value,
-            "leaf_count": certificate.leaf_count,
-            "witness": witness,
-        }
-    return {"value": certificate.value, "witness": witness}
+def _cut_witness(system: setsys.SetSystem, report) -> dict:
+    """A min-cut "no": the minimum and the selection that reaches it."""
+    return {"value": report.value, "witness": [_member_str(system, i) for i in report.witness]}
 
 
-def _render_order_certificate(system: setsys.SetSystem, report) -> object:
-    """Certificates of order-flexibility checks, per method."""
-    if report.certificate is None:
-        return None
-    if report.method == "bruteforce":
-        orientation, cycle = report.certificate
-        return {
-            "orientation": [list(pair) for pair in orientation],
-            "cycle": list(cycle),
-        }
-    # Forest mode: a bipartite cycle of ("member", i) / ("taxon", id) nodes.
-    rendered = []
-    for kind, value in report.certificate:
-        if kind == "member":
-            rendered.append(_member_str(system, value))
-        else:
-            rendered.append(system.label_of(value))
-    return {"cycle": rendered}
+def _excess_witness(system: setsys.SetSystem, report) -> dict:
+    """An exhaustive "no": the least excess, its selection and their leaf count."""
+    return {"excess": report.value, "leaf_count": report.leaf_count,
+            "witness": [_member_str(system, i) for i in report.witness]}
 
 
-def _flex_certificate(assignment) -> list[str]:
+def _tree_lines(system: setsys.SetSystem, assignment) -> list[str]:
+    """A failing assignment, one tree per member: a triple in compact form."""
     lines = []
     for tree in assignment:
         if tree.leaf_count == 3:
@@ -56,73 +36,71 @@ def _flex_certificate(assignment) -> list[str]:
     return lines
 
 
-# Check kind -> the methods it runs, the default first.
-METHODS = {"thin": ("mincut", "exhaustive"), "slim": ("mincut", "exhaustive"),
-           "flexible": ("mincut", "bruteforce"), "order-flexible": ("forest", "bruteforce")}
+def _labelled_cycle(system: setsys.SetSystem, cycle) -> dict:
+    """A forest test's "no": its member and taxon nodes by label."""
+    return {"cycle": [_member_str(system, value) if node == "member" else system.label_of(value)
+                      for node, value in cycle]}
+
+
+def _failing_orientation(system: setsys.SetSystem, certificate) -> dict:
+    """The orientation scan's "no": the first failing orientation and its cycle."""
+    orientation, cycle = certificate
+    return {"orientation": [list(pair) for pair in orientation], "cycle": list(cycle)}
+
+
+def _r(system: setsys.SetSystem) -> dict:
+    return {"r": system.uniform_size()}
+
+
+# (kind, method) -> (check, the limits it reads, its "no"-certificate
+# renderer, and the fields it adds to the --json payload: a thin check's
+# r, the members' size).
+CHECKS = {
+    ("thin", "mincut"): (lambda s: graphopt.is_thin(s), (), _cut_witness, _r),
+    ("thin", "exhaustive"): (
+        lambda s, **k: exhaustive.is_thin_exhaustive(s, **k), ("cap",), _excess_witness, _r),
+    ("slim", "mincut"): (lambda s: graphopt.is_slim(s), (), _cut_witness, None),
+    ("slim", "exhaustive"): (
+        lambda s, **k: exhaustive.is_slim_exhaustive(s, **k), ("cap",), _excess_witness, None),
+    ("flexible", "mincut"): (lambda s: graphopt.is_slim(s), (), _cut_witness, None),
+    ("flexible", "bruteforce"): (
+        lambda s, **k: flex.is_flexible_bruteforce(s, **k), ("budget", "cap"), _tree_lines, None),
+    ("order-flexible", "forest"): (
+        lambda s: pairs.is_total_order_flexible(s), (), _labelled_cycle, None),
+    ("order-flexible", "bruteforce"): (
+        lambda s, **k: pairs.is_total_order_flexible_bruteforce(s, **k), ("cap",),
+        _failing_orientation, None),
+}
 
 
 def run(ns) -> tuple[int, dict, list[str]]:
     kind = ns.kind
-    method = ns.method or METHODS[kind][0]
-    # An option the check would not read is an error, not a silent no-op;
-    # it and a method the kind does not run are rejected before any input
-    # is read.
-    reads = {"--r": kind == "thin",
-             "--budget": kind == "flexible" and method == "bruteforce",
-             "--cap": method in ("exhaustive", "bruteforce")}
-    for option, read in reads.items():
-        if getattr(ns, option[2:]) is not None and not read:
-            raise InputError(f"check {kind} --method {method} does not read {option}")
-    if method not in METHODS[kind]:
+    method = ns.method or next(m for k, m in CHECKS if k == kind)
+    # A method the kind does not run, and an option its check would not
+    # read, are errors, not silent no-ops, and are raised before any
+    # input is read.
+    if (kind, method) not in CHECKS:
         raise InputError(f"unsupported method {method!r} for {kind}")
+    check, reads, render, fields = CHECKS[kind, method]
+    for limit in ("budget", "cap"):
+        if getattr(ns, limit) is not None and limit not in reads:
+            raise InputError(f"check {kind} --method {method} does not read --{limit}")
     system = setsys.require_members(setsys.parse_sets(_read_input(ns.input)))
-    payload: dict = {"command": "check", "kind": kind}
-    cap_kwargs = _given(cap=ns.cap)
-    if kind == "thin":
-        r = payload["r"] = ns.r if ns.r is not None else system.uniform_size()
-        if r is None:
-            raise InputError("members have mixed sizes; check 'slim' instead")
-    if kind == "order-flexible":
-        report = pairs.is_total_order_flexible(system, mode=method, **cap_kwargs)
-        certificate_json = _render_order_certificate(system, report)
-    elif kind == "flexible" and method == "bruteforce":
-        # The scan alone reads a budget, so it alone reads SETFLEX_BUDGET.
-        budget, raw = ns.budget, os.environ.get("SETFLEX_BUDGET")
-        if budget is None and raw is not None:
-            try:
-                budget = check_limit("SETFLEX_BUDGET", int(raw))
-            except ValueError:
-                raise InputError(f"SETFLEX_BUDGET must be an integer, got {raw!r}") from None
-        report = flex.is_flexible_bruteforce(system, **_given(budget=budget, enum_cap=ns.cap))
-        certificate_json = report.certificate
-        if certificate_json is not None:
-            certificate_json = _flex_certificate(certificate_json)
-    else:
-        if method == "mincut":
-            report = graphopt.is_thin(system, r) if kind == "thin" else graphopt.is_slim(system)
-        elif kind == "thin":
-            report = exhaustive.is_thin_exhaustive(system, r, **cap_kwargs)
-        else:
-            report = exhaustive.is_slim_exhaustive(system, **cap_kwargs)
-        certificate_json = _render_certificate(system, report)
+    report = check(system, **_given(**{limit: getattr(ns, limit) for limit in reads}))
 
-    payload["verdict"] = report.verdict
-    payload["method"] = report.method
-    for key in ("sigma_star", "gamma_star"):
-        if key in report.stats:
-            payload[key] = report.stats[key]
-    if certificate_json is not None:
-        payload["certificate"] = certificate_json
-    payload["stats"] = dict(report.stats)
-
+    payload = {"command": "check", "kind": kind, "verdict": report.verdict,
+               "method": report.method, **(fields(system) if fields else {})}
     lines = [f"{kind}: {'yes' if report.verdict else 'no'} (method={report.method})"]
     for key in ("sigma_star", "gamma_star"):
         if key in report.stats:
+            payload[key] = report.stats[key]
             lines.append(f"{key.replace('_star', '*')}: {report.stats[key]}")
-    if isinstance(certificate_json, list):
-        # Brute-force counterexample: one assigned tree per line.
-        lines.append("counterexample:")
-        lines.extend(certificate_json)
-    elif certificate_json is not None:
-        lines.append(f"certificate: {dumps(certificate_json)}")
+    if not report.verdict:
+        certificate = payload["certificate"] = render(system, report.certificate)
+        if isinstance(certificate, list):
+            # Brute-force counterexample: one assigned tree per line.
+            lines += ["counterexample:", *certificate]
+        else:
+            lines.append(f"certificate: {dumps(certificate)}")
+    payload["stats"] = dict(report.stats)
     return (0 if report.verdict else 1), payload, lines

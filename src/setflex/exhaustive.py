@@ -20,16 +20,9 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import (
-    CapExceededError,
-    CheckReport,
-    InputError,
-    InternalVerificationError,
-    MemberSizeError,
-    check_limit,
-)
+from .errors import CapExceededError, CheckReport, InternalVerificationError, check_limit
 from .excess import excess_general, excess_uniform, size_minus_two
-from .setsys import SetSystem, require_members
+from .setsys import SetSystem, require_members, uniform_r
 
 DEFAULT_EXHAUSTIVE_CAP = 16
 
@@ -99,20 +92,17 @@ def _scan_excess(
 
 
 def is_thin_exhaustive(
-    system: SetSystem, r: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
+    system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP
 ) -> CheckReport:
     """Scan all non-empty selections for negative uniform excess.
 
-    The witness (reported only on a false verdict) is the selection of
-    minimal excess, ties broken by smallest cardinality and then by
-    sorted index order.  For r=3 selections of size <= 2 are skipped:
-    their excess is never negative.
+    r is the members' common size (`uniform_r`).  The witness (reported
+    only on a false verdict) is the selection of minimal excess, ties
+    broken by smallest cardinality and then by sorted index order.  For
+    r=3 selections of size <= 2 are skipped: their excess is never
+    negative.
     """
-    size = require_members(system).uniform_size()
-    if size != r:
-        raise MemberSizeError(f"system is not uniformly of size {r}")
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
+    r = uniform_r(system)
     _check_cap(system, cap, "graphopt.is_thin")
     return _scan_excess(
         system, [1] * system.member_count, r - 1, 3 if r == 3 else 1,

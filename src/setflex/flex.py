@@ -133,13 +133,13 @@ def _core(members: list[frozenset]) -> list[int]:
 def is_flexible_bruteforce(
     system: setsys.SetSystem,
     budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> FlexReport:
     """Scan every assignment of binary trees to the members of the system.
 
     True iff every assignment pools into a compatible triple set.  The
     total number of assignments (product of per-member tree counts) must
-    fit the budget.
+    fit the budget, and each member's taxa the enumeration cap.
 
     Each assignment is one BUILD call on the spanning triples of the
     core's trees only (`_core`), over the core's taxa.  Rooted trees whose leaf sets share at
@@ -152,7 +152,7 @@ def is_flexible_bruteforce(
     """
     setsys.require_members(system)
     check_limit("budget", budget)
-    check_limit("enum_cap", enum_cap)
+    check_limit("cap", cap)
     member_labels = [system.member_labels(i) for i in range(system.member_count)]
     for labels in member_labels:
         if len(labels) < 3:
@@ -161,14 +161,14 @@ def is_flexible_bruteforce(
                 f"got {','.join(labels)}"
             )
     # The budget is checked on the tree counts, before any tree is built.
-    member_labels = [_capped_labels(labels, enum_cap) for labels in member_labels]
+    member_labels = [_capped_labels(labels, cap) for labels in member_labels]
     counts = [tree_count(len(labels)) for labels in member_labels]
     total = prod(counts)
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the budget {budget}"
         )
-    tree_lists = [enumerate_binary_trees(labels, cap=enum_cap) for labels in member_labels]
+    tree_lists = [enumerate_binary_trees(labels, cap=cap) for labels in member_labels]
     # Each tree's spanning triples, listed once; an assignment
     # concatenates its members' lists.  BUILD gives the same result as on
     # all their triples (see `spanning_triples`), and a triple listed by

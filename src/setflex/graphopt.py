@@ -38,14 +38,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .errors import (
-    CheckReport,
-    InputError,
-    InternalVerificationError,
-    MemberSizeError,
-)
+from .errors import CheckReport, InputError, InternalVerificationError
 from .excess import gamma, sigma, size_minus_two
-from .setsys import SetSystem, require_members
+from .setsys import SetSystem, require_members, uniform_r
 
 
 def __getattr__(name: str):
@@ -469,17 +464,14 @@ def _threshold_report(report: MinimizerReport, key: str, threshold: int) -> Chec
     )
 
 
-def is_thin(system: SetSystem, r: int) -> CheckReport:
-    """Thin test via sigma* >= r-1 for a uniformly size-r system.
+def is_thin(system: SetSystem) -> CheckReport:
+    """Thin test via sigma* >= r-1, where r is the members' common size.
 
     The threshold grows with r (sigma* >= 2 for triples, >= 3 for
     quadruples); for r = 2 the same excess arithmetic gives sigma* >= 1.
     """
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    if require_members(system).uniform_size() != r:
-        raise MemberSizeError(f"system is not uniformly of size {r}")
-    return _threshold_report(sigma_star(system), "sigma_star", r - 1)
+    threshold = uniform_r(system) - 1
+    return _threshold_report(sigma_star(system), "sigma_star", threshold)
 
 
 def is_slim(system: SetSystem) -> CheckReport:

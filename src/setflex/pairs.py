@@ -247,22 +247,25 @@ def _extend_sorted(
     return CheckReport(False, "topological", tuple(cycle[start:] + cycle[:start]), {})
 
 
-def is_total_order_flexible(
-    system: setsys.SetSystem, mode: str = "forest", cap: int = DEFAULT_ORIENTATION_CAP
-) -> CheckReport:
+def is_total_order_flexible(system: setsys.SetSystem) -> CheckReport:
     """Whether every orientation of the pair system extends to a total order.
 
-    `forest` mode returns the incidence-graph acyclicity test's report;
-    `bruteforce` enumerates all 2^k orientations (bit 1 reverses the
-    sorted pair) and reports the first that fails, with its cycle.
+    By the pair theorem that is the incidence graph being a forest, so
+    this is `is_forest`'s report; `is_total_order_flexible_bruteforce` is
+    its oracle.
     """
-    if setsys.require_members(system).uniform_size() != 2:
-        raise MemberSizeError("total-order flexibility needs a system of pairs")
-    if mode == "forest":
-        return is_forest(system)
-    if mode != "bruteforce":
-        raise InputError(f"mode must be 'forest' or 'bruteforce', got {mode!r}")
-    k = system.member_count
+    return is_forest(_pairs(system))
+
+
+def is_total_order_flexible_bruteforce(
+    system: setsys.SetSystem, cap: int = DEFAULT_ORIENTATION_CAP
+) -> CheckReport:
+    """`is_total_order_flexible` by trying all 2^k orientations.
+
+    Bit i of an orientation's number reverses sorted pair i; the first
+    that fails is the certificate, with its cycle.
+    """
+    k = _pairs(system).member_count
     if k > check_limit("cap", cap):
         raise CapExceededError(f"{k} pairs exceed the orientation cap {cap}")
     pairs = [tuple(system.member_labels(i)) for i in range(k)]
@@ -273,3 +276,9 @@ def is_total_order_flexible(
             return CheckReport(False, "bruteforce", (orientation, report.certificate),
                                {"orientations_checked": mask + 1})
     return CheckReport(True, "bruteforce", None, {"orientations_checked": 1 << k})
+
+
+def _pairs(system: setsys.SetSystem) -> setsys.SetSystem:
+    if setsys.require_members(system).uniform_size() != 2:
+        raise MemberSizeError("total-order flexibility needs a system of pairs")
+    return system

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InputError, ParseError, check_label
+from .errors import InputError, MemberSizeError, ParseError, check_label
 
 
 class SetSystem:
@@ -138,6 +138,16 @@ def require_members(system: SetSystem) -> SetSystem:
     if not system.member_count:
         raise InputError("the set system has no members")
     return system
+
+
+def uniform_r(system: SetSystem) -> int:
+    """r of the thin inequality: the members' common size, at least 2."""
+    r = require_members(system).uniform_size()
+    if r is None:
+        raise MemberSizeError("members have mixed sizes; check 'slim' instead")
+    if r < 2:
+        raise InputError(f"r must be >= 2, got {r}")
+    return r
 
 
 # -- text and JSON formats --------------------------------------------------

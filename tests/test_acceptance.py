@@ -27,7 +27,7 @@ from setflex import (
     is_slim_exhaustive,
     is_thin,
     is_thin_exhaustive,
-    is_total_order_flexible,
+    is_total_order_flexible_bruteforce,
     lca_caterpillar_representation,
     parse_triple,
     sdr,
@@ -75,15 +75,15 @@ def criterion(num: int, limit_s: float, description: str):
 def test_criterion_1_fig1_golden():
     with criterion(1, 1.0, "Fig. 1 golden values"):
         tau = tsys(*FIG1)
-        assert is_thin(tau, 3).verdict
-        assert is_thin_exhaustive(tau, 3).verdict
+        assert is_thin(tau).verdict
+        assert is_thin_exhaustive(tau).verdict
         scan = is_flexible_bruteforce(tau)
         assert scan.verdict and scan.assignments_checked == 81
 
         taup = tsys(*FIG1P)
         assert excess_uniform(taup, range(5), 3) == -1
-        assert not is_thin(taup, 3).verdict
-        report = is_thin_exhaustive(taup, 3)
+        assert not is_thin(taup).verdict
+        report = is_thin_exhaustive(taup)
         assert not report.verdict and report.certificate.value == -1
 
         assignment = [parse_triple(t) for t in
@@ -99,8 +99,8 @@ def test_criterion_2_thin_equivalence():
         for mask in range(1, 1 << 10):
             members = [pool[i] for i in range(10) if mask >> i & 1]
             s = SetSystem([list(m) for m in members])
-            thin = is_thin(s, 3).verdict
-            assert thin == is_thin_exhaustive(s, 3).verdict
+            thin = is_thin(s).verdict
+            assert thin == is_thin_exhaustive(s).verdict
             if len(members) <= 3:
                 assert is_flexible_bruteforce(s).verdict == thin
             else:
@@ -115,8 +115,8 @@ def test_criterion_2_thin_equivalence():
                 for _ in range(rng.randint(1, 5))
             }
             s = SetSystem([list(m) for m in members])
-            thin = is_thin(s, 3).verdict
-            assert thin == is_thin_exhaustive(s, 3).verdict
+            thin = is_thin(s).verdict
+            assert thin == is_thin_exhaustive(s).verdict
             assert thin == is_flexible_bruteforce(s).verdict
 
 
@@ -255,7 +255,7 @@ def test_criterion_9_pair_systems_three_way():
         for mask in range(1, 1 << 10):
             members = [pool[i] for i in range(10) if mask >> i & 1]
             s = SetSystem([list(m) for m in members])
-            brute = is_total_order_flexible(s, "bruteforce").verdict
+            brute = is_total_order_flexible_bruteforce(s).verdict
             forest_ok = is_forest(s).verdict
             thin = sigma_star(s).value >= 1
             assert brute == forest_ok == thin
@@ -270,7 +270,7 @@ def test_criterion_9_pair_systems_three_way():
                 for _ in range(rng.randint(1, 10))
             }
             s = SetSystem([list(m) for m in members])
-            brute = is_total_order_flexible(s, "bruteforce").verdict
+            brute = is_total_order_flexible_bruteforce(s).verdict
             forest_ok = is_forest(s).verdict
             thin = sigma_star(s).value >= 1
             assert brute == forest_ok == thin

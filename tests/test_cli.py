@@ -27,6 +27,7 @@ from setflex import (
 )
 import setflex.__main__
 from setflex.cli import COMMANDS, dumps, main
+from setflex.cli_check import CHECKS
 from conftest import FIG1, restrict, shuffled_labels, yule_shape
 
 
@@ -57,7 +58,7 @@ def run_json(capsys, *argv):
 
 class TestCheck:
     def test_thin_fig1(self, capsys, fig1):
-        code, payload = run_json(capsys, "check", "thin", fig1, "--r", "3")
+        code, payload = run_json(capsys, "check", "thin", fig1)
         assert code == 0
         assert payload["verdict"] is True
         assert payload["sigma_star"] == 2
@@ -122,15 +123,10 @@ class TestCheck:
         assert code2 == 1
         assert payload2["certificate"]["cycle"] == ["a", "b", "c"]
 
-    def test_budget_exceeded_exit_3(self, capsys, fig1, monkeypatch):
-        monkeypatch.setenv("SETFLEX_BUDGET", "10")
-        code, out = run(capsys, "check", "flexible", fig1, "--method", "bruteforce")
+    def test_budget_exceeded_exit_3(self, capsys, fig1):
+        code, out = run(capsys, "check", "flexible", fig1, "--method", "bruteforce",
+                        "--budget", "10")
         assert code == 3
-
-    def test_bad_budget_env_exit_2(self, capsys, fig1, monkeypatch):
-        monkeypatch.setenv("SETFLEX_BUDGET", "lots")
-        code, _ = run(capsys, "check", "flexible", fig1, "--method", "bruteforce")
-        assert code == 2
 
     def test_budget_flag_overrides(self, capsys, fig1):
         code, _ = run_json(
@@ -189,6 +185,22 @@ class TestCheck:
         )
         assert code == 3
 
+    # `cli_check.CHECKS` runs the command that `COMMANDS["check"]` parses;
+    # neither module reads the other's table, so this test ties them.
+    def test_check_table_matches_the_parser(self):
+        _, kinds, options, _ = COMMANDS["check"]
+        assert {kind for kind, _ in CHECKS} == set(kinds)
+        assert {method for _, method in CHECKS} == set(options["--method"])
+        reads = {f"--{limit}" for _, limits, _, _ in CHECKS.values() for limit in limits}
+        assert reads <= set(options)
+
+    @pytest.mark.parametrize("kind", COMMANDS["check"][1])
+    def test_first_row_is_the_default_method(self, capsys, kind):
+        golden = Path(__file__).parent / "golden"
+        path = golden / ("pair_square.sets" if kind == "order-flexible" else "fig1.sets")
+        _, payload = run_json(capsys, "check", kind, str(path))
+        assert payload["method"] == next(method for k, method in CHECKS if k == kind)
+
 
 class TestErrorSurface:
     def test_negative_budget_flag_exit_2(self, capsys, fig1):
@@ -197,13 +209,6 @@ class TestErrorSurface:
             "--budget", "-1",
         )
         assert code == 2 and "--budget" in payload["error"]
-
-    def test_negative_budget_env_exit_2(self, capsys, fig1, monkeypatch):
-        monkeypatch.setenv("SETFLEX_BUDGET", "-1")
-        code, payload = run_json(
-            capsys, "check", "flexible", fig1, "--method", "bruteforce"
-        )
-        assert code == 2 and "SETFLEX_BUDGET" in payload["error"]
 
     @pytest.mark.parametrize("argv", [
         ("check", "thin", "FIG1", "--method", "exhaustive", "--cap", "-1"),
@@ -231,57 +236,36 @@ class TestErrorSurface:
             code, payload = run_json(capsys, "check", kind, *source, "--method", method)
             assert code == 2
             assert payload == {"error": f"unsupported method {method!r} for {kind}"}
+        # With no check to ask, an option is not reported as one it would not read.
+        assert run_json(capsys, "check", kind, str(path), "--method", method,
+                        "--budget", "3") == (code, payload)
 
     @pytest.mark.parametrize("method", ["mincut", "exhaustive"])
     def test_thin_on_mixed_sizes_points_to_slim(self, capsys, method):
         path = Path(__file__).parent / "golden" / "mixed4.sets"
         code, payload = run_json(capsys, "check", "thin", str(path), "--method", method)
         assert code == 2
-        assert "'slim'" in payload["error"] and "--r" not in payload["error"]
-        # No --r helps: a thin check needs members of one size.
-        code, payload = run_json(capsys, "check", "thin", str(path), "--method", method,
-                                 "--r", "3")
-        assert code == 2 and payload == {"error": "system is not uniformly of size 3"}
-
-    @pytest.mark.parametrize("value", ["-1", "lots"])
-    @pytest.mark.parametrize("kind", ["thin", "slim", "flexible", "order-flexible"])
-    def test_budget_env_read_only_by_the_scan(self, capsys, monkeypatch, kind, value):
-        # Only `flexible --method bruteforce` reads a budget, and it alone
-        # validates SETFLEX_BUDGET; every other check (`flexible` runs the
-        # min-cut method) answers as if the variable were unset.
-        golden = Path(__file__).parent / "golden"
-        path = str(golden / ("pair_square.sets" if kind == "order-flexible" else "fig1.sets"))
-        unset = run_json(capsys, "check", kind, path)
-        monkeypatch.setenv("SETFLEX_BUDGET", value)
-        assert run_json(capsys, "check", kind, path) == unset
-        assert unset[0] == (1 if kind == "order-flexible" else 0)
+        assert payload == {"error": "members have mixed sizes; check 'slim' instead"}
 
     STRAY = [
         ("thin", "mincut", "--budget", "5"),
         ("thin", "mincut", "--cap", "5"),
         ("thin", "exhaustive", "--budget", "5"),
-        ("slim", "mincut", "--r", "3"),
         ("slim", "mincut", "--budget", "5"),
         ("slim", "mincut", "--cap", "5"),
-        ("slim", "exhaustive", "--r", "3"),
         ("slim", "exhaustive", "--budget", "5"),
-        ("flexible", "mincut", "--r", "3"),
         ("flexible", "mincut", "--budget", "5"),
         ("flexible", "mincut", "--cap", "5"),
-        ("flexible", "bruteforce", "--r", "3"),
-        ("order-flexible", "forest", "--r", "3"),
         ("order-flexible", "forest", "--budget", "5"),
         ("order-flexible", "forest", "--cap", "5"),
-        ("order-flexible", "bruteforce", "--r", "3"),
         ("order-flexible", "bruteforce", "--budget", "5"),
     ]
 
     @pytest.mark.parametrize("kind, method, option, value", STRAY,
                              ids=["-".join(case[:3]) for case in STRAY])
     def test_option_the_check_does_not_read_exit_2(self, capsys, kind, method, option, value):
-        # `--r` is read by `thin` only, `--budget` by the brute-force
-        # flexibility scan only, and `--cap` by the exhaustive and
-        # brute-force methods only.
+        # `--budget` is read by the brute-force flexibility scan only, and
+        # `--cap` by the exhaustive and brute-force methods only.
         path = str(Path(__file__).parent / "golden" / "fig1.sets")
         code, payload = run_json(capsys, "check", kind, path, "--method", method, option, value)
         assert code == 2
@@ -393,8 +377,7 @@ class TestErrorSurface:
     )
     @pytest.mark.parametrize("argv", [
         ("thin",),
-        ("thin", "--r", "3"),
-        ("thin", "--r", "3", "--method", "exhaustive"),
+        ("thin", "--method", "exhaustive"),
         ("slim",),
         ("slim", "--method", "exhaustive"),
         ("flexible",),
@@ -416,7 +399,7 @@ class TestErrorSurface:
 
     @pytest.fixture
     def broken_is_thin(self, monkeypatch):
-        def broken(system, r):
+        def broken(system):
             raise InternalVerificationError("witness does not reproduce")
 
         monkeypatch.setattr(graphopt, "is_thin", broken)
@@ -686,7 +669,7 @@ class TestArgumentOrder:
     }
     # (subcommand and kind, input, options) for every subcommand with an input.
     CASES = [
-        (("check", "thin"), "sets", ("--r", "3")),
+        (("check", "thin"), "sets", ("--method", "mincut")),
         (("check", "slim"), "sets", ("--method", "exhaustive", "--cap", "8")),
         (("check", "flexible"), "sets", ("--method", "bruteforce", "--budget", "100")),
         (("supertree",), "triples", ("--binary",)),
@@ -712,7 +695,7 @@ class TestArgumentOrder:
         monkeypatch.setattr(
             sys, "stdin", io.TextIOWrapper(io.BytesIO(self.INPUTS["sets"].encode()))
         )
-        code, payload = run_json(capsys, "check", "thin", "--r", "3", "-")
+        code, payload = run_json(capsys, "check", "thin", "--method", "mincut", "-")
         assert code == 0 and payload["sigma_star"] == 2
 
     @pytest.mark.parametrize("extra", [
@@ -723,7 +706,7 @@ class TestArgumentOrder:
     ])
     def test_other_leftovers_are_usage_errors(self, capsys, fig1, extra):
         extra = [fig1 if a == "SECOND" else a for a in extra]
-        argv = ["check", "thin", "--r", "3", *extra]
+        argv = ["check", "thin", "--method", "mincut", *extra]
         if extra[0] == fig1:
             argv.insert(2, fig1)
         with pytest.raises(SystemExit) as exc:
@@ -736,7 +719,7 @@ class TestArgumentOrder:
 class TestParser:
     # (argv, exit code, the stream that carries the text, the text).
     CASES = [
-        (("check", "thin", "FIG1", "--r=3", "--method=mincut"), 0, "out", '"sigma_star": 2'),
+        (("check", "thin", "FIG1", "--cap=16", "--method=exhaustive"), 0, "out", '"r": 3'),
         (("sdr", "FIG1", "--B=a,b"), 0, "out", '"found": true'),
         (("-h",), 0, "out", "usage:"),
         (("--help",), 0, "out", "usage:"),
@@ -745,11 +728,13 @@ class TestParser:
         (("bogus", "FIG1"), 2, "err", "'bogus'"),
         (("check", "thick", "FIG1"), 2, "err", "'thick'"),
         (("check", "thin", "FIG1", "--method", "magic"), 2, "err", "'magic'"),
-        (("check", "thin", "FIG1", "--r", "three"), 2, "err", "'three'"),
-        (("check", "thin", "FIG1", "--r"), 2, "err", "--r"),
-        (("check", "thin", "FIG1", "--r", "--no-stats"), 2, "err", "--r"),
+        (("check", "thin", "FIG1", "--cap", "three"), 2, "err", "'three'"),
+        (("check", "thin", "FIG1", "--cap"), 2, "err", "--cap"),
+        (("check", "thin", "FIG1", "--cap", "--no-stats"), 2, "err", "--cap"),
+        # r is the members' size, not an option.
+        (("check", "thin", "FIG1", "--r", "3"), 2, "err", "unrecognized arguments: --r 3"),
         (("sdr", "FIG1"), 2, "err", "--B"),
-        (("check", "--r", "3"), 2, "err", "kind"),
+        (("check", "--budget", "3"), 2, "err", "kind"),
         ((), 2, "err", "subcommand"),
     ]
 

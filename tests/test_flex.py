@@ -122,7 +122,7 @@ class TestFlexibleBruteforce:
 
         monkeypatch.setattr(flex, "_enumerate_trees", refuse)
         with pytest.raises(BudgetExceededError, match="^34459425 assignments exceed"):
-            is_flexible_bruteforce(tsys("abcdefghij"), enum_cap=10)
+            is_flexible_bruteforce(tsys("abcdefghij"), cap=10)
 
     def test_pair_members_rejected(self):
         with pytest.raises(InputError):
@@ -156,7 +156,7 @@ class TestFlexibleBruteforce:
                 for _ in range(rng.randint(1, 4))
             }
             s = SetSystem([list(m) for m in members])
-            assert is_flexible_bruteforce(s).verdict == is_thin(s, 3).verdict
+            assert is_flexible_bruteforce(s).verdict == is_thin(s).verdict
 
     def test_flexible_systems_respect_size_bound(self):
         # A flexible triple system never has more members than |L| - 2.
@@ -383,8 +383,8 @@ class TestNegativeLimits:
             is_flexible_bruteforce(tsys(*FIG1), budget=-1)
 
     def test_enum_cap(self):
-        with pytest.raises(InputError, match="enum_cap must be non-negative"):
-            is_flexible_bruteforce(tsys(*FIG1), enum_cap=-1)
+        with pytest.raises(InputError, match="^cap must be non-negative"):
+            is_flexible_bruteforce(tsys(*FIG1), cap=-1)
 
     def test_enumerate_binary_trees(self):
         with pytest.raises(InputError, match="cap must be non-negative"):

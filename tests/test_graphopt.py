@@ -389,7 +389,7 @@ class TestLarge:
         s = SetSystem([names[i:i + 3] for i in range(10_000)])
         start = time.perf_counter()
         report = sigma_star(s)
-        verdict = is_thin(s, 3)
+        verdict = is_thin(s)
         assert time.perf_counter() - start < 5.0
         assert report.value == 2 and report.forced_members == 10_000
         assert report.forced_solves == 1
@@ -467,11 +467,11 @@ class TestLarge:
 
 class TestThinSlim:
     def test_fig1(self):
-        assert is_thin(tsys(*FIG1), 3).verdict
-        assert not is_thin(tsys(*FIG1P), 3).verdict
+        assert is_thin(tsys(*FIG1)).verdict
+        assert not is_thin(tsys(*FIG1P)).verdict
 
     def test_triangle_pairs_not_thin(self):
-        report = is_thin(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), 2)
+        report = is_thin(SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]))
         assert not report.verdict
         assert report.stats["sigma_star"] == 0
         assert all(type(value) is int for value in report.stats.values())
@@ -481,13 +481,13 @@ class TestThinSlim:
         for _ in range(80):
             r = rng.choice([2, 3, 4])
             s = random_system(rng, rng.randint(r + 1, 8), rng.randint(1, 6), (r,))
-            assert is_thin(s, r).verdict == is_thin_exhaustive(s, r).verdict
+            assert is_thin(s).verdict == is_thin_exhaustive(s).verdict
         for _ in range(80):
             s = random_system(rng, rng.randint(4, 8), rng.randint(1, 6), (3, 4))
             assert is_slim(s).verdict == is_slim_exhaustive(s).verdict
 
     def test_work_counters(self):
-        for check, system in ((lambda s: is_thin(s, 3), tsys(*FIG1)),
+        for check, system in ((is_thin, tsys(*FIG1)),
                               (is_slim, tsys("abcd", "cdef"))):
             stats = check(system).stats
             assert type(stats["augmenting_paths"]) is int
@@ -498,7 +498,7 @@ class TestThinSlim:
 
     def test_non_uniform_rejected(self):
         with pytest.raises(MemberSizeError):
-            is_thin(SetSystem([["a", "b"], ["a", "b", "c"]]), 3)
+            is_thin(SetSystem([["a", "b"], ["a", "b", "c"]]))
 
 
 class TestSdr:
@@ -819,7 +819,7 @@ class TestSurplusForest:
         for _ in range(60):
             s = random_system(rng, rng.randint(3, 7), rng.randint(1, 6), (2,))
             ok = is_forest(s).verdict
-            assert ok == is_thin(s, 2).verdict
+            assert ok == is_thin(s).verdict
 
     def test_self_reduction_when_the_greedy_pass_fails(self, monkeypatch):
         # Members in canonical order ab, acd, bc.  The greedy pass gives

@@ -24,6 +24,7 @@ from setflex import (
     is_thin,
     is_thin_exhaustive,
     is_total_order_flexible,
+    is_total_order_flexible_bruteforce,
     sdr,
     verify_median_injective,
 )
@@ -140,12 +141,12 @@ def is_cycle(certificate) -> bool:
 
 # (method, producer, "yes" call, its certificate test, "no" call, its certificate test)
 PRODUCERS = [
-    ("mincut", lambda: is_thin(tsys(*FIG1), 3), lambda c: c is None,
-     lambda: is_thin(tsys(*FIG1P), 3), lambda c: isinstance(c, MinimizerReport)),
+    ("mincut", lambda: is_thin(tsys(*FIG1)), lambda c: c is None,
+     lambda: is_thin(tsys(*FIG1P)), lambda c: isinstance(c, MinimizerReport)),
     ("mincut", lambda: is_slim(tsys(*FIG1)), lambda c: c is None,
      lambda: is_slim(tsys(*FIG1P)), lambda c: isinstance(c, MinimizerReport)),
-    ("exhaustive", lambda: is_thin_exhaustive(tsys(*FIG1), 3), lambda c: c is None,
-     lambda: is_thin_exhaustive(tsys(*FIG1P), 3), lambda c: isinstance(c, ExcessReport)),
+    ("exhaustive", lambda: is_thin_exhaustive(tsys(*FIG1)), lambda c: c is None,
+     lambda: is_thin_exhaustive(tsys(*FIG1P)), lambda c: isinstance(c, ExcessReport)),
     ("exhaustive", lambda: is_slim_exhaustive(tsys(*FIG1)), lambda c: c is None,
      lambda: is_slim_exhaustive(tsys(*FIG1P)), lambda c: isinstance(c, ExcessReport)),
     ("bruteforce", lambda: is_flexible_bruteforce(tsys(*FIG1)), lambda c: c is None,
@@ -155,8 +156,8 @@ PRODUCERS = [
      lambda: is_forest(TRIANGLE), is_cycle),
     ("forest", lambda: is_total_order_flexible(PATH), lambda c: c is None,
      lambda: is_total_order_flexible(TRIANGLE), is_cycle),
-    ("bruteforce", lambda: is_total_order_flexible(PATH, "bruteforce"), lambda c: c is None,
-     lambda: is_total_order_flexible(TRIANGLE, "bruteforce"),
+    ("bruteforce", lambda: is_total_order_flexible_bruteforce(PATH), lambda c: c is None,
+     lambda: is_total_order_flexible_bruteforce(TRIANGLE),
      lambda c: len(c[0]) == 3 and sorted(c[1]) == ["a", "b", "c"]),
     ("maxflow", lambda: sdr(tsys(*FIG1), ["a", "b"]),
      lambda c: c == {0: 2, 1: 3, 2: 4, 3: 5},

@@ -25,6 +25,7 @@ from setflex import (
     is_forest,
     is_thin,
     is_total_order_flexible,
+    is_total_order_flexible_bruteforce,
     lca_caterpillar_representation,
     rooted_caterpillar,
     sigma_star,
@@ -215,7 +216,7 @@ class TestLcaCaterpillar:
 class TestTotalOrder:
     def test_negative_orientation_cap(self):
         with pytest.raises(InputError, match="cap must be non-negative"):
-            is_total_order_flexible(tsys("ab", "bc"), mode="bruteforce", cap=-1)
+            is_total_order_flexible_bruteforce(tsys("ab", "bc"), cap=-1)
 
     def test_chain(self):
         report = extend_to_total_order("abc", [("a", "b"), ("b", "c")])
@@ -255,13 +256,13 @@ class TestTotalOrder:
 class TestOrderFlexible:
     def test_path_flexible_both_modes(self):
         s = pair_system("ab", "bc")
-        assert is_total_order_flexible(s, "forest").verdict
-        assert is_total_order_flexible(s, "bruteforce").verdict
+        assert is_total_order_flexible(s).verdict
+        assert is_total_order_flexible_bruteforce(s).verdict
 
     def test_triangle_not_flexible(self):
         s = pair_system("ab", "bc", "ac")
-        forest = is_total_order_flexible(s, "forest")
-        brute = is_total_order_flexible(s, "bruteforce")
+        forest = is_total_order_flexible(s)
+        brute = is_total_order_flexible_bruteforce(s)
         assert not forest.verdict and not brute.verdict
         orientation, cycle = brute.certificate
         assert set(orientation) == {("a", "b"), ("c", "a"), ("b", "c")}
@@ -269,7 +270,7 @@ class TestOrderFlexible:
 
     def test_single_pair(self):
         s = pair_system("ab")
-        assert is_total_order_flexible(s, "bruteforce").verdict
+        assert is_total_order_flexible_bruteforce(s).verdict
 
     def test_modes_agree_exhaustively_small(self):
         pool = list(combinations("abcd", 2))
@@ -277,8 +278,8 @@ class TestOrderFlexible:
             members = [pool[i] for i in range(len(pool)) if mask >> i & 1]
             s = SetSystem([list(m) for m in members])
             assert (
-                is_total_order_flexible(s, "forest").verdict
-                == is_total_order_flexible(s, "bruteforce").verdict
+                is_total_order_flexible(s).verdict
+                == is_total_order_flexible_bruteforce(s).verdict
             )
 
     def test_modes_agree_random(self):
@@ -290,8 +291,8 @@ class TestOrderFlexible:
             }
             s = SetSystem([list(m) for m in members])
             assert (
-                is_total_order_flexible(s, "forest").verdict
-                == is_total_order_flexible(s, "bruteforce").verdict
+                is_total_order_flexible(s).verdict
+                == is_total_order_flexible_bruteforce(s).verdict
             )
 
     def test_three_way_agreement(self):
@@ -302,21 +303,21 @@ class TestOrderFlexible:
                 tuple(sorted(rng.sample(taxa, 2))) for _ in range(rng.randint(1, 8))
             }
             s = SetSystem([list(m) for m in members])
-            flexible = is_total_order_flexible(s, "bruteforce").verdict
+            flexible = is_total_order_flexible_bruteforce(s).verdict
             forest_ok = is_forest(s).verdict
             assert flexible == forest_ok == (sigma_star(s).value >= 1)
-            assert flexible == is_thin(s, 2).verdict
+            assert flexible == is_thin(s).verdict
             if flexible:
                 assert injective(lca_caterpillar_representation(s))
 
     def test_cap(self):
         members = [[ALPHA[i], ALPHA[i + 1]] for i in range(21)]
         with pytest.raises(CapExceededError):
-            is_total_order_flexible(SetSystem(members), "bruteforce", cap=20)
+            is_total_order_flexible_bruteforce(SetSystem(members), cap=20)
 
     def test_triples_rejected(self):
         with pytest.raises(MemberSizeError):
-            is_total_order_flexible(tsys("abc"), "forest")
+            is_total_order_flexible(tsys("abc"))
 
 
 # -- the recursive construction, kept as the reference for the peel --------------

@@ -22,6 +22,7 @@ from setflex import (
     is_thin,
     is_thin_exhaustive,
     is_total_order_flexible,
+    is_total_order_flexible_bruteforce,
     parse_sets,
     parse_sets_json,
     parse_sets_text,
@@ -185,10 +186,10 @@ class TestSigmaGamma:
 
 class TestThinExhaustive:
     def test_fig1_thin(self):
-        assert is_thin_exhaustive(tsys(*FIG1), 3).verdict
+        assert is_thin_exhaustive(tsys(*FIG1)).verdict
 
     def test_fig1_prime_not_thin(self):
-        report = is_thin_exhaustive(tsys(*FIG1P), 3)
+        report = is_thin_exhaustive(tsys(*FIG1P))
         assert not report.verdict
         cert = report.certificate
         assert cert.value == -1
@@ -201,41 +202,41 @@ class TestThinExhaustive:
         assert excess_uniform(tsys(*FIG1P), range(5), 3) == -1
 
     def test_unorderable_thin_example(self):
-        assert is_thin_exhaustive(tsys("abc", "cde", "bef", "adf"), 3).verdict
+        assert is_thin_exhaustive(tsys("abc", "cde", "bef", "adf")).verdict
 
     def test_matches_oracle_on_random_systems(self):
         rng = random.Random(5)
         for _ in range(60):
             s = random_system(rng, rng.randint(3, 6), rng.randint(1, 6), (3,))
-            assert is_thin_exhaustive(s, 3).verdict == brute_thin(s, 3)
+            assert is_thin_exhaustive(s).verdict == brute_thin(s, 3)
 
     def test_r2_systems(self):
-        assert is_thin_exhaustive(SetSystem([["a", "b"], ["b", "c"]]), 2).verdict
+        assert is_thin_exhaustive(SetSystem([["a", "b"], ["b", "c"]])).verdict
         assert not is_thin_exhaustive(
-            SetSystem([["a", "b"], ["b", "c"], ["a", "c"]]), 2
+            SetSystem([["a", "b"], ["b", "c"], ["a", "c"]])
         ).verdict
 
     def test_cap(self):
         s = random_system(random.Random(0), 12, 17, (3,))
         with pytest.raises(CapExceededError):
-            is_thin_exhaustive(s, 3, cap=16)
+            is_thin_exhaustive(s, cap=16)
 
     def test_non_uniform_rejected(self):
         with pytest.raises(MemberSizeError):
-            is_thin_exhaustive(SetSystem([["a", "b"], ["a", "b", "c"]]), 3)
+            is_thin_exhaustive(SetSystem([["a", "b"], ["a", "b", "c"]]))
 
     def test_heredity_of_thin(self):
         # Every non-empty subsystem of a thin system is thin.
         rng = random.Random(23)
         for _ in range(20):
             s = random_system(rng, 6, rng.randint(2, 5), (3,))
-            if not is_thin_exhaustive(s, 3).verdict:
+            if not is_thin_exhaustive(s).verdict:
                 continue
             sets = s.member_label_sets()
             for size in range(1, len(sets)):
                 for combo in combinations(range(len(sets)), size):
                     sub = SetSystem([sorted(sets[i]) for i in combo])
-                    assert is_thin_exhaustive(sub, 3).verdict
+                    assert is_thin_exhaustive(sub).verdict
 
 
 class TestSlimExhaustive:
@@ -267,7 +268,7 @@ class TestSlimExhaustive:
             if s.member_count > 12 or not is_slim_exhaustive(s).verdict:
                 continue
             seen += 1
-            assert is_thin_exhaustive(s, r).verdict
+            assert is_thin_exhaustive(s).verdict
         assert seen > 20
 
     def test_rejects_small_members(self):
@@ -278,7 +279,7 @@ class TestSlimExhaustive:
 class TestNegativeCaps:
     def test_is_thin_exhaustive(self):
         with pytest.raises(InputError, match="cap must be non-negative"):
-            is_thin_exhaustive(tsys(*FIG1), 3, cap=-1)
+            is_thin_exhaustive(tsys(*FIG1), cap=-1)
 
     def test_is_slim_exhaustive(self):
         with pytest.raises(InputError, match="cap must be non-negative"):
@@ -293,16 +294,17 @@ class TestEmptySystem:
     # An empty selection has excess 0, so a scan over no members would
     # answer "thin" and "slim" for a system with nothing to check; the
     # min-cut, order and flexibility checks say the same, not that the
-    # member size is wrong or that there is nothing to minimize over.
+    # member size is wrong or that there is nothing to minimize over; a
+    # zero cap is not reached first.
     @pytest.mark.parametrize("check", [
-        lambda s: is_thin_exhaustive(s, 3),
-        lambda s: is_thin_exhaustive(s, 2, cap=0),
+        lambda s: is_thin_exhaustive(s),
+        lambda s: is_thin_exhaustive(s, cap=0),
         is_slim_exhaustive,
-        lambda s: is_thin(s, 3),
-        lambda s: is_thin(s, 2),
+        lambda s: is_thin(s),
+        lambda s: is_total_order_flexible_bruteforce(s, cap=0),
         is_slim,
         is_total_order_flexible,
-        lambda s: is_total_order_flexible(s, "bruteforce"),
+        lambda s: is_total_order_flexible_bruteforce(s),
         is_flexible_bruteforce,
     ])
     def test_rejected(self, check):
@@ -319,7 +321,7 @@ class TestExhaustiveScanOracles:
         for _ in range(150):
             r = rng.choice([2, 3, 4])
             s = random_system(rng, rng.randint(r + 1, 8), rng.randint(2, 9), (r,))
-            report = is_thin_exhaustive(s, r)
+            report = is_thin_exhaustive(s)
             if report.verdict:
                 continue
             seen += 1
@@ -353,7 +355,7 @@ class TestExhaustiveScanOracles:
             thin = random_system(rng, rng.randint(r + 1, 8), rng.randint(2, 9), (r,))
             slim = random_system(rng, rng.randint(5, 9), rng.randint(2, 9), (3, 4, 5))
             for report, measure in (
-                (is_thin_exhaustive(thin, r), lambda w: excess_uniform(thin, w, r)),
+                (is_thin_exhaustive(thin), lambda w: excess_uniform(thin, w, r)),
                 (is_slim_exhaustive(slim), lambda w: excess_general(slim, w)),
             ):
                 if report.certificate is not None:
@@ -362,7 +364,7 @@ class TestExhaustiveScanOracles:
         assert seen > 60
 
     @pytest.mark.parametrize("measure, check", [
-        ("excess_uniform", lambda s: is_thin_exhaustive(s, 3)),
+        ("excess_uniform", lambda s: is_thin_exhaustive(s)),
         ("excess_general", is_slim_exhaustive),
     ], ids=["thin", "slim"])
     def test_witness_that_misses_the_measure_is_an_internal_error(
@@ -385,7 +387,7 @@ class TestExhaustiveScanOracles:
     ])
     def test_ties_go_to_size_then_lex_not_mask_order(self, words, witness):
         s = tsys(*words)
-        report = is_thin_exhaustive(s, 2)
+        report = is_thin_exhaustive(s)
         assert report.certificate.witness == witness == brute_minimum(s, "sigma")[1]
         assert report.certificate.value == -1
 
@@ -400,7 +402,7 @@ class TestExhaustiveScanOracles:
                 oracle_sigma(sets, combo) - (r - 1)
                 for n in range(smallest, k + 1) for combo in combinations(range(k), n)
             ]
-            stats = is_thin_exhaustive(s, r).stats
+            stats = is_thin_exhaustive(s).stats
             assert stats["subsets_checked"] == len(excesses) == sum(
                 comb(k, n) for n in range(smallest, k + 1)
             )
